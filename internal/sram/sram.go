@@ -17,7 +17,8 @@ package sram
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"mobilestorage/internal/device"
 	"mobilestorage/internal/energy"
@@ -56,12 +57,17 @@ type Buffer struct {
 	params    device.MemoryParams
 	size      units.Bytes
 	blockSize units.Bytes
-	capBlocks int
+	capBlocks int64
 	inner     device.Device
 	meter     *energy.Meter
 
-	// dirty holds buffered block indices.
-	dirty map[int64]struct{}
+	// runs is the dirty set: the buffered block indices as maximal runs,
+	// sorted, disjoint and never touching (a run ends at least two blocks
+	// before the next begins). A drain writes exactly these runs, one
+	// device request each.
+	runs []blockRun
+	// dirtyBlocks is the number of buffered blocks, the runs' total length.
+	dirtyBlocks int64
 	// drainDoneAt is when the in-flight background drain completes; writes
 	// that find the buffer full wait for it.
 	drainDoneAt units.Time
@@ -117,10 +123,9 @@ func New(params device.MemoryParams, size, blockSize units.Bytes, inner device.D
 		params:    params,
 		size:      size,
 		blockSize: blockSize,
-		capBlocks: int(size / blockSize),
+		capBlocks: int64(size / blockSize),
 		inner:     inner,
 		meter:     energy.NewMeter(),
-		dirty:     make(map[int64]struct{}),
 	}
 	for _, o := range opts {
 		o(b)
@@ -152,7 +157,7 @@ func (b *Buffer) OverflowStall() units.Time { return b.overflowStall }
 
 // BufferedBytes returns the amount of dirty data currently held.
 func (b *Buffer) BufferedBytes() units.Bytes {
-	return units.Bytes(len(b.dirty)) * b.blockSize
+	return units.Bytes(b.dirtyBlocks) * b.blockSize
 }
 
 // Idle implements device.Device.
@@ -210,21 +215,13 @@ func (b *Buffer) WriteExtent(reqs []device.Request, completions []units.Time) {
 // path, while the platters turn.
 func (b *Buffer) read(req device.Request) units.Time {
 	first, last := b.blockRange(req.Addr, req.Size)
-	allBuffered := len(b.dirty) > 0
-	anyBuffered := false
-	for blk := first; blk <= last; blk++ {
-		if _, ok := b.dirty[blk]; ok {
-			anyBuffered = true
-		} else {
-			allBuffered = false
-		}
-	}
-	if allBuffered {
+	buffered := b.count(first, last)
+	if b.dirtyBlocks > 0 && buffered == last-first+1 {
 		return req.Time + b.accessTime(req.Size)
 	}
 	start := req.Time
-	if anyBuffered {
-		start = b.flushRange(start, first, last)
+	if buffered > 0 {
+		start = b.flush(start, first, last)
 	}
 	wasSpinning := true
 	if ss, ok := b.inner.(spinStater); ok {
@@ -232,7 +229,7 @@ func (b *Buffer) read(req device.Request) units.Time {
 	}
 	req.Time = start
 	completion := b.inner.Access(req)
-	if !wasSpinning && len(b.dirty) > 0 {
+	if !wasSpinning && b.dirtyBlocks > 0 {
 		b.drain(completion)
 	}
 	return completion
@@ -248,14 +245,9 @@ func (b *Buffer) write(req device.Request) units.Time {
 		return b.inner.Access(req)
 	}
 	first, last := b.blockRange(req.Addr, req.Size)
-	newBlocks := 0
-	for blk := first; blk <= last; blk++ {
-		if _, ok := b.dirty[blk]; !ok {
-			newBlocks++
-		}
-	}
+	newBlocks := last - first + 1 - b.count(first, last)
 	start := req.Time
-	if len(b.dirty)+newBlocks > b.capBlocks {
+	if b.dirtyBlocks+newBlocks > b.capBlocks {
 		if b.drainDoneAt <= start {
 			// Full with no drain in flight: kick one off in the background;
 			// the freed space is available immediately in model state.
@@ -273,16 +265,14 @@ func (b *Buffer) write(req device.Request) units.Time {
 			start = b.drainDoneAt
 		}
 	}
-	for blk := first; blk <= last; blk++ {
-		b.dirty[blk] = struct{}{}
-	}
+	b.add(first, last)
 	completion := start + b.accessTime(req.Size)
 
-	// High-water background drain: once the buffer is half full, spin the
-	// device up (if needed) and drain without delaying the host. Runs of
+	// High-water background drain: once the buffer is a quarter full, spin
+	// the device up (if needed) and drain without delaying the host. Runs of
 	// writes smaller than the high-water mark still complete without ever
 	// waking a sleeping disk — the deferred spin-up benefit.
-	if len(b.dirty) >= int(highWaterFraction*float64(b.capBlocks)) && b.drainDoneAt <= completion {
+	if b.dirtyBlocks >= int64(highWaterFraction*float64(b.capBlocks)) && b.drainDoneAt <= completion {
 		b.drain(completion)
 	}
 	return completion
@@ -290,76 +280,53 @@ func (b *Buffer) write(req device.Request) units.Time {
 
 // drain writes the whole buffer back in the background starting at now.
 // The buffer empties immediately in model state (new writes can land) while
-// the device stays busy until drainDoneAt. Returns the completion time of
-// the first flushed extent (when the first freed space is truly available).
-func (b *Buffer) drain(now units.Time) units.Time {
-	blocks := make([]int64, 0, len(b.dirty))
-	for blk := range b.dirty {
-		blocks = append(blocks, blk)
-	}
-	firstDone := b.flushBlocks(now, blocks)
-	return firstDone
+// the device stays busy until drainDoneAt.
+func (b *Buffer) drain(now units.Time) {
+	b.flush(now, math.MinInt64, math.MaxInt64)
 }
 
-// flushRange writes back buffered blocks overlapping [first, last],
-// returning the completion time.
-func (b *Buffer) flushRange(now units.Time, first, last int64) units.Time {
-	var blocks []int64
-	for blk := first; blk <= last; blk++ {
-		if _, ok := b.dirty[blk]; ok {
-			blocks = append(blocks, blk)
-		}
-	}
-	return b.flushBlocks(now, blocks)
-}
-
-// flushBlocks writes the given buffered blocks to the device as coalesced
-// extents and removes them from the buffer. It returns the completion time
-// of the first extent; the completion of the whole flush is recorded in
+// flush writes the buffered blocks in [first, last] back to the device, one
+// request per run in ascending order, and removes them from the buffer. It
+// returns the completion time of the first request (now when nothing is
+// buffered there); the completion of the whole flush is recorded in
 // drainDoneAt.
-func (b *Buffer) flushBlocks(now units.Time, blocks []int64) units.Time {
-	if len(blocks) == 0 {
-		return now
-	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-	write := b.inner.Access
-	if bg, ok := b.inner.(backgrounder); ok {
-		write = bg.Background
-	}
+func (b *Buffer) flush(now units.Time, first, last int64) units.Time {
+	bg, background := b.inner.(backgrounder)
 	completion := now
 	var firstDone units.Time
-	runStart := blocks[0]
-	runLen := int64(1)
-	emit := func() {
-		completion = write(device.Request{
+	var blocks int64
+	for _, r := range b.runs[b.search(first):] {
+		if r.lo > last {
+			break
+		}
+		lo, hi := max(r.lo, first), min(r.hi, last)
+		req := device.Request{
 			Time: completion,
 			Op:   trace.Write,
 			File: flushFile,
-			Addr: units.Bytes(runStart) * b.blockSize,
-			Size: units.Bytes(runLen) * b.blockSize,
-		})
+			Addr: units.Bytes(lo) * b.blockSize,
+			Size: units.Bytes(hi-lo+1) * b.blockSize,
+		}
+		if background {
+			completion = bg.Background(req)
+		} else {
+			completion = b.inner.Access(req)
+		}
 		if firstDone == 0 {
 			firstDone = completion
 		}
+		blocks += hi - lo + 1
 	}
-	for _, blk := range blocks[1:] {
-		if blk == runStart+runLen {
-			runLen++
-			continue
-		}
-		emit()
-		runStart, runLen = blk, 1
+	if blocks == 0 {
+		return now
 	}
-	emit()
-	for _, blk := range blocks {
-		delete(b.dirty, blk)
-	}
+	b.remove(first, last)
 	b.flushes++
 	b.cFlushes.Inc()
-	b.cFlushedBlks.Add(int64(len(blocks)))
+	b.cFlushedBlks.Add(blocks)
 	if b.sc.Tracing() {
 		b.sc.Emit(obs.Event{T: int64(now), Kind: obs.EvSRAMFlush, Dev: b.evName,
-			Size: int64(units.Bytes(len(blocks)) * b.blockSize), Dur: int64(completion - now)})
+			Size: int64(units.Bytes(blocks) * b.blockSize), Dur: int64(completion - now)})
 	}
 	if completion > b.drainDoneAt {
 		b.drainDoneAt = completion
@@ -373,10 +340,75 @@ func (b *Buffer) drop(addr, size units.Bytes) {
 	if size <= 0 {
 		return
 	}
-	first, last := b.blockRange(addr, size)
-	for blk := first; blk <= last; blk++ {
-		delete(b.dirty, blk)
+	b.remove(b.blockRange(addr, size))
+}
+
+// blockRun is an inclusive range of buffered block indices.
+type blockRun struct{ lo, hi int64 }
+
+// search returns the index of the first run that ends at or after blk.
+func (b *Buffer) search(blk int64) int {
+	i, j := 0, len(b.runs)
+	for i < j {
+		m := int(uint(i+j) >> 1)
+		if b.runs[m].hi < blk {
+			i = m + 1
+		} else {
+			j = m
+		}
 	}
+	return i
+}
+
+// count returns how many blocks of [first, last] are buffered.
+func (b *Buffer) count(first, last int64) int64 {
+	var n int64
+	for _, r := range b.runs[b.search(first):] {
+		if r.lo > last {
+			break
+		}
+		n += min(r.hi, last) - max(r.lo, first) + 1
+	}
+	return n
+}
+
+// add buffers blocks [first, last], merging every run it overlaps or
+// touches into one.
+func (b *Buffer) add(first, last int64) {
+	if last < first {
+		return
+	}
+	i := b.search(first - 1)
+	j := i
+	for ; j < len(b.runs) && b.runs[j].lo <= last+1; j++ {
+		r := b.runs[j]
+		first, last = min(first, r.lo), max(last, r.hi)
+		b.dirtyBlocks -= r.hi - r.lo + 1
+	}
+	b.dirtyBlocks += last - first + 1
+	b.runs = slices.Replace(b.runs, i, j, blockRun{first, last})
+}
+
+// remove unbuffers blocks [first, last], trimming the runs at its edges and
+// splitting a run that spans it.
+func (b *Buffer) remove(first, last int64) {
+	i := b.search(first)
+	var keep [2]blockRun
+	k := 0
+	j := i
+	for ; j < len(b.runs) && b.runs[j].lo <= last; j++ {
+		r := b.runs[j]
+		b.dirtyBlocks -= min(r.hi, last) - max(r.lo, first) + 1
+		if r.lo < first {
+			keep[k] = blockRun{r.lo, first - 1}
+			k++
+		}
+		if r.hi > last {
+			keep[k] = blockRun{last + 1, r.hi}
+			k++
+		}
+	}
+	b.runs = slices.Replace(b.runs, i, j, keep[:k]...)
 }
 
 // accessTime charges active energy for an SRAM transfer and returns its
@@ -423,17 +455,17 @@ func (b *Buffer) Recover(at units.Time) units.Time {
 	if cr, ok := b.inner.(device.Crasher); ok {
 		done = cr.Recover(at)
 	}
-	if len(b.dirty) == 0 {
+	if b.dirtyBlocks == 0 {
 		return done
 	}
-	blocks := int64(len(b.dirty))
+	blocks := b.dirtyBlocks
 	b.drain(done)
 	if b.drainDoneAt > done {
 		done = b.drainDoneAt
 	}
 	b.inj.RecordReplay(b.evName, blocks, at, done-at)
-	if len(b.dirty) != 0 {
-		b.inj.Violatef("sram %s: %d dirty blocks remain after recovery replay", b.evName, len(b.dirty))
+	if b.dirtyBlocks != 0 {
+		b.inj.Violatef("sram %s: %d dirty blocks remain after recovery replay", b.evName, b.dirtyBlocks)
 	}
 	return done
 }

@@ -107,10 +107,14 @@ func DecodeBinary(r io.Reader) (*Trace, error) {
 	if count > maxRecords {
 		return nil, fmt.Errorf("trace: unreasonable record count %d", count)
 	}
+	// The count is the input's claim, not a measurement: preallocate at most
+	// maxPrealloc records (128 KiB) and let append grow the slice as records
+	// actually parse, so a few header bytes cannot request gigabytes.
+	const maxPrealloc = 1 << 12
 	t := &Trace{
 		Name:      string(name),
 		BlockSize: units.Bytes(blockSize),
-		Records:   make([]Record, 0, count),
+		Records:   make([]Record, 0, min(count, maxPrealloc)),
 	}
 	var now units.Time
 	for i := uint64(0); i < count; i++ {

@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -116,6 +118,62 @@ func TestBinaryDecodeErrors(t *testing.T) {
 	if _, err := DecodeBinary(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "bad op") {
 		t.Errorf("corrupted op accepted: %v", err)
 	}
+}
+
+// hostileHeader is a valid binary header that claims count records and is
+// followed by none.
+func hostileHeader(count uint64) []byte {
+	b := append([]byte(nil), binaryMagic...)
+	b = binary.AppendUvarint(b, 0)   // name length
+	b = binary.AppendUvarint(b, 512) // block size
+	return binary.AppendUvarint(b, count)
+}
+
+// TestBinaryDecodeHostileCount feeds a header that claims 2^30 records and
+// then ends: decoding must fail without allocating for the claim (32 GiB at
+// 32 bytes per record).
+func TestBinaryDecodeHostileCount(t *testing.T) {
+	data := hostileHeader(1 << 30)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeBinary(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("truncated trace accepted")
+	}
+	if delta := after.TotalAlloc - before.TotalAlloc; delta >= 1<<20 {
+		t.Errorf("decoding a %d-byte header allocated %d bytes", len(data), delta)
+	}
+}
+
+// FuzzDecodeBinary requires that any input that decodes re-encodes and
+// decodes to the same trace.
+func FuzzDecodeBinary(f *testing.F) {
+	var buf bytes.Buffer
+	if err := EncodeBinary(&buf, testTrace()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(hostileHeader(1 << 30))
+	f.Add(hostileHeader(0))
+	f.Add([]byte("MSTB1"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := DecodeBinary(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := EncodeBinary(&out, tr); err != nil {
+			t.Fatalf("decoded trace does not re-encode: %v", err)
+		}
+		again, err := DecodeBinary(&out)
+		if err != nil {
+			t.Fatalf("re-encoded trace does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(again, tr) {
+			t.Fatalf("round trip changed the trace:\n got %+v\nwant %+v", again, tr)
+		}
+	})
 }
 
 func TestBinaryRejectsInvalidTrace(t *testing.T) {
