@@ -448,11 +448,11 @@ func BenchmarkSeedSensitivity(b *testing.B) {
 	}
 }
 
-// BenchmarkExtentCoalesce measures trace preprocessing — validation,
-// placement, and extent-run coalescing — over the largest generated
-// workload. The figure sweeps memoize PrepareTrace, so this pins its
-// standalone cost and the coalescer's throughput on a real record stream.
-func BenchmarkExtentCoalesce(b *testing.B) {
+// BenchmarkPrepareTrace measures trace preprocessing — validation and
+// per-record placement — over the largest generated workload. The figure
+// sweeps memoize PrepareTrace, but every Table 4 run pays it, so this pins
+// its standalone cost.
+func BenchmarkPrepareTrace(b *testing.B) {
 	tr, err := experiments.Workload("mac", seed)
 	if err != nil {
 		b.Fatal(err)
@@ -463,47 +463,6 @@ func BenchmarkExtentCoalesce(b *testing.B) {
 		p := core.PrepareTrace(tr)
 		if p.Err() != nil {
 			b.Fatal(p.Err())
-		}
-	}
-}
-
-// BenchmarkFig2Seq replays a sequential-heavy variant of the Figure 2
-// flash-card sweep: the dos generator pushed to a 0.95 sequential fraction
-// produces long byte-contiguous runs, the best case for extent batching.
-// (The real traces coalesce to mean run lengths of only 1.2–1.3, so this
-// bounds what batching can deliver rather than what the figures see.)
-func BenchmarkFig2Seq(b *testing.B) {
-	wc := workload.Dos(seed)
-	wc.Name = "dos-seq"
-	wc.SequentialFraction = 0.95
-	wc.WriteBurstStickiness = 0.90
-	tr, err := workload.Generate(wc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prep := core.PrepareTrace(tr)
-	if prep.Err() != nil {
-		b.Fatal(prep.Err())
-	}
-	utils := []float64{0.40, 0.60, 0.80, 0.95}
-	seg := device.IntelSeries2Datasheet().SegmentSize
-	capacity := units.CeilDiv(units.Bytes(float64(prep.Footprint())/utils[0]), seg) * seg
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, util := range utils {
-			cfg := core.Config{
-				Trace:           tr,
-				Prep:            prep,
-				DRAMBytes:       2 * units.MB,
-				Kind:            core.FlashCard,
-				FlashCardParams: device.IntelSeries2Datasheet(),
-				FlashCapacity:   capacity,
-				StoredData:      units.Bytes(float64(capacity) * util),
-			}
-			if _, err := core.Run(cfg); err != nil {
-				b.Fatal(err)
-			}
 		}
 	}
 }

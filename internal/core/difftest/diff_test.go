@@ -11,8 +11,7 @@ import (
 
 // matrixDevices covers every storage architecture the simulator models,
 // with the paper's measured parameter sets and the stack variants (SRAM
-// write buffer on disk, async erase on the flash disk) that exercise the
-// devirtualized dispatch paths.
+// write buffer on disk, async erase on the flash disk).
 func matrixDevices() []matrixDevice {
 	return []matrixDevice{
 		{"disk-sram", func(c *core.Config) {
@@ -32,8 +31,8 @@ func matrixDevices() []matrixDevice {
 		}},
 		{"flashcard-ondemand", func(c *core.Config) {
 			// On-demand cleaning defers all cleaning work to the write
-			// path, so extent-batched writes hit the cleaner-threshold
-			// check with maximal pressure mid-extent.
+			// path, so sequential write runs hit the cleaner-threshold
+			// check with maximal pressure.
 			c.Kind = core.FlashCard
 			c.FlashCardParams = device.IntelSeries2Measured()
 			c.OnDemandCleaning = true

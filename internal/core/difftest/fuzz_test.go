@@ -45,8 +45,8 @@ func traceFromBytes(data []byte) *trace.Trace {
 		})
 		// Byte 5 extends the record into a sequential run: follow-on
 		// records continue the same op on the same file at consecutive
-		// byte offsets, the exact pattern the replay loop coalesces into
-		// extents. Deletes never run (the coalescer keeps them single).
+		// byte offsets, the pattern the disk's same-file seek and the
+		// card's contiguous appends respond to. Deletes never run.
 		if op != trace.Delete {
 			for run := int(data[i+5] % 8); run > 0 && len(tr.Records) < maxRecords; run-- {
 				offset += size
@@ -85,9 +85,8 @@ func FuzzRunEquivalence(f *testing.F) {
 		}
 		return b
 	}())
-	// Sequential bursts: byte 5 spawns follow-on records that the replay
-	// loop coalesces into multi-record extents, alternating write and read
-	// sweeps over a few files.
+	// Sequential bursts: byte 5 spawns follow-on records at consecutive
+	// offsets, alternating write and read sweeps over a few files.
 	f.Add(func() []byte {
 		var b []byte
 		for i := 0; i < 10; i++ {

@@ -10,15 +10,14 @@ import (
 	"mobilestorage/internal/units"
 )
 
-// extentTrace hand-builds a workload dominated by long sequential chains:
-// six files written front to back in 1 KB records 100 ms apart, each chain
-// long enough (48 records) to exceed nothing but stay one trim away from
-// the maxExtentLen cap, then read back the same way. Chains are separated
-// by 3 s idle gaps so a 2 s spin-down timer fires between them. The shape
-// guarantees the replay loop's extent batching is active for nearly every
-// record, so any boundary that must split a run (power failure, sampler
-// tick, warm snapshot) lands strictly inside a precomputed extent.
-func extentTrace() *trace.Trace {
+// boundaryTrace hand-builds a workload of long sequential chains: six
+// files written front to back in 48 records of 1 KB, 100 ms apart, then
+// read back the same way. Chains are separated by 3 s idle gaps so a 2 s
+// spin-down timer fires between them. The subtests put the warm snapshot
+// and every power failure strictly inside a chain, and the sampler ticks
+// between arrivals, while the flash cache is busy with the chain's misses,
+// evictions and destages.
+func boundaryTrace() *trace.Trace {
 	const (
 		files    = 6
 		perChain = 48
@@ -49,19 +48,19 @@ func extentTrace() *trace.Trace {
 	}
 	// Rewrite half the files so the flash cache sees dirty blocks it has
 	// already admitted, forcing invalidation and cleaning pressure on the
-	// card mid-extent.
+	// card mid-chain.
 	for f := uint32(0); f < files/2; f++ {
 		chain(trace.Write, f)
 	}
-	return &trace.Trace{Name: "extents", BlockSize: units.KB, Records: recs}
+	return &trace.Trace{Name: "chains", BlockSize: units.KB, Records: recs}
 }
 
-// hybridExtentConfig is the FlashCache base every subtest mutates: the
+// hybridBoundaryConfig is the FlashCache base every subtest mutates: the
 // cache is deliberately smaller than the 288 KB working set so misses,
-// evictions, and disk write-backs happen inside extents, and the disk's
+// evictions, and disk write-backs happen inside chains, and the disk's
 // spin-down timer is shorter than the inter-chain gaps so spin state
-// changes between runs.
-func hybridExtentConfig(tr *trace.Trace) core.Config {
+// changes between chains.
+func hybridBoundaryConfig(tr *trace.Trace) core.Config {
 	return core.Config{
 		Trace:           tr,
 		Kind:            core.FlashCache,
@@ -72,32 +71,31 @@ func hybridExtentConfig(tr *trace.Trace) core.Config {
 	}
 }
 
-// TestHybridExtentTrimEquivalence pins the extent-trim logic on the hybrid
-// flash-cache device. The fast replay loop batches contiguous records into
-// ReadExtent/WriteExtent calls and trims each precomputed run so that no
-// power failure, sampling boundary, or warm-start snapshot falls inside
-// it; the reference loop replays record by record and knows nothing about
-// extents. Each subtest forces one (then all) of those boundaries to land
-// mid-extent and requires the two paths to stay byte-identical.
-func TestHybridExtentTrimEquivalence(t *testing.T) {
-	tr := extentTrace()
+// TestHybridBoundaryEquivalence covers hybrid flash-cache configurations
+// the 180-config matrix does not: a 192 KB flash cache under a 288 KB
+// sequential working set with a 2 s spin-down. Each subtest lands one (then
+// all) of the boundaries that interleave with device work — the warm-start
+// snapshot, power failures, sampler ticks — in the middle of a chain, and
+// requires the fast and reference paths to stay byte-identical.
+func TestHybridBoundaryEquivalence(t *testing.T) {
+	tr := boundaryTrace()
 
 	t.Run("warm-mid-run", func(t *testing.T) {
-		cfg := hybridExtentConfig(tr)
+		cfg := hybridBoundaryConfig(tr)
 		// 0.45 of 720 records is index 324, which is 36 records into a
-		// read chain — the warm snapshot must split that extent.
+		// read chain — the warm snapshot splits that chain.
 		cfg.WarmFraction = 0.45
 		if idx := tr.WarmSplit(cfg.WarmFraction); idx%48 == 0 {
-			t.Fatalf("warm index %d sits on a chain boundary; the test needs it mid-extent", idx)
+			t.Fatalf("warm index %d sits on a chain boundary; the test needs it mid-chain", idx)
 		}
 		ref, fast := runBoth(t, cfg)
 		requireIdentical(t, ref, fast)
 	})
 
 	t.Run("powerfail-mid-run", func(t *testing.T) {
-		cfg := hybridExtentConfig(tr)
+		cfg := hybridBoundaryConfig(tr)
 		// Chains start every 7.8 s; +1.25 s is 12½ records into a chain,
-		// strictly between arrivals, so every crash splits an extent.
+		// strictly between arrivals, so every crash splits a chain.
 		cfg.Faults = &fault.Plan{PowerFailAtUs: []int64{1_250_000, 9_050_000, 32_450_000}}
 		cfg.FaultSeed = 11
 		ref, fast := runBoth(t, cfg)
@@ -105,22 +103,22 @@ func TestHybridExtentTrimEquivalence(t *testing.T) {
 	})
 
 	t.Run("sampler-mid-run", func(t *testing.T) {
-		cfg := hybridExtentConfig(tr)
+		cfg := hybridBoundaryConfig(tr)
 		// 730 ms is not a multiple of the 100 ms record spacing, so
-		// sampler deadlines fall strictly between arrivals, inside runs.
+		// sampler deadlines fall strictly between arrivals, inside chains.
 		cfg.SampleEvery = 730 * units.Millisecond
 		ref, fast := runBoth(t, cfg)
 		requireIdentical(t, ref, fast)
 	})
 
 	t.Run("all-boundaries", func(t *testing.T) {
-		cfg := hybridExtentConfig(tr)
+		cfg := hybridBoundaryConfig(tr)
 		cfg.WarmFraction = 0.45
 		cfg.SampleEvery = 730 * units.Millisecond
 		cfg.Faults = &fault.Plan{PowerFailAtUs: []int64{1_250_000, 9_050_000, 32_450_000}}
 		cfg.FaultSeed = 11
-		// A write-back DRAM cache in front of the hybrid adds flush
-		// traffic whose extents must trim identically too.
+		// A write-back DRAM cache in front of the hybrid adds eviction
+		// write-backs that must interleave identically too.
 		cfg.DRAMBytes = 128 * units.KB
 		cfg.WriteBack = true
 		ref, fast := runBoth(t, cfg)

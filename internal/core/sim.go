@@ -58,101 +58,6 @@ func (s *stack) meters() []*energy.Meter {
 	return ms
 }
 
-// access dispatches a request to the top of the stack through a concrete
-// type where one is known. Run calls this once per record (plus once per
-// dirty eviction); the devirtualized calls save the itab dispatch and let
-// the compiler see the callee. The order puts the SRAM buffer first — when
-// present it wraps the base device and is the top — then the base devices.
-func (s *stack) access(req device.Request) units.Time {
-	switch {
-	case s.buffer != nil:
-		return s.buffer.Access(req)
-	case s.fcard != nil:
-		return s.fcard.Access(req)
-	case s.disk != nil:
-		return s.disk.Access(req)
-	case s.fdisk != nil:
-		return s.fdisk.Access(req)
-	case s.hyb != nil:
-		return s.hyb.Access(req)
-	case s.arr != nil:
-		return s.arr.Access(req)
-	default:
-		return s.top.Access(req)
-	}
-}
-
-// idle is the devirtualized counterpart of access for the per-record
-// top-of-stack Idle call.
-func (s *stack) idle(now units.Time) {
-	switch {
-	case s.buffer != nil:
-		s.buffer.Idle(now)
-	case s.fcard != nil:
-		s.fcard.Idle(now)
-	case s.disk != nil:
-		s.disk.Idle(now)
-	case s.fdisk != nil:
-		s.fdisk.Idle(now)
-	case s.hyb != nil:
-		s.hyb.Idle(now)
-	case s.arr != nil:
-		s.arr.Idle(now)
-	default:
-		s.top.Idle(now)
-	}
-}
-
-// readExtent dispatches a coalesced run of read requests to the top of the
-// stack through a concrete type where one is known, filling completions[k]
-// with request k's completion time. Each device's extent method is
-// equivalent by construction to Idle(reqs[k].Time) then Access(reqs[k]) per
-// request, so the fallback loop below defines the semantics.
-func (s *stack) readExtent(reqs []device.Request, completions []units.Time) {
-	switch {
-	case s.buffer != nil:
-		s.buffer.ReadExtent(reqs, completions)
-	case s.fcard != nil:
-		s.fcard.ReadExtent(reqs, completions)
-	case s.disk != nil:
-		s.disk.ReadExtent(reqs, completions)
-	case s.fdisk != nil:
-		s.fdisk.ReadExtent(reqs, completions)
-	case s.hyb != nil:
-		s.hyb.ReadExtent(reqs, completions)
-	case s.arr != nil:
-		s.arr.ReadExtent(reqs, completions)
-	default:
-		for k := range reqs {
-			s.top.Idle(reqs[k].Time)
-			completions[k] = s.top.Access(reqs[k])
-		}
-	}
-}
-
-// writeExtent is readExtent's write-path counterpart.
-func (s *stack) writeExtent(reqs []device.Request, completions []units.Time) {
-	switch {
-	case s.buffer != nil:
-		s.buffer.WriteExtent(reqs, completions)
-	case s.fcard != nil:
-		s.fcard.WriteExtent(reqs, completions)
-	case s.disk != nil:
-		s.disk.WriteExtent(reqs, completions)
-	case s.fdisk != nil:
-		s.fdisk.WriteExtent(reqs, completions)
-	case s.hyb != nil:
-		s.hyb.WriteExtent(reqs, completions)
-	case s.arr != nil:
-		s.arr.WriteExtent(reqs, completions)
-	default:
-		for k := range reqs {
-			s.top.Idle(reqs[k].Time)
-			completions[k] = s.top.Access(reqs[k])
-		}
-	}
-}
-
 // dramCache is the buffer-cache surface the simulator's setup, teardown,
 // and crash helpers need. Both the fast cache.Cache and the frozen
 // cache.RefCache satisfy it, so the helpers are shared between Run's hot
@@ -189,47 +94,6 @@ type TracePrep struct {
 	// placements entry is unused.
 	placements []units.Bytes
 	deletions  map[int]delExtent
-	// runEnds[i] is the exclusive end of the longest batchable run starting
-	// at record i: consecutive same-op, same-file records whose placements
-	// are byte-contiguous, capped at maxExtentLen. Run replays [i, runEnds[i])
-	// as one extent (after trimming for crashes, sampling boundaries, and the
-	// warm-start snapshot). Delete records always get runEnds[i] == i+1.
-	runEnds []int32
-}
-
-// maxExtentLen caps coalesced runs; it bounds the replay loop's stack
-// scratch buffers and keeps trim scans short.
-const maxExtentLen = 64
-
-// coalesceRuns computes TracePrep.runEnds. A run extends while the op and
-// file stay the same and each record's placement starts exactly where the
-// previous record's data ended — the condition under which devices see a
-// sequential extent. Within a maximal chain [a, b) every suffix is itself a
-// chain, so runEnds[k] = min(b, k+maxExtentLen).
-func coalesceRuns(t *trace.Trace, placements []units.Bytes) []int32 {
-	recs := t.Records
-	out := make([]int32, len(recs))
-	for i := 0; i < len(recs); {
-		if recs[i].Op == trace.Delete {
-			out[i] = int32(i + 1)
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(recs) && recs[j].Op == recs[i].Op && recs[j].File == recs[i].File &&
-			placements[j] == placements[j-1]+recs[j-1].Size {
-			j++
-		}
-		for k := i; k < j; k++ {
-			e := k + maxExtentLen
-			if e > j {
-				e = j
-			}
-			out[k] = int32(e)
-		}
-		i = j
-	}
-	return out
 }
 
 // delExtent is the extent a Delete record releases.
@@ -275,7 +139,6 @@ func PrepareTrace(t *trace.Trace) *TracePrep {
 	}
 	p.hints = t.MaxFileExtents()
 	p.placements, p.deletions, p.footprint = placeRecords(t, t.BlockSize, p.hints)
-	p.runEnds = coalesceRuns(t, p.placements)
 	return p
 }
 
@@ -356,21 +219,14 @@ func Run(cfg Config) (*Result, error) {
 	crashes := inj.PowerFailSchedule()
 	ci := 0
 
-	observer := cfg.Observer
 	var lastCompletion units.Time
-	recs := t.Records
-	runEnds := prep.runEnds
-	// Per-extent scratch, bounded by maxExtentLen so it lives on the stack.
-	var reqBuf [maxExtentLen]device.Request
-	var compBuf, respBuf [maxExtentLen]units.Time
-	var hitBuf [maxExtentLen]bool
-	for i := 0; i < len(recs); {
-		rec := &recs[i]
+	for i := range t.Records {
+		rec := &t.Records[i]
 		for ci < len(crashes) && crashes[ci] <= rec.Time {
 			crashAndRecover(st, dc, inj, cfg, crashes[ci])
 			ci++
 		}
-		st.idle(rec.Time)
+		st.top.Idle(rec.Time)
 		smp.Tick(int64(rec.Time))
 		if !snapshotTaken && i >= warmIdx {
 			if dram != nil {
@@ -380,224 +236,87 @@ func Run(cfg Config) (*Result, error) {
 			snapshotTaken = true
 		}
 
-		if rec.Op == trace.Delete {
-			if pl, ok := deletions[i]; ok {
-				if dram != nil {
-					dram.Invalidate(pl.off, pl.size)
-				}
-				st.access(device.Request{Time: rec.Time, Op: trace.Delete, File: rec.File, Addr: pl.off, Size: pl.size})
+		switch rec.Op {
+		case trace.Delete:
+			pl, ok := deletions[i]
+			if !ok {
+				continue // deleting a file the trace never touched
 			}
-			i++
-			continue
-		}
+			if dram != nil {
+				dram.Invalidate(pl.off, pl.size)
+			}
+			st.top.Access(device.Request{Time: rec.Time, Op: trace.Delete, File: rec.File, Addr: pl.off, Size: pl.size})
 
-		if int(runEnds[i]) == i+1 {
-			// Single-record run (most records in non-sequential workloads):
-			// the per-record body, with none of the extent machinery.
+		case trace.Read:
 			addr := placements[i]
 			var resp units.Time
 			hit := false
-			if rec.Op == trace.Read {
-				if dram != nil && dram.Contains(addr, rec.Size) {
-					hit = true
-					if tracing {
-						sc.Emit(obs.Event{T: int64(rec.Time), Kind: obs.EvCacheHit, Size: int64(rec.Size)})
-					}
-					resp = dram.AccessTime(rec.Size)
-				} else {
-					if tracing && dram != nil {
-						sc.Emit(obs.Event{T: int64(rec.Time), Kind: obs.EvCacheMiss, Size: int64(rec.Size)})
-					}
-					completion := st.access(device.Request{
-						Time: rec.Time, Op: trace.Read, File: rec.File, Addr: addr, Size: rec.Size,
-					})
-					if completion > lastCompletion {
-						lastCompletion = completion
-					}
-					if dram != nil {
-						writeEvicted(st, dram.Insert(addr, rec.Size, false), completion)
-					}
-					resp = completion - rec.Time
+			if dram != nil && dram.Contains(addr, rec.Size) {
+				hit = true
+				if tracing {
+					sc.Emit(obs.Event{T: int64(rec.Time), Kind: obs.EvCacheHit, Size: int64(rec.Size)})
 				}
-				if i >= warmIdx {
-					res.Read.AddTime(resp)
-					res.ReadHist.Add(resp.Milliseconds())
-					res.Overall.AddTime(resp)
-					res.MeasuredOps++
-				}
-				if observer != nil {
-					observer(OpObservation{Index: i, Arrival: rec.Time, Response: resp,
-						Op: trace.Read, CacheHit: hit, Size: rec.Size})
-				}
+				resp = dram.AccessTime(rec.Size)
 			} else {
-				if cfg.WriteBack && dram != nil {
-					resp = dram.AccessTime(rec.Size)
-					writeEvicted(st, dram.Insert(addr, rec.Size, true), rec.Time+resp)
-				} else {
-					completion := st.access(device.Request{
-						Time: rec.Time, Op: trace.Write, File: rec.File, Addr: addr, Size: rec.Size,
-					})
-					if completion > lastCompletion {
-						lastCompletion = completion
-					}
-					if dram != nil {
-						dram.AccessTime(rec.Size) // parallel cache update energy
-						writeEvicted(st, dram.Insert(addr, rec.Size, false), completion)
-					}
-					resp = completion - rec.Time
+				if tracing && dram != nil {
+					sc.Emit(obs.Event{T: int64(rec.Time), Kind: obs.EvCacheMiss, Size: int64(rec.Size)})
 				}
-				if i >= warmIdx {
-					res.Write.AddTime(resp)
-					res.WriteHist.Add(resp.Milliseconds())
-					res.Overall.AddTime(resp)
-					res.MeasuredOps++
+				completion := st.top.Access(device.Request{
+					Time: rec.Time, Op: trace.Read, File: rec.File, Addr: addr, Size: rec.Size,
+				})
+				if completion > lastCompletion {
+					lastCompletion = completion
 				}
-				if observer != nil {
-					observer(OpObservation{Index: i, Arrival: rec.Time, Response: resp,
-						Op: trace.Write, Size: rec.Size})
+				if dram != nil {
+					writeEvicted(st, dram.Insert(addr, rec.Size, false), completion)
 				}
+				resp = completion - rec.Time
 			}
-			i++
-			continue
-		}
-
-		// The precomputed run [i, runEnds[i]) is trimmed so that no power
-		// failure, sampling boundary, or warm-start snapshot falls inside it:
-		// each of those must interleave with device work exactly where the
-		// per-record loop would put it. The trims leave at least record i.
-		j := int(runEnds[i])
-		for j > i+1 && ci < len(crashes) && crashes[ci] <= recs[j-1].Time {
-			j--
-		}
-		for next := smp.Next(); j > i+1 && int64(recs[j-1].Time) >= next; {
-			j--
-		}
-		if !snapshotTaken && warmIdx < j {
-			// i < warmIdx here (the snapshot check above just ran), so the
-			// extent stops at the warm boundary and stays unmeasured.
-			j = warmIdx
-		}
-		measured := i >= warmIdx
-		n := j - i
-
-		switch rec.Op {
-		case trace.Read:
-			if dram == nil {
-				// Uncached reads: one devirtualized extent call covers the run.
-				reqs := reqBuf[:n]
-				comps := compBuf[:n]
-				for k := 0; k < n; k++ {
-					r := &recs[i+k]
-					reqs[k] = device.Request{Time: r.Time, Op: trace.Read, File: r.File, Addr: placements[i+k], Size: r.Size}
-				}
-				st.readExtent(reqs, comps)
-				for k := 0; k < n; k++ {
-					if comps[k] > lastCompletion {
-						lastCompletion = comps[k]
-					}
-					respBuf[k] = comps[k] - recs[i+k].Time
-				}
-			} else {
-				// Cached reads stay per-record: an Insert can evict a block a
-				// later Contains in the same run would otherwise hit, and
-				// hit/miss events interleave with device events record by
-				// record. Only the loop-invariant checks and the stats are
-				// hoisted out.
-				for k := i; k < j; k++ {
-					r := &recs[k]
-					st.idle(r.Time)
-					addr := placements[k]
-					var resp units.Time
-					hit := false
-					if dram.Contains(addr, r.Size) {
-						hit = true
-						if tracing {
-							sc.Emit(obs.Event{T: int64(r.Time), Kind: obs.EvCacheHit, Size: int64(r.Size)})
-						}
-						resp = dram.AccessTime(r.Size)
-					} else {
-						if tracing {
-							sc.Emit(obs.Event{T: int64(r.Time), Kind: obs.EvCacheMiss, Size: int64(r.Size)})
-						}
-						completion := st.access(device.Request{
-							Time: r.Time, Op: trace.Read, File: r.File, Addr: addr, Size: r.Size,
-						})
-						if completion > lastCompletion {
-							lastCompletion = completion
-						}
-						writeEvicted(st, dram.Insert(addr, r.Size, false), completion)
-						resp = completion - r.Time
-					}
-					respBuf[k-i] = resp
-					hitBuf[k-i] = hit
-				}
+			if i >= warmIdx {
+				res.Read.AddTime(resp)
+				res.ReadHist.Add(resp.Milliseconds())
+				res.Overall.AddTime(resp)
+				res.MeasuredOps++
 			}
-			if measured {
-				addRespRun(&res.Read, res.ReadHist, &res.Overall, respBuf[:n])
-				res.MeasuredOps += n
-			}
-			if observer != nil {
-				for k := 0; k < n; k++ {
-					r := &recs[i+k]
-					observer(OpObservation{Index: i + k, Arrival: r.Time, Response: respBuf[k],
-						Op: trace.Read, CacheHit: hitBuf[k], Size: r.Size})
-				}
+			if cfg.Observer != nil {
+				cfg.Observer(OpObservation{Index: i, Arrival: rec.Time, Response: resp,
+					Op: trace.Read, CacheHit: hit, Size: rec.Size})
 			}
 
 		case trace.Write:
+			addr := placements[i]
+			var resp units.Time
 			if cfg.WriteBack && dram != nil {
 				// Write-back ablation: the write completes at DRAM speed;
-				// dirty evictions trickle out asynchronously — per record,
-				// because an eviction's device write interleaves with the
-				// next record's cache update.
-				for k := i; k < j; k++ {
-					r := &recs[k]
-					st.idle(r.Time)
-					resp := dram.AccessTime(r.Size)
-					writeEvicted(st, dram.Insert(placements[k], r.Size, true), r.Time+resp)
-					respBuf[k-i] = resp
-				}
+				// dirty evictions trickle out asynchronously.
+				resp = dram.AccessTime(rec.Size)
+				writeEvicted(st, dram.Insert(addr, rec.Size, true), rec.Time+resp)
 			} else {
-				// Paper default: write-through. The device services the whole
-				// run as one extent call; the cache updates follow. The
-				// reorder is unobservable: write-through inserts are never
-				// dirty (no eviction writes back to the device), the cache
-				// emits no events on writes, and each meter's internal
-				// accrual order is unchanged.
-				reqs := reqBuf[:n]
-				comps := compBuf[:n]
-				for k := 0; k < n; k++ {
-					r := &recs[i+k]
-					reqs[k] = device.Request{Time: r.Time, Op: trace.Write, File: r.File, Addr: placements[i+k], Size: r.Size}
-				}
-				st.writeExtent(reqs, comps)
-				for k := 0; k < n; k++ {
-					if comps[k] > lastCompletion {
-						lastCompletion = comps[k]
-					}
-					respBuf[k] = comps[k] - recs[i+k].Time
+				// Paper default: write-through. The block lands in the
+				// cache and the device; response is the device write.
+				completion := st.top.Access(device.Request{
+					Time: rec.Time, Op: trace.Write, File: rec.File, Addr: addr, Size: rec.Size,
+				})
+				if completion > lastCompletion {
+					lastCompletion = completion
 				}
 				if dram != nil {
-					for k := 0; k < n; k++ {
-						r := &recs[i+k]
-						dram.AccessTime(r.Size) // parallel cache update energy
-						writeEvicted(st, dram.Insert(placements[i+k], r.Size, false), comps[k])
-					}
+					dram.AccessTime(rec.Size) // parallel cache update energy
+					writeEvicted(st, dram.Insert(addr, rec.Size, false), completion)
 				}
+				resp = completion - rec.Time
 			}
-			if measured {
-				addRespRun(&res.Write, res.WriteHist, &res.Overall, respBuf[:n])
-				res.MeasuredOps += n
+			if i >= warmIdx {
+				res.Write.AddTime(resp)
+				res.WriteHist.Add(resp.Milliseconds())
+				res.Overall.AddTime(resp)
+				res.MeasuredOps++
 			}
-			if observer != nil {
-				for k := 0; k < n; k++ {
-					r := &recs[i+k]
-					observer(OpObservation{Index: i + k, Arrival: r.Time, Response: respBuf[k],
-						Op: trace.Write, Size: r.Size})
-				}
+			if cfg.Observer != nil {
+				cfg.Observer(OpObservation{Index: i, Arrival: rec.Time, Response: resp,
+					Op: trace.Write, Size: rec.Size})
 			}
 		}
-		i = j
 	}
 
 	end := units.Max(t.Duration(), lastCompletion)
@@ -689,31 +408,11 @@ func crashAndRecover(st *stack, dram dramCache, inj *fault.Injector, cfg Config,
 	}
 }
 
-// addRespRun records an extent's response times into the per-op summary,
-// its histogram, and the overall summary, collapsing equal consecutive
-// values into single AddN calls. Each accumulator still sees its samples in
-// record order (AddN applies the same per-sample update n times), so the
-// results are bit-identical to per-record AddTime/Add calls.
-func addRespRun(sum *stats.Summary, hist *stats.Histogram, overall *stats.Summary, resps []units.Time) {
-	for a := 0; a < len(resps); {
-		b := a + 1
-		for b < len(resps) && resps[b] == resps[a] {
-			b++
-		}
-		ms := resps[a].Milliseconds()
-		n := int64(b - a)
-		sum.AddN(ms, n)
-		hist.AddN(ms, n)
-		overall.AddN(ms, n)
-		a = b
-	}
-}
-
 // writeEvicted flushes dirty cache evictions to the device at the given
 // time (asynchronous with respect to the response being measured).
 func writeEvicted(st *stack, extents []cache.Extent, at units.Time) {
 	for _, e := range extents {
-		st.access(device.Request{
+		st.top.Access(device.Request{
 			Time: at, Op: trace.Write, File: ^uint32(0), Addr: e.Addr, Size: e.Size,
 		})
 	}

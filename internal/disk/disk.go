@@ -260,28 +260,6 @@ func (d *Disk) Access(req device.Request) units.Time {
 	return completion
 }
 
-// ReadExtent services a coalesced run of read requests back to back,
-// equivalent by construction to Idle(reqs[k].Time) followed by
-// Access(reqs[k]) for each k in order. Within a run the records are
-// same-file and byte-contiguous, so after the first request the sequential
-// latency fraction applies — the extent costs one seek plus N transfers
-// without any change to the per-request arithmetic. completions[k] receives
-// request k's completion time.
-func (d *Disk) ReadExtent(reqs []device.Request, completions []units.Time) {
-	for k := range reqs {
-		d.advance(reqs[k].Time)
-		completions[k] = d.Access(reqs[k])
-	}
-}
-
-// WriteExtent is ReadExtent's write-path counterpart.
-func (d *Disk) WriteExtent(reqs []device.Request, completions []units.Time) {
-	for k := range reqs {
-		d.advance(reqs[k].Time)
-		completions[k] = d.Access(reqs[k])
-	}
-}
-
 // retry applies the injector's transient-fault schedule to one operation:
 // the extra service time of the retried attempts (each charged at full
 // active power — the platters keep turning, heads re-seek) plus the backoff

@@ -1042,47 +1042,6 @@ func (c *Card) BadSegments() int64 { return int64(c.badSegs) }
 // SpareSegmentsLeft returns the plan's spare segments not yet consumed.
 func (c *Card) SpareSegmentsLeft() int64 { return c.sparesLeft }
 
-// ReadExtent services a coalesced run of read requests back to back,
-// byte-identical to calling Idle(reqs[k].Time) followed by Access(reqs[k])
-// for each k in order. The per-record idle advance (standby accrual plus
-// background cleaning across the gap) is preserved; Access's own
-// advance(start) is omitted only because it is provably a no-op after it:
-// advance(req.Time) leaves lastUpdate ≥ req.Time, busyUntil ≤ lastUpdate
-// always holds, so start = max(req.Time, busyUntil) ≤ lastUpdate.
-// completions[k] receives request k's completion time.
-func (c *Card) ReadExtent(reqs []device.Request, completions []units.Time) {
-	for k := range reqs {
-		req := &reqs[k]
-		c.advance(req.Time)
-		start := units.Max(req.Time, c.busyUntil)
-		service := c.readService(req.Size, start) + c.scrubLatent(req.Addr, req.Size, start)
-		c.hostTime += service
-		completion := start + service
-		if completion > c.lastUpdate {
-			c.lastUpdate = completion
-		}
-		c.busyUntil = completion
-		completions[k] = completion
-	}
-}
-
-// WriteExtent is ReadExtent's write-path counterpart, with the same
-// Idle-then-Access equivalence per request.
-func (c *Card) WriteExtent(reqs []device.Request, completions []units.Time) {
-	for k := range reqs {
-		req := &reqs[k]
-		c.advance(req.Time)
-		start := units.Max(req.Time, c.busyUntil)
-		service := c.write(req.Addr, req.Size, start)
-		completion := start + service
-		if completion > c.lastUpdate {
-			c.lastUpdate = completion
-		}
-		c.busyUntil = completion
-		completions[k] = completion
-	}
-}
-
 // Crash implements device.Crasher: power failure drops the in-flight
 // cleaning job. The job's copies and erase had not been applied — state
 // changes land atomically at finishJob — so the abandoned job loses only

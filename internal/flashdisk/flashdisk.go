@@ -229,25 +229,6 @@ func (f *FlashDisk) Access(req device.Request) units.Time {
 	return completion
 }
 
-// ReadExtent services a coalesced run of read requests back to back,
-// equivalent by construction to Idle(reqs[k].Time) followed by
-// Access(reqs[k]) for each k in order. completions[k] receives request k's
-// completion time.
-func (f *FlashDisk) ReadExtent(reqs []device.Request, completions []units.Time) {
-	for k := range reqs {
-		f.advance(reqs[k].Time)
-		completions[k] = f.Access(reqs[k])
-	}
-}
-
-// WriteExtent is ReadExtent's write-path counterpart.
-func (f *FlashDisk) WriteExtent(reqs []device.Request, completions []units.Time) {
-	for k := range reqs {
-		f.advance(reqs[k].Time)
-		completions[k] = f.Access(reqs[k])
-	}
-}
-
 // writeTime computes and accounts the service time of a write arriving at
 // start (the instant is only used for event timestamps).
 func (f *FlashDisk) writeTime(size units.Bytes, start units.Time) units.Time {

@@ -21,13 +21,13 @@ const maxStoredErrors = 8
 
 // maxPendingRuns caps expanded-but-unfinished runs across all jobs — the
 // admission control for materialization memory (a max-size grid's RunSpec
-// slice is ~100 MB). Vars, not consts, so tests can shrink them.
-var maxPendingRuns = 2 * maxRuns
+// slice is ~100 MB).
+const maxPendingRuns = 2 * maxRuns
 
 // maxFinishedJobs bounds how many terminal jobs the service retains for
 // GET /jobs; older finished jobs are dropped along with their per-job
 // registry metrics, keeping a long-lived service's memory flat.
-var maxFinishedJobs = 128
+const maxFinishedJobs = 128
 
 // errDraining rejects submissions during graceful shutdown; the HTTP layer
 // maps it to 503.
@@ -170,12 +170,19 @@ type Service struct {
 	nextID   int
 	draining bool
 	wg       sync.WaitGroup
+
+	// maxPending and maxFinished are this service's copies of
+	// maxPendingRuns and maxFinishedJobs, so a test can shrink them for its
+	// own service without touching any other service's goroutines.
+	maxPending  int
+	maxFinished int
 }
 
 // NewService returns an idle service registering its metrics in reg (which
 // may be nil — the obs API tolerates it).
 func NewService(reg *obs.Registry) *Service {
-	return &Service{reg: reg, jobs: map[string]*Job{}}
+	return &Service{reg: reg, jobs: map[string]*Job{},
+		maxPending: maxPendingRuns, maxFinished: maxFinishedJobs}
 }
 
 // Get returns a job by ID, or nil.
@@ -220,11 +227,11 @@ func (s *Service) Submit(spec Spec) (*Job, error) {
 		s.mu.Unlock()
 		return nil, errDraining
 	}
-	if s.pending+v.total > maxPendingRuns {
+	if s.pending+v.total > s.maxPending {
 		queued := s.pending
 		s.mu.Unlock()
 		return nil, fmt.Errorf("%w (%d runs queued, job adds %d, cap %d)",
-			errBusy, queued, v.total, maxPendingRuns)
+			errBusy, queued, v.total, s.maxPending)
 	}
 	s.pending += v.total
 	s.nextID++
@@ -395,7 +402,7 @@ func (s *Service) finish(j *Job, cancelled bool) {
 	s.pending -= j.Total
 	s.finished = append(s.finished, j.ID)
 	var evicted []string
-	for len(s.finished) > maxFinishedJobs {
+	for len(s.finished) > s.maxFinished {
 		id := s.finished[0]
 		s.finished = s.finished[1:]
 		delete(s.jobs, id)

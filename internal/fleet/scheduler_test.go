@@ -252,11 +252,8 @@ func TestShutdownDeadlineCancels(t *testing.T) {
 // would push the fleet-wide pending-run total past the cap is rejected with
 // errBusy, and capacity frees up again once jobs finish.
 func TestSubmitPendingRunCap(t *testing.T) {
-	old := maxPendingRuns
-	maxPendingRuns = 4
-	defer func() { maxPendingRuns = old }()
-
 	svc := NewService(obs.NewRegistry())
+	svc.maxPending = 4
 	_, err := svc.Submit(Spec{SynthOps: 50, Replicas: 5})
 	if !errors.Is(err, errBusy) {
 		t.Fatalf("oversized submission: err = %v, want errBusy", err)
@@ -271,12 +268,9 @@ func TestSubmitPendingRunCap(t *testing.T) {
 // Finished jobs drop their expanded grid immediately and are retired past
 // the retention cap, taking their per-job registry metrics with them.
 func TestFinishedJobRetention(t *testing.T) {
-	old := maxFinishedJobs
-	maxFinishedJobs = 2
-	defer func() { maxFinishedJobs = old }()
-
 	reg := obs.NewRegistry()
 	svc := NewService(reg)
+	svc.maxFinished = 2
 	var jobs []*Job
 	for i := 0; i < 3; i++ {
 		jobs = append(jobs, runJob(t, svc, Spec{SynthOps: 50}))

@@ -198,25 +198,6 @@ func (c *Cache) Access(req device.Request) units.Time {
 	}
 }
 
-// ReadExtent services a coalesced run of read requests back to back,
-// equivalent by construction to Idle(reqs[k].Time) followed by
-// Access(reqs[k]) for each k in order. completions[k] receives request k's
-// completion time.
-func (c *Cache) ReadExtent(reqs []device.Request, completions []units.Time) {
-	for k := range reqs {
-		c.Idle(reqs[k].Time)
-		completions[k] = c.Access(reqs[k])
-	}
-}
-
-// WriteExtent is ReadExtent's write-path counterpart.
-func (c *Cache) WriteExtent(reqs []device.Request, completions []units.Time) {
-	for k := range reqs {
-		c.Idle(reqs[k].Time)
-		completions[k] = c.Access(reqs[k])
-	}
-}
-
 // read serves from flash when every requested block is cached; otherwise
 // the disk services the whole request and the blocks are installed into
 // flash off the critical path.

@@ -1,7 +1,5 @@
 package obs
 
-import "math"
-
 // The simulated-time sampler turns the metrics registry into a time series:
 // core.Run ticks it with each trace record's arrival time, and whenever a
 // sampling boundary is crossed it snapshots every counter and gauge into a
@@ -98,17 +96,6 @@ func (s *Sampler) Tick(nowUs int64) {
 		s.snapshot(s.nextUs)
 		s.nextUs += s.intervalUs
 	}
-}
-
-// Next returns the simulated time (µs) of the next sampling boundary, or
-// math.MaxInt64 for a nil sampler. Batching replay loops use it to prove a
-// run of records crosses no boundary, so skipping their individual Ticks is
-// unobservable (Tick early-returns for every time before the boundary).
-func (s *Sampler) Next() int64 {
-	if s == nil {
-		return math.MaxInt64
-	}
-	return s.nextUs
 }
 
 // Finish records the final point at the run's end time (even off-boundary),

@@ -189,25 +189,6 @@ func (b *Buffer) Access(req device.Request) units.Time {
 	}
 }
 
-// ReadExtent services a coalesced run of read requests back to back,
-// equivalent by construction to Idle(reqs[k].Time) followed by
-// Access(reqs[k]) for each k in order. completions[k] receives request k's
-// completion time.
-func (b *Buffer) ReadExtent(reqs []device.Request, completions []units.Time) {
-	for k := range reqs {
-		b.Idle(reqs[k].Time)
-		completions[k] = b.Access(reqs[k])
-	}
-}
-
-// WriteExtent is ReadExtent's write-path counterpart.
-func (b *Buffer) WriteExtent(reqs []device.Request, completions []units.Time) {
-	for k := range reqs {
-		b.Idle(reqs[k].Time)
-		completions[k] = b.Access(reqs[k])
-	}
-}
-
 // read serves fully-buffered reads from SRAM; otherwise it flushes any
 // overlapping dirty blocks (the device copy must be current before the
 // device services the read) and forwards to the device. A read that forced

@@ -51,36 +51,6 @@ func (s *Summary) Add(x float64) {
 	s.m2 += delta * (x - s.mean)
 }
 
-// AddN records the same sample n times, exactly as n consecutive Add calls
-// would. The Welford update is inherently sequential (mean and m2 feed back
-// into each step), so the loop stays — the win over caller-side loops is the
-// single call and the hoisted min/max handling, not a closed form, which
-// would change the float rounding and break bit-identical replay.
-func (s *Summary) AddN(x float64, n int64) {
-	if n <= 0 {
-		return
-	}
-	if s.n == 0 {
-		s.max = x
-		s.min = x
-	} else {
-		if x > s.max {
-			s.max = x
-		}
-		if x < s.min {
-			s.min = x
-		}
-	}
-	for ; n > 0; n-- {
-		s.n++
-		s.fn++
-		s.sum += x
-		delta := x - s.mean
-		s.mean += delta / s.fn
-		s.m2 += delta * (x - s.mean)
-	}
-}
-
 // AddTime records a duration sample in milliseconds, the unit the paper's
 // tables use.
 func (s *Summary) AddTime(t units.Time) { s.Add(t.Milliseconds()) }
@@ -223,31 +193,6 @@ func (h *Histogram) Add(x float64) {
 		return
 	}
 	h.Overflow++
-}
-
-// AddN records the same sample n times with a single bucket search: one
-// count-weighted increment lands in exactly the bucket n Add calls would.
-func (h *Histogram) AddN(x float64, n int64) {
-	if n <= 0 {
-		return
-	}
-	if h.memoOK && x == h.memoX {
-		h.Counts[h.memoI] += n
-		return
-	}
-	if h.memoOK2 && x == h.memoX2 {
-		h.Counts[h.memoI2] += n
-		h.memoX, h.memoX2 = h.memoX2, h.memoX
-		h.memoI, h.memoI2 = h.memoI2, h.memoI
-		return
-	}
-	if i := sort.SearchFloat64s(h.Bounds, x); i < len(h.Bounds) {
-		h.Counts[i] += n
-		h.memoX2, h.memoI2, h.memoOK2 = h.memoX, h.memoI, h.memoOK
-		h.memoX, h.memoI, h.memoOK = x, int32(i), true
-		return
-	}
-	h.Overflow += n
 }
 
 // Total returns the number of samples recorded.

@@ -12,6 +12,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"mobilestorage/internal/units"
@@ -83,6 +84,9 @@ func (r Record) Validate() error {
 	}
 	if r.Size < 0 {
 		return fmt.Errorf("trace: negative size %d", r.Size)
+	}
+	if r.Size > math.MaxInt64-r.Offset {
+		return fmt.Errorf("trace: offset %d plus size %d overflows", r.Offset, r.Size)
 	}
 	if r.Op != Delete && r.Size == 0 {
 		return fmt.Errorf("trace: zero-size %s", r.Op)

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -44,12 +45,18 @@ func TestRecordValidate(t *testing.T) {
 		{Time: -1, Op: Read, Size: 1},
 		{Time: 0, Op: Read, Offset: -1, Size: 1},
 		{Time: 0, Op: Read, Size: -1},
-		{Time: 0, Op: Write, Size: 0}, // zero-size write
+		{Time: 0, Op: Write, Size: 0},                                 // zero-size write
+		{Time: 0, Op: Write, Offset: 9223372036854775000, Size: 1000}, // end overflows int64
+		{Time: 0, Op: Read, Offset: math.MaxInt64, Size: 1},
 	}
 	for i, r := range bad {
 		if err := r.Validate(); err == nil {
 			t.Errorf("bad record %d accepted", i)
 		}
+	}
+	// An end of exactly MaxInt64 still fits.
+	if err := (Record{Op: Read, Offset: math.MaxInt64 - 1, Size: 1}).Validate(); err != nil {
+		t.Errorf("record ending at MaxInt64 rejected: %v", err)
 	}
 	// Zero-size deletes are fine (deleting an empty file).
 	if err := (Record{Op: Delete}).Validate(); err != nil {
@@ -192,6 +199,36 @@ func TestDecodeErrors(t *testing.T) {
 			t.Errorf("case %d: bad input accepted", i)
 		}
 	}
+}
+
+// FuzzDecodeText requires that any input that decodes re-encodes and
+// decodes to the same trace.
+func FuzzDecodeText(f *testing.F) {
+	var buf bytes.Buffer
+	if err := Encode(&buf, testTrace()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte("trace evil blocksize=1024\n0 w 1 9223372036854775000 1000\n"))
+	f.Add([]byte("# c\n\ntrace t blocksize=512\n# mid\n5 w 1 0 512\n7 d 1 0 0\n"))
+	f.Add([]byte("trace x blocksize=512\n2 r 1 0 1\n1 r 1 0 1\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := Decode(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := Encode(&out, tr); err != nil {
+			t.Fatalf("decoded trace does not re-encode: %v", err)
+		}
+		again, err := Decode(&out)
+		if err != nil {
+			t.Fatalf("re-encoded trace does not decode: %v\n%s", err, out.Bytes())
+		}
+		if !reflect.DeepEqual(again, tr) {
+			t.Fatalf("round trip changed the trace:\n got %+v\nwant %+v", again, tr)
+		}
+	})
 }
 
 func TestDecodeSkipsComments(t *testing.T) {
