@@ -23,7 +23,7 @@ test:
 # requiring byte-identical results, event streams, and observer logs, plus
 # the physics property tests. See docs/PERFORMANCE.md.
 test-diff:
-	$(GO) test ./internal/core/difftest/ -v -run 'TestRunEquivalence|TestPrepEquivalence|TestEquivalenceWithWrongPrep|TestHybridBoundaryEquivalence|TestArrayEquivalence|TestArrayMirrorMatchesSingle|TestResponseProperties|TestEnergyProperties|TestWarmSnapshotConservation|TestWearProperties|FuzzRunEquivalence'
+	$(GO) test ./internal/core/difftest/ -v -run 'TestRunEquivalence|TestPrepEquivalence|TestPowerFailAfterLastRecord|TestEquivalenceWithWrongPrep|TestHybridBoundaryEquivalence|TestArrayEquivalence|TestArrayMirrorMatchesSingle|TestResponseProperties|TestEnergyProperties|TestWarmSnapshotConservation|TestWearProperties|FuzzRunEquivalence'
 
 # Race-detector pass over the whole module; the parallel experiment sweeps
 # and shared observability scopes are what this guards.
@@ -58,29 +58,30 @@ bench-gate:
 	$(MAKE) bench-gate-faults
 	$(MAKE) bench-gate-array
 
+# ratio_pairs runs benchmarks $(1) and $(2) of the root package five
+# times, each in its own go test process, swapping which goes first on
+# alternate iterations, so neither run order nor a slow minute on a shared
+# runner lands on one side only. benchdiff -ratio keeps the best of five.
+ratio_pairs = { for i in 1 2 3 4 5; do \
+		if [ $$((i % 2)) -eq 1 ]; then order="$(1) $(2)"; else order="$(2) $(1)"; fi; \
+		for b in $$order; do \
+			$(GO) test -run='^$$' -bench="^$$b\$$" -benchtime=2s -count=1 . || exit 1; \
+		done; \
+	done; }
+
 # Fault-layer overhead budget: the armed-but-quiet fault run must stay
 # within 2% of the plan-free hot path. The two benchmarks are compared
 # best-of-5 against each other (benchdiff -ratio), so machine speed cancels.
-# The pairs are interleaved the way bench-gate-array's are (five count=1
-# runs, each measuring both benchmarks seconds apart), so a slow minute on
-# a shared runner lands on both sides instead of on one.
 bench-gate-faults:
-	{ for i in 1 2 3 4 5; do \
-		$(GO) test -run='^$$' -bench='^Benchmark(RunNilScope|FaultOff)$$' -benchtime=2s -count=1 . || exit 1; \
-	done; } | $(GO) run ./cmd/benchdiff -ratio BenchmarkFaultOff/BenchmarkRunNilScope -threshold 0.02
+	$(call ratio_pairs,BenchmarkRunNilScope,BenchmarkFaultOff) \
+		| $(GO) run ./cmd/benchdiff -ratio BenchmarkFaultOff/BenchmarkRunNilScope -threshold 0.02
 
 # Array-layer overhead budget: the same simulation through a one-member
 # mirror must stay within 5% of the bare flash card — the composite-device
 # wrapper (fan-out, acked ledger, death checks) on its healthy path.
-# The pairs are interleaved (separate count=1 runs, best-of over the
-# concatenated output) instead of grouped with -count: go test runs all
-# samples of one benchmark before the other, so on a busy runner slow
-# minutes land entirely on one side of the ratio; interleaving keeps
-# each pair seconds apart.
 bench-gate-array:
-	{ for i in 1 2 3 4 5; do \
-		$(GO) test -run='^$$' -bench='^Benchmark(RunNilScope|ArrayMirror)$$' -benchtime=2s -count=1 . || exit 1; \
-	done; } | $(GO) run ./cmd/benchdiff -ratio BenchmarkArrayMirror/BenchmarkRunNilScope -threshold 0.05
+	$(call ratio_pairs,BenchmarkRunNilScope,BenchmarkArrayMirror) \
+		| $(GO) run ./cmd/benchdiff -ratio BenchmarkArrayMirror/BenchmarkRunNilScope -threshold 0.05
 
 # Refresh the committed baselines after an intentional perf change; review
 # the diff before committing.

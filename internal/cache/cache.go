@@ -7,10 +7,17 @@
 // occasional data loss").
 //
 // The implementation is allocation-free on the lookup/insert hot path: all
-// LRU nodes live in one slab sized at construction, linked by index, and
+// LRU nodes live in one slab sized on the first insert, linked by index, and
 // block numbers resolve through a flat table (small block numbers) or a
 // spill map (adversarial ones). RefCache keeps the original map-and-pointer
 // implementation for differential testing.
+//
+// The simulator replays the LRU once per trace and cache geometry, not once
+// per run: which reads hit and which dirty blocks an insert evicts depend
+// only on the request sequence, never on device completions. internal/core
+// records those decisions in a per-trace filter, and each run keeps a Cache
+// only as its DRAM energy meter (AccessTime, AccrueStandby) and hit/miss
+// counter (CountLookup), which allocates no LRU slab.
 package cache
 
 import (
@@ -58,8 +65,9 @@ type Cache struct {
 	blockShift uint8
 	shiftOK    bool
 
-	// nodes is the slab holding every LRU entry; alloc bump-allocates
-	// never-used slots, free chains returned ones through next.
+	// nodes is the slab holding every LRU entry, allocated on the first
+	// insert; alloc bump-allocates never-used slots, free chains returned
+	// ones through next.
 	nodes []node
 	alloc int32
 	free  int32
@@ -123,7 +131,6 @@ func New(params device.MemoryParams, size, blockSize units.Bytes, writeBack bool
 		blockSize: blockSize,
 		capBlocks: capBlocks,
 		writeBack: writeBack,
-		nodes:     make([]node, capBlocks),
 		free:      nilNode,
 		head:      nilNode,
 		tail:      nilNode,
@@ -186,8 +193,7 @@ func (c *Cache) Contains(addr, size units.Bytes) bool {
 	for b := first; b <= last; b++ {
 		idx, ok := c.lookup(b)
 		if !ok {
-			c.misses++
-			c.cMisses.Inc()
+			c.CountLookup(false)
 			return false
 		}
 		c.scratch[b-first] = idx
@@ -198,9 +204,21 @@ func (c *Cache) Contains(addr, size units.Bytes) bool {
 	for _, idx := range c.scratch[:n] {
 		c.touch(idx)
 	}
-	c.hits++
-	c.cHits.Inc()
+	c.CountLookup(true)
 	return true
+}
+
+// CountLookup records one lookup outcome without consulting the LRU, exactly
+// as Contains records its own. It serves callers that took the outcome from
+// a replay of the same requests through another Cache of this geometry.
+func (c *Cache) CountLookup(hit bool) {
+	if hit {
+		c.hits++
+		c.cHits.Inc()
+	} else {
+		c.misses++
+		c.cMisses.Inc()
+	}
 }
 
 // Insert caches every block of [addr, addr+size), marking them dirty when
@@ -352,6 +370,9 @@ func (c *Cache) clearIndex(b int64) {
 // allocNode takes a slab slot for a new block: reuse a freed slot first,
 // else bump-allocate a never-used one.
 func (c *Cache) allocNode(b int64, dirty bool) int32 {
+	if c.nodes == nil {
+		c.nodes = make([]node, c.capBlocks)
+	}
 	var idx int32
 	if c.free != nilNode {
 		idx = c.free

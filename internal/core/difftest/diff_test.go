@@ -6,6 +6,7 @@ import (
 	"mobilestorage/internal/core"
 	"mobilestorage/internal/device"
 	"mobilestorage/internal/fault"
+	"mobilestorage/internal/trace"
 	"mobilestorage/internal/units"
 )
 
@@ -101,22 +102,72 @@ func TestRunEquivalence(t *testing.T) {
 
 // TestPrepEquivalence pins the prepared-statement path: supplying a shared
 // TracePrep must leave every run byte-identical to recomputing the
-// preprocessing from scratch, on both replay loops.
+// preprocessing from scratch. Write-through, write-back and power-fail
+// configs of two cache sizes share one prep per trace, in sequence, so a
+// DRAM filter memoized under the wrong key, or reused by a run with power
+// failures, changes a run that uses the prep and not the one that does not.
 func TestPrepEquivalence(t *testing.T) {
+	plans := []*fault.Plan{nil, {PowerFailAtUs: []int64{5_000_000, 20_000_000}}}
+	caches := []matrixCache{
+		{"dram512k", 512 * units.KB, false},
+		{"writeback512k", 512 * units.KB, true},
+		{"writeback64k", 64 * units.KB, true},
+		{"dram64k", 64 * units.KB, false},
+	}
 	for _, mt := range matrixTraces() {
 		tr := mt.build(t)
 		prep := core.PrepareTrace(tr)
 		for _, md := range matrixDevices() {
 			name := mt.name + "/" + md.name
 			t.Run(name, func(t *testing.T) {
-				cfg := core.Config{Trace: tr, DRAMBytes: 512 * units.KB}
-				md.apply(&cfg)
-				without := runInstrumented(t, cfg)
-				cfg.Prep = prep
-				with := runInstrumented(t, cfg)
-				requireIdentical(t, without, with)
+				for _, mc := range caches {
+					for _, plan := range plans {
+						cfg := core.Config{Trace: tr, DRAMBytes: mc.dramBytes, WriteBack: mc.writeBack,
+							Faults: plan, FaultSeed: 11}
+						md.apply(&cfg)
+						without := runInstrumented(t, cfg)
+						cfg.Prep = prep
+						with := runInstrumented(t, cfg)
+						requireIdentical(t, without, with)
+					}
+				}
 			})
 		}
+	}
+}
+
+// TestPowerFailAfterLastRecord replays a write-back run whose power failure
+// falls after the last record's time but before the run ends: the last
+// record is a read miss on a disk that spun down, and its spin-up completes
+// over a second later. The failure must lose the dirty blocks left after
+// the last record and leave no final flush, on both replay loops.
+func TestPowerFailAfterLastRecord(t *testing.T) {
+	tr := &trace.Trace{Name: "tail", BlockSize: units.KB}
+	for i := 0; i < 8; i++ {
+		tr.Records = append(tr.Records, trace.Record{Time: units.Time(i) * units.Second,
+			Op: trace.Write, File: uint32(i % 3), Offset: 0, Size: 4 * units.KB})
+	}
+	lastAt := 30 * units.Second
+	tr.Records = append(tr.Records, trace.Record{Time: lastAt, Op: trace.Read, File: 9, Size: units.KB})
+	failAt := int64(lastAt + 500*units.Millisecond)
+	cfg := core.Config{
+		Trace:        tr,
+		WarmFraction: -1,
+		DRAMBytes:    8 * units.KB,
+		WriteBack:    true,
+		Kind:         core.MagneticDisk,
+		SpinDown:     5 * units.Second,
+		Faults:       &fault.Plan{PowerFailAtUs: []int64{failAt}},
+	}
+	cfg.Disk = device.CU140Measured()
+	ref, fast := runBoth(t, cfg)
+	requireIdentical(t, ref, fast)
+	res := fast.res
+	if res.EndTime <= units.Time(failAt) {
+		t.Fatalf("run ends at %v, before the power failure at %dµs", res.EndTime, failAt)
+	}
+	if res.Faults == nil || res.Faults.PowerFailures != 1 || res.Faults.LostWrites == 0 {
+		t.Fatalf("fault report %+v, want one power failure that lost dirty blocks", res.Faults)
 	}
 }
 

@@ -62,9 +62,13 @@ func traceFromBytes(data []byte) *trace.Trace {
 
 // FuzzRunEquivalence generates mini-traces from fuzz input and replays each
 // through the reference and fast loops on a flash card (the device with the
-// most background machinery) and a spin-down disk, fault-free and with a
-// transient-fault plan, requiring byte-identical artifacts every time. Run
-// as a plain test it covers the seed corpus; `go test -fuzz` explores.
+// most background machinery) and a spin-down disk, requiring byte-identical
+// artifacts every time. The card runs under a 64 KB write-through cache, a
+// 64 KB write-back one, and a 1 KB write-back one smaller than most
+// requests (up to 8 KB), so an Insert evicts dirty blocks it just inserted.
+// Every leg runs fault-free, with a transient-fault plan, and with power
+// failures mid-trace and just after the last record. Run as a plain test it
+// covers the seed corpus; `go test -fuzz` explores.
 func FuzzRunEquivalence(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0})
@@ -100,18 +104,32 @@ func FuzzRunEquivalence(f *testing.F) {
 		if len(tr.Records) == 0 {
 			return
 		}
-		plans := []*fault.Plan{nil, {ReadErrorRate: 0.05, WriteErrorRate: 0.05, EraseErrorRate: 0.1}}
+		// The second power failure lands 1 µs after the last record, inside
+		// the run whenever the last device request completes later.
+		last := int64(tr.Duration())
+		plans := []*fault.Plan{
+			nil,
+			{ReadErrorRate: 0.05, WriteErrorRate: 0.05, EraseErrorRate: 0.1},
+			{PowerFailAtUs: []int64{last / 2, last + 1}},
+		}
+		caches := []struct {
+			bytes     units.Bytes
+			writeBack bool
+		}{{64 * units.KB, false}, {64 * units.KB, true}, {units.KB, true}}
 		for _, plan := range plans {
-			card := core.Config{
-				Trace:     tr,
-				DRAMBytes: 64 * units.KB,
-				Kind:      core.FlashCard,
-				Faults:    plan,
-				FaultSeed: 5,
+			for _, c := range caches {
+				card := core.Config{
+					Trace:     tr,
+					DRAMBytes: c.bytes,
+					WriteBack: c.writeBack,
+					Kind:      core.FlashCard,
+					Faults:    plan,
+					FaultSeed: 5,
+				}
+				card.FlashCardParams = device.IntelSeries2Measured()
+				refRun, fastRun := runBoth(t, card)
+				requireIdentical(t, refRun, fastRun)
 			}
-			card.FlashCardParams = device.IntelSeries2Measured()
-			refRun, fastRun := runBoth(t, card)
-			requireIdentical(t, refRun, fastRun)
 
 			disk := core.Config{
 				Trace:     tr,
@@ -123,7 +141,7 @@ func FuzzRunEquivalence(f *testing.F) {
 				FaultSeed: 5,
 			}
 			disk.Disk = device.CU140Measured()
-			refRun, fastRun = runBoth(t, disk)
+			refRun, fastRun := runBoth(t, disk)
 			requireIdentical(t, refRun, fastRun)
 		}
 	})

@@ -71,20 +71,23 @@ func TestRunInvalidTrace(t *testing.T) {
 }
 
 // TestRunOverflowingOffset replays a record whose offset plus size
-// overflows int64 on a disk, a flash card and a flash disk: each run must
-// return the validation error instead of panicking in placement.
+// overflows int64, and one whose end overflows only when the layout rounds
+// it up to whole blocks, on a disk, a flash card and a flash disk: each run
+// must return the validation error instead of panicking in placement.
 func TestRunOverflowingOffset(t *testing.T) {
-	evil := &trace.Trace{Name: "evil", BlockSize: units.KB, Records: []trace.Record{
-		{Time: 0, Op: trace.Write, File: 1, Offset: 9223372036854775000, Size: 1000},
-	}}
-	for _, cfg := range []Config{
-		{Kind: MagneticDisk, Disk: device.CU140Measured(), SRAMBytes: 32 * units.KB},
-		{Kind: FlashCard, FlashCardParams: device.IntelSeries2Measured()},
-		{Kind: FlashDisk, FlashDiskParams: device.SDP5Datasheet()},
-	} {
-		cfg.Trace = evil
-		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "overflows") {
-			t.Errorf("kind %v: err = %v, want the offset overflow", cfg.Kind, err)
+	for _, size := range []units.Bytes{1000, 100} {
+		evil := &trace.Trace{Name: "evil", BlockSize: units.KB, Records: []trace.Record{
+			{Time: 0, Op: trace.Write, File: 1, Offset: 9223372036854775000, Size: size},
+		}}
+		for _, cfg := range []Config{
+			{Kind: MagneticDisk, Disk: device.CU140Measured(), SRAMBytes: 32 * units.KB},
+			{Kind: FlashCard, FlashCardParams: device.IntelSeries2Measured()},
+			{Kind: FlashDisk, FlashDiskParams: device.SDP5Datasheet()},
+		} {
+			cfg.Trace = evil
+			if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "overflows") {
+				t.Errorf("size %d, kind %v: err = %v, want the overflow", size, cfg.Kind, err)
+			}
 		}
 	}
 }

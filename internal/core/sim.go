@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"mobilestorage/internal/array"
 	"mobilestorage/internal/cache"
@@ -59,27 +60,22 @@ func (s *stack) meters() []*energy.Meter {
 }
 
 // dramCache is the buffer-cache surface the simulator's setup, teardown,
-// and crash helpers need. Both the fast cache.Cache and the frozen
-// cache.RefCache satisfy it, so the helpers are shared between Run's hot
-// path (which holds the concrete *cache.Cache) and runReference.
+// and crash helpers need. Run's per-run dramRun and the frozen
+// cache.RefCache both satisfy it, so the helpers are shared between Run and
+// runReference.
 type dramCache interface {
 	Meter() *energy.Meter
-	AccessTime(size units.Bytes) units.Time
-	AccrueStandby(now units.Time)
-	Contains(addr, size units.Bytes) bool
-	Insert(addr, size units.Bytes, dirty bool) []cache.Extent
-	Invalidate(addr, size units.Bytes)
-	DirtyExtents() []cache.Extent
 	Crash() int
 	Hits() int64
 	Misses() int64
 }
 
 // TracePrep is the cached per-trace preprocessing Run performs before
-// replay: validation, per-file maximum extents (placement hints), and the
-// storage footprint. It is immutable once built and safe to share across
-// concurrent runs, which is exactly what parameter sweeps over one trace
-// want — build it once with PrepareTrace and put it in Config.Prep.
+// replay: validation, per-file maximum extents (placement hints), the
+// storage footprint, and the DRAM cache's decisions per cache geometry. It
+// is safe to share across concurrent runs, which is exactly what parameter
+// sweeps over one trace want — build it once with PrepareTrace and put it
+// in Config.Prep.
 type TracePrep struct {
 	trace     *trace.Trace
 	err       error
@@ -94,6 +90,12 @@ type TracePrep struct {
 	// placements entry is unused.
 	placements []units.Bytes
 	deletions  map[int]delExtent
+
+	// filters memoizes the DRAM filter per cache geometry for runs without
+	// power failures; it is the only part of a prep built after
+	// PrepareTrace returns.
+	filterMu sync.Mutex
+	filters  map[filterKey]func() *dramFilter
 }
 
 // delExtent is the extent a Delete record releases.
@@ -186,15 +188,28 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var dram *cache.Cache
+	crashes := inj.PowerFailSchedule()
+	ci := 0
+
+	// The DRAM cache's LRU decisions come from the filter: shared through
+	// the prep across runs without power failures, built for this run's
+	// crash instants otherwise.
+	var dram *dramRun
 	if cfg.DRAMBytes > 0 {
-		dram, err = cache.New(*cfg.DRAM, cfg.DRAMBytes, blockSize, cfg.WriteBack, cache.WithScope(cfg.Scope))
+		mem, err := cache.New(*cfg.DRAM, cfg.DRAMBytes, blockSize, cfg.WriteBack, cache.WithScope(cfg.Scope))
 		if err != nil {
 			return nil, err
 		}
+		capBlocks := int(cfg.DRAMBytes / blockSize)
+		dram = &dramRun{mem: mem}
+		if len(crashes) == 0 {
+			dram.f = prep.dramFilter(capBlocks, cfg.WriteBack)
+		} else {
+			dram.f = buildDRAMFilter(prep, capBlocks, cfg.WriteBack, crashes)
+		}
 	}
 	// dc is the nil-safe interface view of dram for the shared helpers: a
-	// typed nil *cache.Cache inside the interface would defeat their
+	// typed nil *dramRun inside the interface would defeat their
 	// dram != nil checks.
 	var dc dramCache
 	if dram != nil {
@@ -216,9 +231,6 @@ func Run(cfg Config) (*Result, error) {
 	var warmSnapshot float64
 	snapshotTaken := warmIdx == 0
 
-	crashes := inj.PowerFailSchedule()
-	ci := 0
-
 	var lastCompletion units.Time
 	for i := range t.Records {
 		rec := &t.Records[i]
@@ -230,7 +242,7 @@ func Run(cfg Config) (*Result, error) {
 		smp.Tick(int64(rec.Time))
 		if !snapshotTaken && i >= warmIdx {
 			if dram != nil {
-				dram.AccrueStandby(rec.Time)
+				dram.mem.AccrueStandby(rec.Time)
 			}
 			warmSnapshot = totalEnergy(st, dc)
 			snapshotTaken = true
@@ -242,21 +254,18 @@ func Run(cfg Config) (*Result, error) {
 			if !ok {
 				continue // deleting a file the trace never touched
 			}
-			if dram != nil {
-				dram.Invalidate(pl.off, pl.size)
-			}
 			st.top.Access(device.Request{Time: rec.Time, Op: trace.Delete, File: rec.File, Addr: pl.off, Size: pl.size})
 
 		case trace.Read:
 			addr := placements[i]
 			var resp units.Time
 			hit := false
-			if dram != nil && dram.Contains(addr, rec.Size) {
+			if dram != nil && dram.hit(i) {
 				hit = true
 				if tracing {
 					sc.Emit(obs.Event{T: int64(rec.Time), Kind: obs.EvCacheHit, Size: int64(rec.Size)})
 				}
-				resp = dram.AccessTime(rec.Size)
+				resp = dram.mem.AccessTime(rec.Size)
 			} else {
 				if tracing && dram != nil {
 					sc.Emit(obs.Event{T: int64(rec.Time), Kind: obs.EvCacheMiss, Size: int64(rec.Size)})
@@ -268,7 +277,7 @@ func Run(cfg Config) (*Result, error) {
 					lastCompletion = completion
 				}
 				if dram != nil {
-					writeEvicted(st, dram.Insert(addr, rec.Size, false), completion)
+					writeEvicted(st, dram.evicted(i), completion)
 				}
 				resp = completion - rec.Time
 			}
@@ -289,8 +298,8 @@ func Run(cfg Config) (*Result, error) {
 			if cfg.WriteBack && dram != nil {
 				// Write-back ablation: the write completes at DRAM speed;
 				// dirty evictions trickle out asynchronously.
-				resp = dram.AccessTime(rec.Size)
-				writeEvicted(st, dram.Insert(addr, rec.Size, true), rec.Time+resp)
+				resp = dram.mem.AccessTime(rec.Size)
+				writeEvicted(st, dram.evicted(i), rec.Time+resp)
 			} else {
 				// Paper default: write-through. The block lands in the
 				// cache and the device; response is the device write.
@@ -301,8 +310,8 @@ func Run(cfg Config) (*Result, error) {
 					lastCompletion = completion
 				}
 				if dram != nil {
-					dram.AccessTime(rec.Size) // parallel cache update energy
-					writeEvicted(st, dram.Insert(addr, rec.Size, false), completion)
+					dram.mem.AccessTime(rec.Size) // parallel cache update energy
+					writeEvicted(st, dram.evicted(i), completion)
 				}
 				resp = completion - rec.Time
 			}
@@ -328,11 +337,11 @@ func Run(cfg Config) (*Result, error) {
 	// Final write-back flush happens off the books: it is an artifact of
 	// ending the simulation, not of the workload.
 	if cfg.WriteBack && dram != nil {
-		writeEvicted(st, dram.DirtyExtents(), end)
+		writeEvicted(st, dram.finalFlush(), end)
 	}
 	st.top.Finish(end)
 	if dram != nil {
-		dram.AccrueStandby(end)
+		dram.mem.AccrueStandby(end)
 	}
 
 	// The final sample lands after the device and cache wind-down above, so

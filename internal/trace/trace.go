@@ -134,10 +134,16 @@ func (t *Trace) Validate() error {
 	if t.BlockSize <= 0 {
 		return fmt.Errorf("trace %q: non-positive block size %d", t.Name, t.BlockSize)
 	}
+	// The layout rounds each file up to whole blocks as (end+BlockSize-1),
+	// so an end above this limit would overflow during placement.
+	maxEnd := math.MaxInt64 - (t.BlockSize - 1)
 	var prev units.Time
 	for i, r := range t.Records {
 		if err := r.Validate(); err != nil {
 			return fmt.Errorf("trace %q record %d: %w", t.Name, i, err)
+		}
+		if end := r.End(); end > maxEnd {
+			return fmt.Errorf("trace %q record %d: end %d overflows when rounded up to %d-byte blocks", t.Name, i, end, t.BlockSize)
 		}
 		if r.Time < prev {
 			return fmt.Errorf("trace %q record %d: time goes backwards (%d < %d)", t.Name, i, r.Time, prev)

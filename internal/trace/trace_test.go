@@ -102,6 +102,32 @@ func TestTraceValidateAndSort(t *testing.T) {
 	}
 }
 
+// TestTraceValidateBlockRoundedEnd pins the limit the layout's block
+// rounding sets: an end that rounds up to exactly 2⁶³−1024 at 1 KB blocks is
+// accepted, one byte more overflows and is rejected.
+func TestTraceValidateBlockRoundedEnd(t *testing.T) {
+	last := units.Bytes(math.MaxInt64 - 1023) // 2⁶³ − 1024, a whole block
+	for _, c := range []struct {
+		offset, size units.Bytes
+		ok           bool
+	}{
+		{last - 100, 100, true},
+		{last - 100, 101, false},
+		{9223372036854775000, 100, false},
+	} {
+		tr := &Trace{Name: "evil", BlockSize: units.KB, Records: []Record{
+			{Op: Write, File: 1, Offset: c.offset, Size: c.size},
+		}}
+		err := tr.Validate()
+		if c.ok && err != nil {
+			t.Errorf("end %d rejected: %v", c.offset+c.size, err)
+		}
+		if !c.ok && (err == nil || !strings.Contains(err.Error(), "rounded up")) {
+			t.Errorf("end %d: err = %v, want the block-rounding overflow", c.offset+c.size, err)
+		}
+	}
+}
+
 func TestWarmSplit(t *testing.T) {
 	tr := testTrace()
 	if got := tr.WarmSplit(0.25); got != 1 {
