@@ -6,14 +6,13 @@
 //
 //	storagesim -trace mac -device cu140
 //	storagesim -trace dos -device intel -utilization 0.95
-//	storagesim -trace hp -device sdp5 -async -dram 0
+//	storagesim -trace hp -device sdp5a -dram 0
 //	storagesim -tracefile mytrace.txt -device kh -sram 32768
 //	storagesim -trace synth -array mirror:2xflashcard -member-faults members.json
 //	storagesim -trace index-btree -mix read-heavy -device intel
 package main
 
 import (
-	"bytes"
 	"encoding/csv"
 	"errors"
 	"flag"
@@ -51,15 +50,14 @@ func run() (err error) {
 		traceName = flag.String("trace", "mac", "built-in workload: mac, dos, hp, synth, index-btree, index-lsm")
 		traceFile = flag.String("tracefile", "", "trace file to replay (overrides -trace)")
 		seed      = flag.Int64("seed", 1, "workload generation seed")
-		devName   = flag.String("device", "cu140", "device: cu140, kh, sdp10, sdp5, intel, intel2+")
+		devName   = flag.String("device", "cu140", "device: cu140, kh, sdp10, sdp5, sdp5a (asynchronous erasure), intel, intel2+")
 		source    = flag.String("source", "", "parameter source: measured or datasheet (default: best available)")
 		dramKB    = flag.Int64("dram", -1, "DRAM cache size in KB (default: 2048, 0 for hp)")
 		sramKB    = flag.Int64("sram", -1, "SRAM write buffer in KB (default: 32 for disks, 0 for flash)")
-		spinDown  = flag.Float64("spindown", 5, "disk spin-down threshold in seconds (0 = never)")
+		spinDown  = flag.Float64("spindown", fleet.DefaultSpinDown.Seconds(), "disk spin-down threshold in seconds (0 = never)")
 		util      = flag.Float64("utilization", 0.8, "flash storage utilization")
 		capMB     = flag.Int64("capacity", 0, "explicit flash capacity in MB (overrides utilization)")
 		storedMB  = flag.Int64("stored", 0, "live data preallocated in flash, MB (default: trace footprint)")
-		async     = flag.Bool("async", false, "asynchronous flash-disk erasure (SDP5A)")
 		policy    = flag.String("cleaning", "greedy", "flash-card cleaning policy: greedy, cost-benefit, fifo")
 		onDemand  = flag.Bool("ondemand", false, "clean flash card only on demand")
 		writeBack = flag.Bool("writeback", false, "use a write-back DRAM cache (paper default is write-through)")
@@ -96,7 +94,6 @@ func run() (err error) {
 		Trace:            t,
 		WriteBack:        *writeBack,
 		SpinDown:         units.FromSeconds(*spinDown),
-		AsyncErase:       *async,
 		CleaningPolicy:   *policy,
 		OnDemandCleaning: *onDemand,
 		FlashUtilization: *util,
@@ -144,25 +141,7 @@ func run() (err error) {
 		cfg.FaultSeed = *faultSeed
 	}
 
-	// DRAM default: 2 MB, except the hp trace which was captured below the
-	// buffer cache (§4.1).
-	switch {
-	case *dramKB >= 0:
-		cfg.DRAMBytes = units.Bytes(*dramKB) * units.KB
-	case t.Name == "hp":
-		cfg.DRAMBytes = 0
-	default:
-		cfg.DRAMBytes = 2 * units.MB
-	}
-	// SRAM default: 32 KB in front of disks (the paper's deferred spin-up
-	// configuration), none in front of flash or arrays (Kind is ignored for
-	// arrays and would otherwise zero-value to MagneticDisk).
-	switch {
-	case *sramKB >= 0:
-		cfg.SRAMBytes = units.Bytes(*sramKB) * units.KB
-	case cfg.Array == nil && cfg.Kind == core.MagneticDisk:
-		cfg.SRAMBytes = 32 * units.KB
-	}
+	fleet.SizeBuffers(&cfg, *dramKB, *sramKB)
 
 	if *timeline != "" && *sample <= 0 {
 		return errors.New("-timeline requires -sample")
@@ -311,7 +290,7 @@ func run() (err error) {
 // write amplification into the event stream.
 func buildTrace(traceFile, traceName string, seed int64, mixName string) (*trace.Trace, *index.Stats, error) {
 	if traceFile != "" {
-		t, err := readTrace(traceFile)
+		t, err := trace.ReadFile(traceFile)
 		return t, nil, err
 	}
 	if strings.HasPrefix(traceName, "index-") {
@@ -331,18 +310,6 @@ func buildTrace(traceFile, traceName string, seed int64, mixName string) (*trace
 	}
 	t, err := workload.GenerateByName(traceName, seed)
 	return t, nil, err
-}
-
-// readTrace loads a trace file in either format, sniffing the binary magic.
-func readTrace(path string) (*trace.Trace, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if bytes.HasPrefix(data, []byte("MSTB1")) {
-		return trace.DecodeBinary(bytes.NewReader(data))
-	}
-	return trace.Decode(bytes.NewReader(data))
 }
 
 func printResult(res *core.Result, verbose bool) {

@@ -5,93 +5,53 @@ import (
 	"path/filepath"
 	"testing"
 
-	"mobilestorage/internal/core"
-	"mobilestorage/internal/fleet"
 	"mobilestorage/internal/trace"
 	"mobilestorage/internal/units"
 	"mobilestorage/internal/workload"
 )
 
-func TestSelectDevice(t *testing.T) {
-	cases := []struct {
-		name, source string
-		kind         core.StorageKind
-		wantErr      bool
-	}{
-		{"cu140", "", core.MagneticDisk, false},
-		{"cu140", "measured", core.MagneticDisk, false},
-		{"cu140", "datasheet", core.MagneticDisk, false},
-		{"kh", "datasheet", core.MagneticDisk, false},
-		{"kh", "measured", 0, true}, // no measured kh numbers exist
-		{"sdp10", "", core.FlashDisk, false},
-		{"sdp5", "datasheet", core.FlashDisk, false},
-		{"sdp5", "measured", 0, true},
-		{"intel", "", core.FlashCard, false},
-		{"intel2+", "datasheet", core.FlashCard, false},
-		{"intel2+", "measured", 0, true},
-		{"floppy", "", 0, true},
-		{"cu140", "vibes", 0, true},
-	}
-	for _, c := range cases {
-		var cfg core.Config
-		err := fleet.SelectDevice(&cfg, c.name, c.source)
-		if c.wantErr {
-			if err == nil {
-				t.Errorf("selectDevice(%q, %q) accepted", c.name, c.source)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("selectDevice(%q, %q): %v", c.name, c.source, err)
-			continue
-		}
-		if cfg.Kind != c.kind {
-			t.Errorf("selectDevice(%q): kind %v, want %v", c.name, cfg.Kind, c.kind)
-		}
-	}
-}
-
+// TestReadTraceBothFormats: -tracefile loads a trace written in either the
+// text or the binary format, and a missing file errors.
 func TestReadTraceBothFormats(t *testing.T) {
 	tr, err := workload.Synth(workload.SynthConfig{Seed: 1, Ops: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-
-	textPath := filepath.Join(dir, "t.trace")
-	f, err := os.Create(textPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := trace.Encode(f, tr); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	binPath := filepath.Join(dir, "t.btrace")
-	f, err = os.Create(binPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := trace.EncodeBinary(f, tr); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	for _, path := range []string{textPath, binPath} {
-		got, err := readTrace(path)
+	for _, c := range []struct {
+		name   string
+		encode func(f *os.File) error
+	}{
+		{"t.trace", func(f *os.File) error { return trace.Encode(f, tr) }},
+		{"t.btrace", func(f *os.File) error { return trace.EncodeBinary(f, tr) }},
+	} {
+		path := filepath.Join(dir, c.name)
+		f, err := os.Create(path)
 		if err != nil {
-			t.Fatalf("readTrace(%s): %v", path, err)
+			t.Fatal(err)
+		}
+		if err := c.encode(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, st, err := buildTrace(path, "synth", 1, "")
+		if err != nil {
+			t.Fatalf("buildTrace(%s): %v", c.name, err)
+		}
+		if st != nil {
+			t.Errorf("%s: index stats %+v for a trace file", c.name, st)
 		}
 		if len(got.Records) != len(tr.Records) {
-			t.Errorf("%s: %d records, want %d", path, len(got.Records), len(tr.Records))
+			t.Errorf("%s: %d records, want %d", c.name, len(got.Records), len(tr.Records))
 		}
 		if got.BlockSize != 512*units.B {
-			t.Errorf("%s: block size %v", path, got.BlockSize)
+			t.Errorf("%s: block size %v", c.name, got.BlockSize)
 		}
 	}
 
-	if _, err := readTrace(filepath.Join(dir, "missing")); err == nil {
+	if _, _, err := buildTrace(filepath.Join(dir, "missing"), "synth", 1, ""); err == nil {
 		t.Error("missing file accepted")
 	}
 }

@@ -9,9 +9,9 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"mobilestorage/internal/trace"
@@ -39,12 +39,7 @@ func run() error {
 	flag.Parse()
 
 	if *describe != "" {
-		t, err := readTrace(*describe)
-		if err != nil {
-			return err
-		}
-		printSummary(t)
-		return nil
+		return describeFile(os.Stdout, *describe)
 	}
 
 	var t *trace.Trace
@@ -70,7 +65,7 @@ func run() error {
 	}
 
 	if *summary {
-		printSummary(t)
+		printSummary(os.Stdout, t)
 		return nil
 	}
 
@@ -89,28 +84,27 @@ func run() error {
 	return trace.Encode(w, t)
 }
 
-// readTrace loads either format, sniffing the binary magic.
-func readTrace(path string) (*trace.Trace, error) {
-	data, err := os.ReadFile(path)
+// describeFile characterizes an existing trace file, text or binary, for
+// -describe.
+func describeFile(w io.Writer, path string) error {
+	t, err := trace.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if bytes.HasPrefix(data, []byte("MSTB1")) {
-		return trace.DecodeBinary(bytes.NewReader(data))
-	}
-	return trace.Decode(bytes.NewReader(data))
+	printSummary(w, t)
+	return nil
 }
 
-func printSummary(t *trace.Trace) {
+func printSummary(w io.Writer, t *trace.Trace) {
 	c := trace.Characterize(t, 0.1)
-	fmt.Printf("trace            %s\n", c.Name)
-	fmt.Printf("records          %d (%d deletes)\n", c.Records, c.Deletes)
-	fmt.Printf("duration         %v\n", c.Duration)
-	fmt.Printf("distinct KB      %.0f\n", c.DistinctKBytes)
-	fmt.Printf("fraction reads   %.2f\n", c.FractionReads)
-	fmt.Printf("block size       %v\n", c.BlockSize)
-	fmt.Printf("mean read size   %.1f blocks\n", c.MeanReadBlocks)
-	fmt.Printf("mean write size  %.1f blocks\n", c.MeanWriteBlocks)
-	fmt.Printf("inter-arrival    mean %.3fs, max %.1fs, σ %.1fs\n",
+	fmt.Fprintf(w, "trace            %s\n", c.Name)
+	fmt.Fprintf(w, "records          %d (%d deletes)\n", c.Records, c.Deletes)
+	fmt.Fprintf(w, "duration         %v\n", c.Duration)
+	fmt.Fprintf(w, "distinct KB      %.0f\n", c.DistinctKBytes)
+	fmt.Fprintf(w, "fraction reads   %.2f\n", c.FractionReads)
+	fmt.Fprintf(w, "block size       %v\n", c.BlockSize)
+	fmt.Fprintf(w, "mean read size   %.1f blocks\n", c.MeanReadBlocks)
+	fmt.Fprintf(w, "mean write size  %.1f blocks\n", c.MeanWriteBlocks)
+	fmt.Fprintf(w, "inter-arrival    mean %.3fs, max %.1fs, σ %.1fs\n",
 		c.InterArrival.Mean(), c.InterArrival.Max(), c.InterArrival.StdDev())
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,11 +10,16 @@ import (
 	"mobilestorage/internal/workload"
 )
 
+// TestReadTraceSniffsFormats: -describe reads a trace written in either
+// format and prints the same summary as the generated trace; a missing file
+// or a corrupt binary one errors rather than panicking.
 func TestReadTraceSniffsFormats(t *testing.T) {
 	tr, err := workload.Synth(workload.SynthConfig{Seed: 1, Ops: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var want bytes.Buffer
+	printSummary(&want, tr)
 	dir := t.TempDir()
 	for _, c := range []struct {
 		name   string
@@ -30,22 +36,25 @@ func TestReadTraceSniffsFormats(t *testing.T) {
 		if err := c.encode(f); err != nil {
 			t.Fatal(err)
 		}
-		f.Close()
-		got, err := readTrace(path)
-		if err != nil {
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := describeFile(&out, path); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if len(got.Records) != len(tr.Records) {
-			t.Errorf("%s: %d records, want %d", c.name, len(got.Records), len(tr.Records))
+		if out.String() != want.String() {
+			t.Errorf("%s: summary\n%s\nwant\n%s", c.name, out.String(), want.String())
 		}
 	}
-	if _, err := readTrace(filepath.Join(dir, "nope")); err == nil {
+	if err := describeFile(&bytes.Buffer{}, filepath.Join(dir, "nope")); err == nil {
 		t.Error("missing file accepted")
 	}
-	// Garbage content errors rather than panicking.
 	bad := filepath.Join(dir, "bad")
-	os.WriteFile(bad, []byte("MSTB1garbage"), 0o644)
-	if _, err := readTrace(bad); err == nil {
+	if err := os.WriteFile(bad, []byte("MSTB1garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := describeFile(&bytes.Buffer{}, bad); err == nil {
 		t.Error("corrupt binary accepted")
 	}
 }

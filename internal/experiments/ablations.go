@@ -5,6 +5,7 @@ import (
 
 	"mobilestorage/internal/core"
 	"mobilestorage/internal/device"
+	"mobilestorage/internal/fleet"
 	"mobilestorage/internal/units"
 )
 
@@ -39,7 +40,7 @@ func CleanerPolicies(seed int64) ([]CleanerRow, error) {
 		for _, policy := range []string{"greedy", "cost-benefit", "fifo"} {
 			cfg := core.Config{
 				Trace:           t,
-				DRAMBytes:       dramFor(name),
+				DRAMBytes:       fleet.DefaultDRAM(name),
 				Kind:            core.FlashCard,
 				FlashCardParams: params,
 				FlashCapacity:   capacity,
@@ -100,7 +101,7 @@ func FlashSRAM(seed int64) ([]FlashSRAMRow, error) {
 		}
 		for _, dev := range []DeviceSpec{{"sdp5", device.Datasheet}, {"intel", device.Datasheet}} {
 			run := func(sram units.Bytes) (*core.Result, error) {
-				cfg := core.Config{Trace: t, DRAMBytes: dramFor(name)}
+				cfg := core.Config{Trace: t, DRAMBytes: fleet.DefaultDRAM(name)}
 				if err := dev.Configure(&cfg); err != nil {
 					return nil, err
 				}
@@ -111,7 +112,7 @@ func FlashSRAM(seed int64) ([]FlashSRAMRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			buffered, err := run(defaultSRAM)
+			buffered, err := run(fleet.DefaultSRAM)
 			if err != nil {
 				return nil, err
 			}
@@ -175,7 +176,7 @@ func Series2Plus(seed int64) ([]Series2PlusRow, error) {
 			capacity := units.CeilDiv(units.Bytes(float64(core.Footprint(t))/0.95), params.SegmentSize) * params.SegmentSize
 			cfg := core.Config{
 				Trace:           t,
-				DRAMBytes:       dramFor(name),
+				DRAMBytes:       fleet.DefaultDRAM(name),
 				Kind:            core.FlashCard,
 				FlashCardParams: params,
 				FlashCapacity:   capacity,
@@ -235,7 +236,7 @@ func WriteBack(seed int64) ([]WriteBackRow, error) {
 		}
 		for _, dev := range []DeviceSpec{{"cu140", device.Datasheet}, {"intel", device.Datasheet}} {
 			run := func(writeBack bool) (*core.Result, error) {
-				cfg := core.Config{Trace: t, DRAMBytes: dramFor(name), WriteBack: writeBack}
+				cfg := core.Config{Trace: t, DRAMBytes: fleet.DefaultDRAM(name), WriteBack: writeBack}
 				if err := dev.Configure(&cfg); err != nil {
 					return nil, err
 				}

@@ -7,6 +7,7 @@ import (
 	"mobilestorage/internal/core"
 	"mobilestorage/internal/device"
 	"mobilestorage/internal/energy"
+	"mobilestorage/internal/fleet"
 	"mobilestorage/internal/testbed"
 	"mobilestorage/internal/units"
 )
@@ -35,23 +36,18 @@ func AsyncCleaning(seed int64) ([]AsyncRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		run := func(async bool) (*core.Result, error) {
-			cfg := core.Config{
-				Trace:           t,
-				DRAMBytes:       dramFor(name),
-				Kind:            core.FlashDisk,
-				FlashDiskParams: device.SDP5Datasheet(),
-				AsyncErase:      async,
-				FlashCapacity:   table4FlashCapacity,
-				StoredData:      table4StoredData,
+		run := func(dev string) (*core.Result, error) {
+			cfg := core.Config{Trace: t, DRAMBytes: fleet.DefaultDRAM(name)}
+			if err := (DeviceSpec{dev, device.Datasheet}).Configure(&cfg); err != nil {
+				return nil, err
 			}
 			return core.Run(cfg)
 		}
-		sync, err := run(false)
+		sync, err := run("sdp5")
 		if err != nil {
 			return nil, err
 		}
-		async, err := run(true)
+		async, err := run("sdp5a")
 		if err != nil {
 			return nil, err
 		}
@@ -205,7 +201,7 @@ func Wear(seed int64) ([]WearRow, error) {
 		for _, util := range []float64{0.40, 0.80, 0.95} {
 			cfg := core.Config{
 				Trace:           t,
-				DRAMBytes:       dramFor(name),
+				DRAMBytes:       fleet.DefaultDRAM(name),
 				Kind:            core.FlashCard,
 				FlashCardParams: params,
 				FlashCapacity:   capacity,

@@ -7,6 +7,7 @@ import (
 	"mobilestorage/internal/core"
 	"mobilestorage/internal/device"
 	"mobilestorage/internal/fault"
+	"mobilestorage/internal/fleet"
 )
 
 // ArrayBenchRow is one (topology, utilization, health) sample of the
@@ -61,18 +62,16 @@ func ArrayBench(seed int64) ([]ArrayBenchRow, error) {
 		}
 	}
 	rows := make([]ArrayBenchRow, len(cells))
-	var firstErr firstError
-	pmap(len(cells), func(i int) {
+	err = sweep(len(cells), func(i int) error {
 		c := cells[i]
 		spec, err := array.ParseSpec(c.topo)
 		if err != nil {
-			firstErr.set(err)
-			return
+			return err
 		}
 		cfg := core.Config{
 			Trace:            t,
 			Prep:             prep,
-			DRAMBytes:        defaultDRAM,
+			DRAMBytes:        fleet.DefaultDRAM(t.Name),
 			Array:            spec,
 			FlashCardParams:  device.IntelSeries2Measured(),
 			FlashUtilization: c.util,
@@ -85,8 +84,7 @@ func ArrayBench(seed int64) ([]ArrayBenchRow, error) {
 		}
 		res, err := core.Run(cfg)
 		if err != nil {
-			firstErr.set(fmt.Errorf("arraybench %s util %.2f degraded=%v: %w", c.topo, c.util, c.degraded, err))
-			return
+			return fmt.Errorf("arraybench %s util %.2f degraded=%v: %w", c.topo, c.util, c.degraded, err)
 		}
 		row := ArrayBenchRow{
 			Topology:    c.topo,
@@ -104,8 +102,9 @@ func ArrayBench(seed int64) ([]ArrayBenchRow, error) {
 			row.Violations = len(rep.Violations)
 		}
 		rows[i] = row
+		return nil
 	})
-	if err := firstErr.get(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return rows, nil

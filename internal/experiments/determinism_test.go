@@ -1,35 +1,52 @@
 package experiments
 
 import (
+	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 )
 
-// TestPmapOrderDeterminism runs the same pmap workload serially
-// (GOMAXPROCS=1) and fully parallel, requiring identical output: pmap's
-// contract is that each worker writes only its own index, so scheduling must
-// never leak into results or row order.
-func TestPmapOrderDeterminism(t *testing.T) {
-	build := func() []int {
-		out := make([]int, 64)
-		pmap(len(out), func(i int) { out[i] = i * i })
-		return out
-	}
-	old := runtime.GOMAXPROCS(1)
-	serial := build()
-	runtime.GOMAXPROCS(old)
-	parallel := build()
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("index %d: serial %d vs parallel %d", i, serial[i], parallel[i])
+// TestSweepLowestIndexError: with two failing cells, sweep returns the
+// lower index's error at any GOMAXPROCS, even when the higher cell fails
+// first in time.
+func TestSweepLowestIndexError(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 8} {
+		runtime.GOMAXPROCS(procs)
+		highFailed := make(chan struct{})
+		err := sweep(8, func(i int) error {
+			switch i {
+			case 2:
+				// With one worker per GOMAXPROCS, cell 5 runs beside this
+				// one only when there is more than one worker.
+				if procs > 1 {
+					<-highFailed
+				}
+				return fmt.Errorf("cell %d", i)
+			case 5:
+				defer close(highFailed)
+				return fmt.Errorf("cell %d", i)
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "cell 2" {
+			t.Errorf("GOMAXPROCS=%d: sweep returned %v, want cell 2", procs, err)
 		}
+	}
+	if err := sweep(3, func(int) error { return nil }); err != nil {
+		t.Errorf("no failing cell: %v", err)
+	}
+	if err := sweep(0, func(int) error { return errors.New("ran") }); err != nil {
+		t.Errorf("empty sweep: %v", err)
 	}
 }
 
 // TestTable4Determinism is the experiment-level determinism lock: the full
 // Table 4 sweep must produce bit-identical results whether the seven device
 // simulations run serially or concurrently, and across repeated runs with
-// the same seed.
+// the same seed. The parallel leg sets GOMAXPROCS itself, so it runs
+// several workers even on a one-CPU machine.
 func TestTable4Determinism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full trace simulation")
@@ -42,9 +59,9 @@ func TestTable4Determinism(t *testing.T) {
 		}
 		return rows
 	}
-	old := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	serial := run()
-	runtime.GOMAXPROCS(old)
+	runtime.GOMAXPROCS(4)
 	parallel := run()
 	again := run()
 

@@ -11,12 +11,15 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 
 	"mobilestorage/internal/core"
 	"mobilestorage/internal/device"
+	"mobilestorage/internal/fleet"
 	"mobilestorage/internal/trace"
 	"mobilestorage/internal/units"
 	"mobilestorage/internal/workload"
@@ -26,15 +29,9 @@ import (
 // the suite sees identical traces.
 const DefaultSeed = 1
 
-// Paper defaults shared across experiments (§4.2, Table 4 notes).
+// Table 4's flash sizing; the other paper defaults (DRAM, SRAM, spin-down)
+// are fleet's.
 const (
-	// defaultSpinDown is the disk spin-down threshold: "a good compromise
-	// between energy consumption and response time".
-	defaultSpinDown = 5 * units.Second
-	// defaultDRAM fronts the mac and dos traces; hp runs cacheless.
-	defaultDRAM = 2 * units.MB
-	// defaultSRAM is the disk write buffer (§5.5).
-	defaultSRAM = 32 * units.KB
 	// table4FlashCapacity: the paper treats the flash devices as 40 MB
 	// parts ("we treated the flash devices as though they too stored
 	// 40 Mbytes", §3) ...
@@ -76,18 +73,25 @@ func prepare(t *trace.Trace) *core.TracePrep {
 	return p
 }
 
-// dramFor returns the DRAM cache size for a trace: the hp trace was
-// captured below the buffer cache, so it must run cacheless (§4.1).
-func dramFor(traceName string) units.Bytes {
-	if traceName == "hp" {
-		return 0
-	}
-	return defaultDRAM
+// sweep runs do(0), …, do(n-1) on fleet.Sweep with one worker per
+// GOMAXPROCS and returns the lowest-index error, so a failing experiment
+// reports the same error for any worker count. Each do writes only its own
+// index of a pre-allocated result slice, which keeps row order, and so the
+// rendered tables, deterministic.
+func sweep(n int, do func(i int) error) error {
+	var first error
+	fleet.Sweep(context.Background(), n, runtime.GOMAXPROCS(0), do, func(_ int, err error) {
+		if first == nil {
+			first = err
+		}
+	})
+	return first
 }
 
 // DeviceSpec identifies one device row of Table 4.
 type DeviceSpec struct {
-	// Name is the device ("cu140", "kh", "sdp10", "sdp5", "intel").
+	// Name is a fleet.SelectDevice name ("cu140", "kh", "sdp10", "sdp5",
+	// "sdp5a", "intel", "intel2+").
 	Name string
 	// Source is measured or datasheet.
 	Source device.ParamSource
@@ -106,51 +110,17 @@ func Table4Devices() []DeviceSpec {
 	}
 }
 
-// Configure fills a core.Config's device fields for a spec, applying the
-// paper's defaults (spin-down, SRAM for disks, 40 MB flash at 80%).
+// Configure fills a core.Config's device fields for a spec through
+// fleet.SelectDevice, then applies Table 4's sizing: the paper's spin-down
+// and SRAM buffer in front of a disk, 40 MB of flash holding 32 MB.
 func (d DeviceSpec) Configure(cfg *core.Config) error {
-	switch d.Name {
-	case "cu140":
-		cfg.Kind = core.MagneticDisk
-		if d.Source == device.Measured {
-			cfg.Disk = device.CU140Measured()
-		} else {
-			cfg.Disk = device.CU140Datasheet()
-		}
-	case "kh":
-		cfg.Kind = core.MagneticDisk
-		cfg.Disk = device.KittyhawkDatasheet()
-	case "sdp10":
-		cfg.Kind = core.FlashDisk
-		if d.Source == device.Measured {
-			cfg.FlashDiskParams = device.SDP10Measured()
-		} else {
-			cfg.FlashDiskParams = device.SDP10Datasheet()
-		}
-	case "sdp5":
-		cfg.Kind = core.FlashDisk
-		cfg.FlashDiskParams = device.SDP5Datasheet()
-	case "sdp5a":
-		cfg.Kind = core.FlashDisk
-		cfg.FlashDiskParams = device.SDP5Datasheet()
-		cfg.AsyncErase = true
-	case "intel":
-		cfg.Kind = core.FlashCard
-		if d.Source == device.Measured {
-			cfg.FlashCardParams = device.IntelSeries2Measured()
-		} else {
-			cfg.FlashCardParams = device.IntelSeries2Datasheet()
-		}
-	case "intel2+":
-		cfg.Kind = core.FlashCard
-		cfg.FlashCardParams = device.IntelSeries2PlusDatasheet()
-	default:
-		return fmt.Errorf("experiments: unknown device %q", d.Name)
+	if err := fleet.SelectDevice(cfg, d.Name, string(d.Source)); err != nil {
+		return fmt.Errorf("experiments: %w", err)
 	}
 	switch cfg.Kind {
 	case core.MagneticDisk:
-		cfg.SpinDown = defaultSpinDown
-		cfg.SRAMBytes = defaultSRAM
+		cfg.SpinDown = fleet.DefaultSpinDown
+		cfg.SRAMBytes = fleet.DefaultSRAM
 	case core.FlashDisk, core.FlashCard:
 		cfg.FlashCapacity = table4FlashCapacity
 		cfg.StoredData = table4StoredData

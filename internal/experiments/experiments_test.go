@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"mobilestorage/internal/core"
+	"mobilestorage/internal/device"
+	"mobilestorage/internal/units"
 )
 
 // The experiment tests assert the paper's load-bearing orderings and
@@ -332,5 +335,75 @@ func TestDeviceSpecConfigureErrors(t *testing.T) {
 	var c core.Config
 	if err := bad.Configure(&c); err == nil {
 		t.Error("unknown device accepted")
+	}
+}
+
+// table4Reference is Configure's own device switch as it stood before the
+// device names moved to fleet.SelectDevice, kept as the oracle for
+// TestConfigureMatchesTable4Reference.
+func table4Reference(d DeviceSpec) core.Config {
+	var cfg core.Config
+	switch d.Name {
+	case "cu140":
+		cfg.Kind = core.MagneticDisk
+		if d.Source == device.Measured {
+			cfg.Disk = device.CU140Measured()
+		} else {
+			cfg.Disk = device.CU140Datasheet()
+		}
+	case "kh":
+		cfg.Kind = core.MagneticDisk
+		cfg.Disk = device.KittyhawkDatasheet()
+	case "sdp10":
+		cfg.Kind = core.FlashDisk
+		if d.Source == device.Measured {
+			cfg.FlashDiskParams = device.SDP10Measured()
+		} else {
+			cfg.FlashDiskParams = device.SDP10Datasheet()
+		}
+	case "sdp5":
+		cfg.Kind = core.FlashDisk
+		cfg.FlashDiskParams = device.SDP5Datasheet()
+	case "sdp5a":
+		cfg.Kind = core.FlashDisk
+		cfg.FlashDiskParams = device.SDP5Datasheet()
+		cfg.AsyncErase = true
+	case "intel":
+		cfg.Kind = core.FlashCard
+		if d.Source == device.Measured {
+			cfg.FlashCardParams = device.IntelSeries2Measured()
+		} else {
+			cfg.FlashCardParams = device.IntelSeries2Datasheet()
+		}
+	case "intel2+":
+		cfg.Kind = core.FlashCard
+		cfg.FlashCardParams = device.IntelSeries2PlusDatasheet()
+	}
+	switch cfg.Kind {
+	case core.MagneticDisk:
+		cfg.SpinDown = 5 * units.Second
+		cfg.SRAMBytes = 32 * units.KB
+	case core.FlashDisk, core.FlashCard:
+		cfg.FlashCapacity = 40 * units.MB
+		cfg.StoredData = 32 * units.MB
+	}
+	return cfg
+}
+
+// TestConfigureMatchesTable4Reference: every Table 4 row, plus the SDP5A
+// and the Series 2+ that other experiments configure, gets the same kind,
+// parameters, spin-down, SRAM and flash sizing through fleet.SelectDevice
+// as through the old switch.
+func TestConfigureMatchesTable4Reference(t *testing.T) {
+	specs := append(Table4Devices(), DeviceSpec{"sdp5a", device.Datasheet}, DeviceSpec{"intel2+", device.Datasheet})
+	for _, d := range specs {
+		var got core.Config
+		if err := d.Configure(&got); err != nil {
+			t.Errorf("%v: %v", d, err)
+			continue
+		}
+		if want := table4Reference(d); !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: Configure gives %+v, want %+v", d, got, want)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"mobilestorage/internal/compress"
 	"mobilestorage/internal/core"
 	"mobilestorage/internal/device"
+	"mobilestorage/internal/fleet"
 	"mobilestorage/internal/testbed"
 	"mobilestorage/internal/units"
 )
@@ -101,14 +102,13 @@ func Fig2(seed int64) ([]Fig2Point, error) {
 		minUtil := Fig2Utilizations[0]
 		capacity := units.CeilDiv(units.Bytes(float64(prep.Footprint())/minUtil), seg) * seg
 		points := make([]Fig2Point, len(Fig2Utilizations))
-		var firstErr firstError
-		pmap(len(Fig2Utilizations), func(i int) {
+		err = sweep(len(Fig2Utilizations), func(i int) error {
 			util := Fig2Utilizations[i]
 			stored := units.Bytes(float64(capacity) * util)
 			cfg := core.Config{
 				Trace:           t,
 				Prep:            prep,
-				DRAMBytes:       dramFor(name),
+				DRAMBytes:       fleet.DefaultDRAM(name),
 				Kind:            core.FlashCard,
 				FlashCardParams: device.IntelSeries2Datasheet(),
 				FlashCapacity:   capacity,
@@ -116,8 +116,7 @@ func Fig2(seed int64) ([]Fig2Point, error) {
 			}
 			res, err := core.Run(cfg)
 			if err != nil {
-				firstErr.set(fmt.Errorf("fig2 %s util %.2f: %w", name, util, err))
-				return
+				return fmt.Errorf("fig2 %s util %.2f: %w", name, util, err)
 			}
 			points[i] = Fig2Point{
 				Trace:        name,
@@ -130,8 +129,9 @@ func Fig2(seed int64) ([]Fig2Point, error) {
 				WriteStalls:  res.WriteStalls,
 				CopiedBlocks: res.CopiedBlocks,
 			}
+			return nil
 		})
-		if err := firstErr.get(); err != nil {
+		if err != nil {
 			return nil, err
 		}
 		out = append(out, points...)
@@ -311,10 +311,10 @@ func Fig5(seed int64) ([]Fig5Point, error) {
 			cfg := core.Config{
 				Trace:     t,
 				Prep:      prep,
-				DRAMBytes: dramFor(name),
+				DRAMBytes: fleet.DefaultDRAM(name),
 				Kind:      core.MagneticDisk,
 				Disk:      device.CU140Datasheet(),
-				SpinDown:  defaultSpinDown,
+				SpinDown:  fleet.DefaultSpinDown,
 				SRAMBytes: sram,
 			}
 			res, err := core.Run(cfg)

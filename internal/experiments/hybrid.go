@@ -5,6 +5,7 @@ import (
 
 	"mobilestorage/internal/core"
 	"mobilestorage/internal/device"
+	"mobilestorage/internal/fleet"
 	"mobilestorage/internal/units"
 )
 
@@ -33,17 +34,17 @@ func HybridComparison(seed int64) ([]HybridRow, error) {
 		}
 		configs := []core.Config{
 			{
-				Trace: t, DRAMBytes: dramFor(name),
+				Trace: t, DRAMBytes: fleet.DefaultDRAM(name),
 				Kind: core.MagneticDisk, Disk: device.CU140Datasheet(),
-				SpinDown: defaultSpinDown, SRAMBytes: defaultSRAM,
+				SpinDown: fleet.DefaultSpinDown, SRAMBytes: fleet.DefaultSRAM,
 			},
 			{
-				Trace: t, DRAMBytes: dramFor(name),
+				Trace: t, DRAMBytes: fleet.DefaultDRAM(name),
 				Kind: core.FlashCard, FlashCardParams: device.IntelSeries2Datasheet(),
 				FlashCapacity: table4FlashCapacity, StoredData: table4StoredData,
 			},
 			{
-				Trace: t, DRAMBytes: dramFor(name),
+				Trace: t, DRAMBytes: fleet.DefaultDRAM(name),
 				Kind: core.FlashCache, Disk: device.CU140Datasheet(),
 				FlashCardParams: device.IntelSeries2Datasheet(),
 				// The hybrid's disk serves only cache misses and destages,

@@ -6,6 +6,7 @@ import (
 
 	"mobilestorage/internal/core"
 	"mobilestorage/internal/device"
+	"mobilestorage/internal/fleet"
 	"mobilestorage/internal/index"
 	"mobilestorage/internal/plot"
 	"mobilestorage/internal/trace"
@@ -100,23 +101,7 @@ func indexBenchConfig(dev string, util float64, t *trace.Trace, prep *core.Trace
 	if minCap := units.CeilDiv(2*seg, units.Bytes(float64(seg)*(1-maxUtil))) * seg; capacity < minCap {
 		capacity = minCap
 	}
-	switch dev {
-	case "cu140":
-		cfg.Kind = core.MagneticDisk
-		cfg.Disk = device.CU140Datasheet()
-		cfg.SpinDown = defaultSpinDown
-		cfg.SRAMBytes = defaultSRAM
-	case "sdp5":
-		cfg.Kind = core.FlashDisk
-		cfg.FlashDiskParams = device.SDP5Datasheet()
-		cfg.FlashCapacity = capacity
-		cfg.StoredData = units.Bytes(float64(capacity) * util)
-	case "intel":
-		cfg.Kind = core.FlashCard
-		cfg.FlashCardParams = device.IntelSeries2Datasheet()
-		cfg.FlashCapacity = capacity
-		cfg.StoredData = units.Bytes(float64(capacity) * util)
-	case "hybrid":
+	if dev == "hybrid" {
 		cfg.Kind = core.FlashCache
 		cfg.Disk = device.CU140Datasheet()
 		cfg.FlashCardParams = device.IntelSeries2Datasheet()
@@ -125,8 +110,17 @@ func indexBenchConfig(dev string, util float64, t *trace.Trace, prep *core.Trace
 		// occupies util of it. No segment rounding — at these footprints
 		// rounding would collapse adjacent utilizations onto one size.
 		cfg.FlashCacheBytes = units.Bytes(float64(prep.Footprint()) / util)
-	default:
-		return core.Config{}, fmt.Errorf("indexbench: unknown device %q", dev)
+		return cfg, nil
+	}
+	if err := fleet.SelectDevice(&cfg, dev, string(device.Datasheet)); err != nil {
+		return core.Config{}, fmt.Errorf("indexbench: %w", err)
+	}
+	if cfg.Kind == core.MagneticDisk {
+		cfg.SpinDown = fleet.DefaultSpinDown
+		cfg.SRAMBytes = fleet.DefaultSRAM
+	} else {
+		cfg.FlashCapacity = capacity
+		cfg.StoredData = units.Bytes(float64(capacity) * util)
 	}
 	return cfg, nil
 }
@@ -156,18 +150,15 @@ func IndexBenchEngineMix(engine index.EngineKind, seed int64, mixName string) ([
 		}
 	}
 	points := make([]IndexBenchPoint, len(cells))
-	var firstErr firstError
-	pmap(len(cells), func(i int) {
+	err = sweep(len(cells), func(i int) error {
 		c := cells[i]
 		cfg, err := indexBenchConfig(c.dev, c.util, t, prep)
 		if err != nil {
-			firstErr.set(err)
-			return
+			return err
 		}
 		res, err := core.Run(cfg)
 		if err != nil {
-			firstErr.set(fmt.Errorf("indexbench %s/%s util %.2f: %w", engine, c.dev, c.util, err))
-			return
+			return fmt.Errorf("indexbench %s/%s util %.2f: %w", engine, c.dev, c.util, err)
 		}
 		points[i] = IndexBenchPoint{
 			Engine:      string(engine),
@@ -181,8 +172,9 @@ func IndexBenchEngineMix(engine index.EngineKind, seed int64, mixName string) ([
 			CleanerAmp:  res.WriteAmplification(),
 			IndexAmp:    st.WriteAmplification(),
 		}
+		return nil
 	})
-	if err := firstErr.get(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return points, nil

@@ -5,6 +5,7 @@ import (
 
 	"mobilestorage/internal/core"
 	"mobilestorage/internal/device"
+	"mobilestorage/internal/fleet"
 	"mobilestorage/internal/units"
 )
 
@@ -47,12 +48,12 @@ func SpinDownPolicies(seed int64) ([]SpinDownRow, error) {
 		for _, p := range policies {
 			cfg := core.Config{
 				Trace:      t,
-				DRAMBytes:  dramFor(name),
+				DRAMBytes:  fleet.DefaultDRAM(name),
 				Kind:       core.MagneticDisk,
 				Disk:       device.CU140Datasheet(),
 				SpinDown:   p.spinDown,
 				SpinPolicy: p.policy,
-				SRAMBytes:  defaultSRAM,
+				SRAMBytes:  fleet.DefaultSRAM,
 			}
 			res, err := core.Run(cfg)
 			if err != nil {

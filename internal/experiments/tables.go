@@ -6,6 +6,7 @@ import (
 	"mobilestorage/internal/compress"
 	"mobilestorage/internal/core"
 	"mobilestorage/internal/device"
+	"mobilestorage/internal/fleet"
 	"mobilestorage/internal/testbed"
 	"mobilestorage/internal/trace"
 	"mobilestorage/internal/units"
@@ -154,18 +155,15 @@ func Table4(traceName string, seed int64) ([]Table4Row, error) {
 	}
 	specs := Table4Devices()
 	rows := make([]Table4Row, len(specs))
-	var firstErr firstError
-	pmap(len(specs), func(i int) {
+	err = sweep(len(specs), func(i int) error {
 		spec := specs[i]
-		cfg := core.Config{Trace: t, DRAMBytes: dramFor(traceName)}
+		cfg := core.Config{Trace: t, DRAMBytes: fleet.DefaultDRAM(traceName)}
 		if err := spec.Configure(&cfg); err != nil {
-			firstErr.set(err)
-			return
+			return err
 		}
 		res, err := core.Run(cfg)
 		if err != nil {
-			firstErr.set(fmt.Errorf("table4 %s on %s: %w", spec, traceName, err))
-			return
+			return fmt.Errorf("table4 %s on %s: %w", spec, traceName, err)
 		}
 		rows[i] = Table4Row{
 			Device:    spec,
@@ -178,8 +176,9 @@ func Table4(traceName string, seed int64) ([]Table4Row, error) {
 			WriteSD:   res.Write.StdDev(),
 			Result:    res,
 		}
+		return nil
 	})
-	if err := firstErr.get(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return rows, nil

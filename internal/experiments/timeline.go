@@ -5,6 +5,7 @@ import (
 
 	"mobilestorage/internal/core"
 	"mobilestorage/internal/device"
+	"mobilestorage/internal/fleet"
 	"mobilestorage/internal/obs"
 	"mobilestorage/internal/obsreport"
 	"mobilestorage/internal/units"
@@ -56,14 +57,14 @@ func EnergyOverTime(seed int64) ([]EnergyCurve, error) {
 		{"cu140 spin-down 5s", func(cfg *core.Config) {
 			cfg.Kind = core.MagneticDisk
 			cfg.Disk = device.CU140Measured()
-			cfg.SpinDown = defaultSpinDown
-			cfg.SRAMBytes = defaultSRAM
+			cfg.SpinDown = fleet.DefaultSpinDown
+			cfg.SRAMBytes = fleet.DefaultSRAM
 		}},
 		{"cu140 always on", func(cfg *core.Config) {
 			cfg.Kind = core.MagneticDisk
 			cfg.Disk = device.CU140Measured()
 			cfg.SpinDown = 0 // never spin down
-			cfg.SRAMBytes = defaultSRAM
+			cfg.SRAMBytes = fleet.DefaultSRAM
 		}},
 		{"intel flash card", func(cfg *core.Config) {
 			cfg.Kind = core.FlashCard
@@ -74,24 +75,21 @@ func EnergyOverTime(seed int64) ([]EnergyCurve, error) {
 	}
 
 	curves := make([]EnergyCurve, len(specs))
-	var firstErr firstError
-	pmap(len(specs), func(i int) {
+	err = sweep(len(specs), func(i int) error {
 		cfg := core.Config{
 			Trace:       t,
-			DRAMBytes:   dramFor("mac"),
+			DRAMBytes:   fleet.DefaultDRAM("mac"),
 			SampleEvery: interval,
 			Scope:       obs.NewScope(obs.NewRegistry(), nil),
 		}
 		specs[i].configure(&cfg)
 		res, err := core.Run(cfg)
 		if err != nil {
-			firstErr.set(fmt.Errorf("energy-over-time %s: %w", specs[i].label, err))
-			return
+			return fmt.Errorf("energy-over-time %s: %w", specs[i].label, err)
 		}
 		tl := res.Timeline
 		if tl == nil || len(tl.Points) == 0 {
-			firstErr.set(fmt.Errorf("energy-over-time %s: no sampler timeline", specs[i].label))
-			return
+			return fmt.Errorf("energy-over-time %s: no sampler timeline", specs[i].label)
 		}
 		c := EnergyCurve{Label: specs[i].label}
 		for _, p := range tl.Points {
@@ -99,8 +97,9 @@ func EnergyOverTime(seed int64) ([]EnergyCurve, error) {
 			c.Joules = append(c.Joules, p.Gauges["energy.total_j"])
 		}
 		curves[i] = c
+		return nil
 	})
-	if err := firstErr.get(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return curves, nil
@@ -163,8 +162,7 @@ func CleaningEfficiency(seed int64) ([]CleaningPoint, error) {
 	capacity := units.CeilDiv(units.Bytes(float64(core.Footprint(t))/utils[0]), seg) * seg
 
 	points := make([]CleaningPoint, len(utils))
-	var firstErr firstError
-	pmap(len(utils), func(i int) {
+	err = sweep(len(utils), func(i int) error {
 		util := utils[i]
 		keep := func(e obs.Event) bool {
 			return e.Kind == obs.EvCardClean || e.Kind == obs.EvCardStall
@@ -172,7 +170,7 @@ func CleaningEfficiency(seed int64) ([]CleaningPoint, error) {
 		col := obs.NewCollector(keep)
 		cfg := core.Config{
 			Trace:           t,
-			DRAMBytes:       dramFor("dos"),
+			DRAMBytes:       fleet.DefaultDRAM("dos"),
 			Kind:            core.FlashCard,
 			FlashCardParams: device.IntelSeries2Datasheet(),
 			FlashCapacity:   capacity,
@@ -181,15 +179,13 @@ func CleaningEfficiency(seed int64) ([]CleaningPoint, error) {
 		}
 		res, err := core.Run(cfg)
 		if err != nil {
-			firstErr.set(fmt.Errorf("cleaning-efficiency util %.2f: %w", util, err))
-			return
+			return fmt.Errorf("cleaning-efficiency util %.2f: %w", util, err)
 		}
 		rep := obsreport.Cleaning(col.Events())
 		// Cross-check the derived report against the run's own counters.
 		if rep.CopiedBlocks != res.CopiedBlocks || rep.Stalls != res.WriteStalls {
-			firstErr.set(fmt.Errorf("cleaning-efficiency util %.2f: stream (%d copied, %d stalls) disagrees with result (%d, %d)",
-				util, rep.CopiedBlocks, rep.Stalls, res.CopiedBlocks, res.WriteStalls))
-			return
+			return fmt.Errorf("cleaning-efficiency util %.2f: stream (%d copied, %d stalls) disagrees with result (%d, %d)",
+				util, rep.CopiedBlocks, rep.Stalls, res.CopiedBlocks, res.WriteStalls)
 		}
 		points[i] = CleaningPoint{
 			Utilization:  util,
@@ -200,8 +196,9 @@ func CleaningEfficiency(seed int64) ([]CleaningPoint, error) {
 			WriteStalls:  rep.Stalls,
 			CleanSeconds: float64(rep.TotalCleanUs) / 1e6,
 		}
+		return nil
 	})
-	if err := firstErr.get(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return points, nil

@@ -5,6 +5,7 @@ import (
 
 	"mobilestorage/internal/core"
 	"mobilestorage/internal/device"
+	"mobilestorage/internal/fleet"
 	"mobilestorage/internal/units"
 )
 
@@ -37,7 +38,7 @@ func WearLeveling(seed int64) ([]WearLevelRow, error) {
 		for _, level := range []int64{0, 8} {
 			cfg := core.Config{
 				Trace:           t,
-				DRAMBytes:       dramFor(name),
+				DRAMBytes:       fleet.DefaultDRAM(name),
 				Kind:            core.FlashCard,
 				FlashCardParams: params,
 				FlashCapacity:   capacity,

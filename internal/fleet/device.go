@@ -5,6 +5,11 @@
 // report builders as shards complete — constant memory in the number of
 // runs, with live progress over Server-Sent Events and per-report SVG
 // figures. See docs/SERVICE.md.
+//
+// The package is also where a device name and the paper's defaults become
+// a core.Config (SelectDevice, DefaultDRAM, DefaultSRAM, DefaultSpinDown,
+// SizeBuffers), and where independent runs fan out and merge back in index
+// order (Sweep), for the storagesim CLI and the experiments alike.
 package fleet
 
 import (
@@ -12,18 +17,54 @@ import (
 
 	"mobilestorage/internal/core"
 	"mobilestorage/internal/device"
+	"mobilestorage/internal/units"
 )
 
-// DeviceNames lists the catalog devices a job may reference.
-func DeviceNames() []string {
-	return []string{"cu140", "kh", "sdp10", "sdp5", "intel", "intel2+"}
+// The paper's defaults for a run's buffers and disk policy.
+const (
+	// DefaultSpinDown is the disk spin-down threshold: "a good compromise
+	// between energy consumption and response time" (§4.2).
+	DefaultSpinDown = 5 * units.Second
+	// DefaultSRAM is the battery-backed write buffer in front of a disk
+	// (§5.5).
+	DefaultSRAM = 32 * units.KB
+)
+
+// DefaultDRAM returns the DRAM buffer cache for a trace: 2 MB, except for
+// the hp trace, which was captured below the buffer cache and so runs
+// cacheless (§4.1).
+func DefaultDRAM(traceName string) units.Bytes {
+	if traceName == "hp" {
+		return 0
+	}
+	return 2 * units.MB
+}
+
+// SizeBuffers sets cfg's DRAM cache and SRAM write buffer from sizes in KB.
+// A negative size asks for the paper's default: DefaultDRAM for cfg.Trace,
+// and DefaultSRAM in front of a lone disk but none in front of flash or an
+// array. cfg's trace, kind and array must already be set.
+func SizeBuffers(cfg *core.Config, dramKB, sramKB int64) {
+	cfg.DRAMBytes = DefaultDRAM(cfg.Trace.Name)
+	if dramKB >= 0 {
+		cfg.DRAMBytes = units.Bytes(dramKB) * units.KB
+	}
+	cfg.SRAMBytes = 0
+	switch {
+	case sramKB >= 0:
+		cfg.SRAMBytes = units.Bytes(sramKB) * units.KB
+	case cfg.Array == nil && cfg.Kind == core.MagneticDisk:
+		cfg.SRAMBytes = DefaultSRAM
+	}
 }
 
 // SelectDevice fills cfg's storage kind and parameters for a catalog device
-// name. source picks the parameter provenance: "measured", "datasheet", or
-// "" for the best available (measured when the paper reports it, datasheet
-// otherwise). This is the one device-name resolver shared by the storagesim
-// CLI and the fleet job API.
+// name: cu140, kh, sdp10, sdp5, sdp5a (the SDP5 with asynchronous erasure,
+// §5.3), intel or intel2+. source picks the parameter provenance:
+// "measured", "datasheet", or "" for the best available (measured when the
+// paper reports it, datasheet otherwise). This is the one device-name
+// resolver; the storagesim CLI, the fleet job API and the experiments all
+// use it.
 func SelectDevice(cfg *core.Config, name, source string) error {
 	pick := func(measured, datasheet func() bool) error {
 		switch source {
@@ -64,8 +105,11 @@ func SelectDevice(cfg *core.Config, name, source string) error {
 			func() bool { cfg.FlashDiskParams = device.SDP10Measured(); return true },
 			func() bool { cfg.FlashDiskParams = device.SDP10Datasheet(); return true },
 		)
-	case "sdp5":
+	case "sdp5", "sdp5a":
 		cfg.Kind = core.FlashDisk
+		if name == "sdp5a" {
+			cfg.AsyncErase = true
+		}
 		return pick(
 			func() bool { return false },
 			func() bool { cfg.FlashDiskParams = device.SDP5Datasheet(); return true },

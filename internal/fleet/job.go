@@ -29,7 +29,7 @@ type Spec struct {
 	// Name is a free-form label echoed in listings and the dashboard.
 	Name string `json:"name,omitempty"`
 
-	// Devices are catalog device names (see DeviceNames). Default: cu140.
+	// Devices are catalog device names (see SelectDevice). Default: cu140.
 	Devices []string `json:"devices,omitempty"`
 	// Source picks device parameter provenance: "", "measured", "datasheet".
 	Source string `json:"source,omitempty"`
@@ -42,11 +42,11 @@ type Spec struct {
 	Utilizations []float64 `json:"utilizations,omitempty"`
 	// Cleaning are flash-card cleaning policies. Default: greedy.
 	Cleaning []string `json:"cleaning,omitempty"`
-	// DRAMKB are DRAM cache sizes in KB; -1 means the CLI default (2 MB,
+	// DRAMKB are DRAM cache sizes in KB; -1 means DefaultDRAM (2 MB,
 	// except the hp trace which runs uncached). Default: -1.
 	DRAMKB []int64 `json:"dram_kb,omitempty"`
-	// SRAMKB are SRAM write-buffer sizes in KB; -1 means the CLI default
-	// (32 KB for disks, none for flash). Default: -1.
+	// SRAMKB are SRAM write-buffer sizes in KB; -1 means DefaultSRAM for
+	// disks and none for flash. Default: -1.
 	SRAMKB []int64 `json:"sram_kb,omitempty"`
 	// SpinDownS are disk spin-down thresholds in seconds. Default: 5.
 	SpinDownS []float64 `json:"spindown_s,omitempty"`
@@ -93,7 +93,7 @@ func (s Spec) withDefaults() Spec {
 		s.SRAMKB = []int64{-1}
 	}
 	if len(s.SpinDownS) == 0 {
-		s.SpinDownS = []float64{5}
+		s.SpinDownS = []float64{DefaultSpinDown.Seconds()}
 	}
 	if s.Replicas <= 0 {
 		s.Replicas = 1
@@ -315,8 +315,8 @@ func (ej *expandedJob) generateTrace(rs RunSpec) (*trace.Trace, error) {
 	return workload.GenerateByName(rs.Trace, rs.Seed)
 }
 
-// buildConfig assembles the core.Config for one run, mirroring the
-// storagesim CLI's defaulting (DRAM 2 MB except hp, SRAM 32 KB for disks).
+// buildConfig assembles the core.Config for one run, with the paper's
+// buffer defaults that the storagesim CLI also applies (SizeBuffers).
 func (ej *expandedJob) buildConfig(rs RunSpec, t *trace.Trace, prep *core.TracePrep) (core.Config, error) {
 	cfg := core.Config{
 		Trace:            t,
@@ -329,20 +329,7 @@ func (ej *expandedJob) buildConfig(rs RunSpec, t *trace.Trace, prep *core.TraceP
 	if err := SelectDevice(&cfg, rs.Device, ej.spec.Source); err != nil {
 		return cfg, err
 	}
-	switch {
-	case rs.DRAMKB >= 0:
-		cfg.DRAMBytes = units.Bytes(rs.DRAMKB) * units.KB
-	case t.Name == "hp":
-		cfg.DRAMBytes = 0
-	default:
-		cfg.DRAMBytes = 2 * units.MB
-	}
-	switch {
-	case rs.SRAMKB >= 0:
-		cfg.SRAMBytes = units.Bytes(rs.SRAMKB) * units.KB
-	case cfg.Kind == core.MagneticDisk:
-		cfg.SRAMBytes = 32 * units.KB
-	}
+	SizeBuffers(&cfg, rs.DRAMKB, rs.SRAMKB)
 	if rs.Plan >= 0 {
 		cfg.Faults = ej.plans[rs.Plan]
 		cfg.FaultSeed = rs.FaultSeed

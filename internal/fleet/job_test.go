@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -207,4 +209,67 @@ func TestExpandFaultPlanAxis(t *testing.T) {
 	if cfg.FaultSeed != ej.runs[1].FaultSeed {
 		t.Error("fault seed not wired into config")
 	}
+}
+
+// FuzzJobSpec feeds hostile POST /jobs bodies through the submit path up to
+// the run grid: decode as handleSubmit does, validate, and materialize
+// grids of at most maxFuzzRuns. validate sizes the grid from replicas and
+// the axis lengths without allocating for it, so its allocation must stay
+// within a bound on the input length, whatever run count the spec claims.
+func FuzzJobSpec(f *testing.F) {
+	const maxFuzzRuns = 4096
+	for _, seed := range []string{
+		`{}`,
+		`{"devices":["cu140","sdp5a","intel"],"traces":["synth","mac"],"utilizations":[0.4,0.95],"replicas":3}`,
+		`{"devices":["kh","intel2+"],"source":"datasheet","dram_kb":[-1,0,64],"sram_kb":[-1,32],"spindown_s":[0,5]}`,
+		`{"replicas":999999,"seed":-7}`,
+		`{"replicas":1000000,"devices":["intel","sdp10"]}`,
+		`{"fault_plans":[{"read_error_rate":0.001,"max_retries":3},{"write_error_rate":0.01}],"cleaning":["greedy","fifo"]}`,
+		`{"devices":["sdp5a"],"source":"measured"}`,
+		`{"workers":-1}`,
+		`{"bogus":1}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > maxSpecBytes {
+			return
+		}
+		var spec Spec
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&spec); err != nil {
+			return
+		}
+
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		v, err := validate(spec)
+		runtime.ReadMemStats(&after)
+		if alloc, bound := after.TotalAlloc-before.TotalAlloc, uint64(64*len(data)+64<<10); alloc > bound {
+			t.Fatalf("validate allocated %d bytes for a %d-byte spec (bound %d)", alloc, len(data), bound)
+		}
+		if err != nil {
+			return
+		}
+		if v.total < 1 || v.total > maxRuns {
+			t.Fatalf("validated grid of %d runs", v.total)
+		}
+		if v.total > maxFuzzRuns {
+			return
+		}
+		ej := v.materialize()
+		if len(ej.runs) != v.total {
+			t.Fatalf("materialized %d runs, validate sized %d", len(ej.runs), v.total)
+		}
+		for i, rs := range ej.runs {
+			if rs.Index != i {
+				t.Fatalf("run %d has index %d", i, rs.Index)
+			}
+			var cfg core.Config
+			if err := SelectDevice(&cfg, rs.Device, ej.spec.Source); err != nil {
+				t.Fatalf("run %d: device does not resolve: %v", i, err)
+			}
+		}
+	})
 }

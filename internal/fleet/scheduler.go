@@ -270,19 +270,16 @@ func (s *Service) Submit(spec Spec) (*Job, error) {
 
 func jobMetric(id, name string) string { return "fleet.job." + id + "." + name }
 
-// runOut is one run's worker output, reordered by the merger.
+// runOut is one run's worker output.
 type runOut struct {
-	idx  int
 	res  *core.Result
 	figs *obsreport.FigureSet
 	err  error
 }
 
-// run drives one job: workers pull run indices in ascending order from a
-// shared channel, and the merger folds completions back in strict index
-// order (a pending map bounded by the worker count buffers out-of-order
-// arrivals). Strict merge order is what makes the final report
-// byte-identical for any worker count.
+// run drives one job on Sweep: workers take run indices in ascending order
+// and the merger folds completions back in strict index order, which is
+// what makes the final report byte-identical for any worker count.
 func (s *Service) run(ctx context.Context, j *Job) {
 	defer s.wg.Done()
 	started := s.reg.Counter(jobMetric(j.ID, "runs_started"))
@@ -292,72 +289,31 @@ func (s *Service) run(ctx context.Context, j *Job) {
 	busy := s.reg.Gauge(jobMetric(j.ID, "workers_busy"))
 
 	cache := newTraceCache(j.Workers + 2)
-	indices := make(chan int)
-	results := make(chan runOut, j.Workers)
-
-	go func() {
-		defer close(indices)
-		for i := range j.ej.runs {
-			select {
-			case indices <- i:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
-	var workers sync.WaitGroup
-	for w := 0; w < j.Workers; w++ {
-		workers.Add(1)
-		go func() {
-			defer workers.Done()
-			for idx := range indices {
-				j.mu.Lock()
-				j.started++
-				j.mu.Unlock()
-				started.Inc()
-				depth.Add(-1)
-				busy.Add(1)
-				res, figs, err := j.ej.runOne(j.ej.runs[idx], cache)
-				busy.Add(-1)
-				results <- runOut{idx: idx, res: res, figs: figs, err: err}
-			}
-		}()
-	}
-	go func() {
-		workers.Wait()
-		close(results)
-	}()
-
-	// Merge strictly in run-index order. The pending map never exceeds the
-	// worker count: a worker can only run ahead while earlier indices are
-	// in flight on its siblings.
-	pending := make(map[int]runOut, j.Workers)
-	next := 0
-	for out := range results {
-		pending[out.idx] = out
-		for {
-			o, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			next++
-			s.mergeOne(j, o, doneC, failedC)
-		}
-	}
+	Sweep(ctx, len(j.ej.runs), j.Workers, func(idx int) runOut {
+		j.mu.Lock()
+		j.started++
+		j.mu.Unlock()
+		started.Inc()
+		depth.Add(-1)
+		busy.Add(1)
+		res, figs, err := j.ej.runOne(j.ej.runs[idx], cache)
+		busy.Add(-1)
+		return runOut{res: res, figs: figs, err: err}
+	}, func(idx int, o runOut) {
+		s.mergeOne(j, idx, o, doneC, failedC)
+	})
 
 	s.finish(j, ctx.Err() != nil)
 }
 
 // mergeOne folds one run into the job aggregate and emits SSE frames.
-func (s *Service) mergeOne(j *Job, o runOut, doneC, failedC *obs.Counter) {
+func (s *Service) mergeOne(j *Job, idx int, o runOut, doneC, failedC *obs.Counter) {
 	j.mu.Lock()
 	if o.err != nil {
 		j.failed++
 		j.agg.AddFailure()
 		if len(j.errs) < maxStoredErrors {
-			j.errs = append(j.errs, fmt.Sprintf("run %d: %v", o.idx, o.err))
+			j.errs = append(j.errs, fmt.Sprintf("run %d: %v", idx, o.err))
 		}
 		failedC.Inc()
 	} else {
@@ -373,8 +329,8 @@ func (s *Service) mergeOne(j *Job, o runOut, doneC, failedC *obs.Counter) {
 	j.mu.Unlock()
 
 	if o.err == nil && o.res.Timeline != nil {
-		rs := j.ej.runs[o.idx]
-		se := sampleEvent{Job: j.ID, Run: o.idx, Trace: rs.Trace, Device: rs.Device}
+		rs := j.ej.runs[idx]
+		se := sampleEvent{Job: j.ID, Run: idx, Trace: rs.Trace, Device: rs.Device}
 		for _, p := range o.res.Timeline.Points {
 			se.Points = append(se.Points, samplePoint{TUs: p.TUs, EnergyJ: p.Gauges["energy.total_j"]})
 		}

@@ -3,10 +3,12 @@ package obsreport
 // Sharded streaming ingestion: StreamFiles decodes one or more NDJSON
 // inputs through the fast scanner and feeds every event to a set of
 // Reporters at constant memory — no []obs.Event is ever materialized.
-// Multi-file inputs decode in parallel under a bounded worker pool (the
-// internal/experiments pmap idiom), but events are always delivered in
-// file-argument order, then line order within a file, so streaming output
-// is byte-identical to concatenating the inputs and decoding serially.
+// Multi-file inputs decode in parallel under a bounded worker pool of their
+// own: unlike fleet.Sweep, which merges one output per index, it streams
+// each file's events in batches while the file is still decoding. Events
+// are always delivered in file-argument order, then line order within a
+// file, so streaming output is byte-identical to concatenating the inputs
+// and decoding serially.
 
 import (
 	"context"

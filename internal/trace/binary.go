@@ -2,9 +2,11 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"os"
 
 	"mobilestorage/internal/units"
 )
@@ -23,6 +25,19 @@ import (
 
 // binaryMagic identifies the format and version.
 var binaryMagic = []byte("MSTB1")
+
+// ReadFile loads a trace file in either format, telling the binary one by
+// its magic.
+func ReadFile(path string) (*Trace, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if bytes.HasPrefix(data, binaryMagic) {
+		return DecodeBinary(bytes.NewReader(data))
+	}
+	return Decode(bytes.NewReader(data))
+}
 
 // EncodeBinary serializes a trace in the binary format. The trace must be
 // sorted (Validate enforces this for all constructed traces).

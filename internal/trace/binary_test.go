@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -228,5 +230,50 @@ func benchCodec(b *testing.B, binaryFmt, encode bool) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// TestReadTraceBothFormats: ReadFile loads the text and the binary format
+// of the same trace, and reports a missing file or a corrupt binary one as
+// an error.
+func TestReadTraceBothFormats(t *testing.T) {
+	tr := testTrace()
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name   string
+		encode func(f *os.File) error
+	}{
+		{"t.trace", func(f *os.File) error { return Encode(f, tr) }},
+		{"t.btrace", func(f *os.File) error { return EncodeBinary(f, tr) }},
+	} {
+		path := filepath.Join(dir, c.name)
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.encode(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadFile(path)
+		if err != nil {
+			t.Fatalf("ReadFile(%s): %v", c.name, err)
+		}
+		if got.Name != tr.Name || got.BlockSize != tr.BlockSize || !reflect.DeepEqual(got.Records, tr.Records) {
+			t.Errorf("%s: read back %+v, want %+v", c.name, got, tr)
+		}
+	}
+
+	if _, err := ReadFile(filepath.Join(dir, "missing")); err == nil {
+		t.Error("missing file accepted")
+	}
+	bad := filepath.Join(dir, "bad")
+	if err := os.WriteFile(bad, []byte("MSTB1garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadFile(bad); err == nil {
+		t.Error("corrupt binary accepted")
 	}
 }
