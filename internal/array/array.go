@@ -90,7 +90,7 @@ type member struct {
 }
 
 // Array is a composite device. It implements device.Device,
-// device.Crasher, and device.WearReporter.
+// device.Crasher, and device.Composite.
 type Array struct {
 	mode      Mode
 	blockSize units.Bytes
@@ -128,24 +128,14 @@ type Array struct {
 	evName string
 }
 
-// liveCounter, dataHolder, backgrounder, and cardStats are the optional
-// member capabilities the array uses when present, kept as local
-// interfaces so the package depends only on device.
-type liveCounter interface{ LiveBlocks() int64 }
+// dataHolder and backgrounder are the optional member capabilities the
+// array uses when present, kept as local interfaces so the package depends
+// only on device.
 type dataHolder interface {
 	HasData(addr, size units.Bytes) bool
 }
 type backgrounder interface {
 	Background(req device.Request) units.Time
-}
-type cardStats interface {
-	TotalErases() int64
-	CopiedBlocks() int64
-	HostBlocks() int64
-	Stalls() int64
-	CleaningTime() units.Time
-	HostTime() units.Time
-	StallTime() units.Time
 }
 
 // New assembles an array over constructed members. Mirror allows N ≥ 1
@@ -196,26 +186,25 @@ func (a *Array) Name() string {
 // compliance; real energy lives on the member meters — use Meters.
 func (a *Array) Meter() *energy.Meter { return a.meter }
 
-// Meters returns every member meter, including members replaced after a
-// death: their energy up to the death still belongs to the run.
+// Meters returns the meter of every part (see Parts).
 func (a *Array) Meters() []*energy.Meter {
-	var ms []*energy.Meter
-	for i := range a.members {
-		ms = append(ms, a.members[i].Dev.Meter())
-	}
-	for _, d := range a.retired {
-		ms = append(ms, d.Meter())
+	parts := a.Parts()
+	ms := make([]*energy.Meter, len(parts))
+	for i, d := range parts {
+		ms[i] = d.Meter()
 	}
 	return ms
 }
 
-// Members returns the current member devices in slot order.
-func (a *Array) Members() []device.Device {
-	out := make([]device.Device, len(a.members))
+// Parts implements device.Composite: the current members in slot order,
+// then the devices replaced after a death — their energy, counters and
+// wear up to the death still belong to the run.
+func (a *Array) Parts() []device.Device {
+	out := make([]device.Device, 0, len(a.members)+len(a.retired))
 	for i := range a.members {
-		out[i] = a.members[i].Dev
+		out = append(out, a.members[i].Dev)
 	}
-	return out
+	return append(out, a.retired...)
 }
 
 // violatef records an array invariant violation on the system injector
@@ -677,86 +666,8 @@ func (a *Array) Recover(at units.Time) units.Time {
 	return done
 }
 
-// EraseCounts implements device.WearReporter: the concatenated per-unit
-// erase counts of every wear-reporting member, replaced devices included.
-func (a *Array) EraseCounts() []int64 {
-	var out []int64
-	each := func(d device.Device) {
-		if w, ok := d.(device.WearReporter); ok {
-			out = append(out, w.EraseCounts()...)
-		}
-	}
-	for i := range a.members {
-		each(a.members[i].Dev)
-	}
-	for _, d := range a.retired {
-		each(d)
-	}
-	return out
-}
-
-// EnduranceCycles implements device.WearReporter.
-func (a *Array) EnduranceCycles() int64 {
-	for i := range a.members {
-		if w, ok := a.members[i].Dev.(device.WearReporter); ok {
-			if c := w.EnduranceCycles(); c > 0 {
-				return c
-			}
-		}
-	}
-	return 0
-}
-
-// sumCards folds a flash-card statistic over every member (and replaced
-// device) that reports it.
-func (a *Array) sumCards(get func(cardStats) int64) int64 {
-	var sum int64
-	each := func(d device.Device) {
-		if cs, ok := d.(cardStats); ok {
-			sum += get(cs)
-		}
-	}
-	for i := range a.members {
-		each(a.members[i].Dev)
-	}
-	for _, d := range a.retired {
-		each(d)
-	}
-	return sum
-}
-
-// TotalErases aggregates member erase totals.
-func (a *Array) TotalErases() int64 {
-	return a.sumCards(func(c cardStats) int64 { return c.TotalErases() })
-}
-
-// CopiedBlocks aggregates member cleaner copies.
-func (a *Array) CopiedBlocks() int64 {
-	return a.sumCards(func(c cardStats) int64 { return c.CopiedBlocks() })
-}
-
-// HostBlocks aggregates member host-written blocks.
-func (a *Array) HostBlocks() int64 {
-	return a.sumCards(func(c cardStats) int64 { return c.HostBlocks() })
-}
-
-// Stalls aggregates member write stalls.
-func (a *Array) Stalls() int64 {
-	return a.sumCards(func(c cardStats) int64 { return c.Stalls() })
-}
-
-// CleaningTime aggregates member cleaning time.
-func (a *Array) CleaningTime() units.Time {
-	return units.Time(a.sumCards(func(c cardStats) int64 { return int64(c.CleaningTime()) }))
-}
-
-// HostTime aggregates member host service time.
-func (a *Array) HostTime() units.Time {
-	return units.Time(a.sumCards(func(c cardStats) int64 { return int64(c.HostTime()) }))
-}
-
 var (
-	_ device.Device       = (*Array)(nil)
-	_ device.Crasher      = (*Array)(nil)
-	_ device.WearReporter = (*Array)(nil)
+	_ device.Device    = (*Array)(nil)
+	_ device.Crasher   = (*Array)(nil)
+	_ device.Composite = (*Array)(nil)
 )

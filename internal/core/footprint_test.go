@@ -5,7 +5,6 @@ import (
 
 	"mobilestorage/internal/trace"
 	"mobilestorage/internal/units"
-	"mobilestorage/internal/workload"
 )
 
 // TestFootprintZeroLength covers the degenerate traces: no records at all,
@@ -69,18 +68,5 @@ func TestFootprintDeleteRecreate(t *testing.T) {
 	}
 	if got := Footprint(tr); got != 2048*units.B {
 		t.Errorf("churn footprint = %v, want 2048 (freed space must be reused)", got)
-	}
-}
-
-// TestFootprintMatchesPrep pins that PrepareTrace's cached footprint (the
-// one the replay loop actually consumes) agrees with the standalone
-// dry-run for real generated workloads.
-func TestFootprintMatchesPrep(t *testing.T) {
-	tr, err := workload.Synth(workload.SynthConfig{Seed: 9, Ops: 1500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := PrepareTrace(tr).Footprint(), Footprint(tr); got != want {
-		t.Errorf("prep footprint %v != standalone footprint %v", got, want)
 	}
 }

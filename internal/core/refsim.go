@@ -190,16 +190,7 @@ func runReference(cfg Config) (*Result, error) {
 	res.EndTime = end
 	fillEnergy(res, st, dc, warmSnapshot)
 	fillDeviceStats(res, st, dc)
-	res.Faults = inj.Report()
-	if st.arr != nil {
-		if ar := st.arr.FaultReport(); ar != nil {
-			if res.Faults == nil {
-				res.Faults = ar
-			} else {
-				res.Faults.Merge(ar)
-			}
-		}
-	}
+	res.Faults = faultReport(st, inj)
 	if reg := sc.Registry(); reg != nil {
 		res.Metrics = reg.Counters()
 	}
@@ -216,7 +207,7 @@ func writeEvictedRef(st *stack, extents []cache.Extent, at units.Time) {
 	}
 }
 
-// refTraceFootprint is traceFootprint on the frozen layout and map hints.
+// refTraceFootprint computes Footprint on the frozen layout and map hints.
 func refTraceFootprint(t *trace.Trace, blockSize units.Bytes, hints map[uint32]units.Bytes) units.Bytes {
 	l := trace.NewRefLayout(blockSize)
 	for _, rec := range t.Records {

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"mobilestorage/internal/energy"
 	"mobilestorage/internal/obs"
 )
 
@@ -36,23 +35,9 @@ func newSampler(cfg Config, sc *obs.Scope, st *stack, dram dramCache) *obs.Sampl
 	storage := sc.Gauge(gaugeEnergyStorage)
 	dramG := sc.Gauge(gaugeEnergyDRAM)
 	sramG := sc.Gauge(gaugeEnergySRAM)
-	// Scratch meter reused across ticks: the hybrid stack has no single
-	// component meter, and rebuilding its disk+flash aggregate used to
-	// allocate a fresh Meter every sampling boundary.
-	scratch := energy.NewMeter()
 	return obs.NewSampler(reg, int64(cfg.SampleEvery), func(tUs int64) {
-		var storageJ, sramJ, dramJ float64
-		switch {
-		case st.disk != nil:
-			storageJ = st.disk.Meter().TotalJ()
-		case st.fdisk != nil:
-			storageJ = st.fdisk.Meter().TotalJ()
-		case st.fcard != nil:
-			storageJ = st.fcard.Meter().TotalJ()
-		case st.hyb != nil:
-			st.hyb.MeterInto(scratch)
-			storageJ = scratch.TotalJ()
-		}
+		storageJ := storageEnergy(st.base)
+		var sramJ, dramJ float64
 		if st.buffer != nil {
 			sramJ = st.buffer.Meter().TotalJ()
 		}

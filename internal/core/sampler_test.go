@@ -61,32 +61,38 @@ func TestSamplerTimelineTotalsMatchResult(t *testing.T) {
 }
 
 // With warm-up disabled, Result.EnergyJ is cumulative energy since t=0, so
-// the final energy.total_j gauge must equal it exactly, and the series must
-// be non-decreasing and consistent with the per-component breakdown.
+// on every stack shape the final energy.storage_j and energy.total_j
+// gauges must equal the Result's storage energy and EnergyJ exactly, and
+// the series must be non-decreasing and consistent with the per-component
+// breakdown. Arrays once sampled their storage energy as 0.
 func TestSamplerEnergyMatchesResult(t *testing.T) {
-	sc := obs.NewScope(obs.NewRegistry(), nil)
-	cfg := sampledConfig(t, sc)
-	cfg.WarmFraction = -1 // statistics from the first record; no warm snapshot
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := res.Timeline.Gauge(gaugeEnergyTotal)
-	if len(total) == 0 {
-		t.Fatal("no energy series")
-	}
-	if got := total[len(total)-1]; got != res.EnergyJ {
-		t.Errorf("final energy gauge %g J, want Result.EnergyJ %g J", got, res.EnergyJ)
-	}
-	for i := 1; i < len(total); i++ {
-		if total[i] < total[i-1] {
-			t.Fatalf("energy series decreases at point %d: %v", i, total)
-		}
-	}
-	last := res.Timeline.Points[len(res.Timeline.Points)-1]
-	sum := last.Gauges[gaugeEnergyStorage] + last.Gauges[gaugeEnergySRAM] + last.Gauges[gaugeEnergyDRAM]
-	if sum != last.Gauges[gaugeEnergyTotal] {
-		t.Errorf("component gauges sum to %g, total gauge %g", sum, last.Gauges[gaugeEnergyTotal])
+	for _, row := range stackRows(t) {
+		t.Run(row.name, func(t *testing.T) {
+			res, err := Run(row.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total := res.Timeline.Gauge(gaugeEnergyTotal)
+			if len(total) == 0 {
+				t.Fatal("no energy series")
+			}
+			if got := total[len(total)-1]; got != res.EnergyJ {
+				t.Errorf("final energy gauge %g J, want Result.EnergyJ %g J", got, res.EnergyJ)
+			}
+			for i := 1; i < len(total); i++ {
+				if total[i] < total[i-1] {
+					t.Fatalf("energy series decreases at point %d: %v", i, total)
+				}
+			}
+			last := res.Timeline.Points[len(res.Timeline.Points)-1]
+			if got, want := last.Gauges[gaugeEnergyStorage], res.EnergyByComponent["storage"]; got != want {
+				t.Errorf("final storage gauge %g J, want Result storage energy %g J", got, want)
+			}
+			sum := last.Gauges[gaugeEnergyStorage] + last.Gauges[gaugeEnergySRAM] + last.Gauges[gaugeEnergyDRAM]
+			if sum != last.Gauges[gaugeEnergyTotal] {
+				t.Errorf("component gauges sum to %g, total gauge %g", sum, last.Gauges[gaugeEnergyTotal])
+			}
+		})
 	}
 }
 

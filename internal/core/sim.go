@@ -20,43 +20,15 @@ import (
 	"mobilestorage/internal/units"
 )
 
-// stack is the composed storage hierarchy for one run, with typed handles
-// to each component for statistics extraction.
+// stack is the composed storage hierarchy for one run. base is the storage
+// device — one device, the flash-cache hybrid, or an array — and top is
+// what the replay drives: base itself, or the SRAM buffer in front of it.
+// Statistics, energy and recovery checks read base through the device
+// interfaces, so every kind of base follows one rule.
 type stack struct {
 	top    device.Device
-	disk   *disk.Disk
-	fdisk  *flashdisk.FlashDisk
-	fcard  *flashcard.Card
-	hyb    *hybrid.Cache
-	arr    *array.Array
+	base   device.Device
 	buffer *sram.Buffer
-}
-
-// meters returns every energy meter in the stack. Each populated component
-// is checked independently: buildStack only ever sets one base device, but a
-// hand-assembled stack (tests, future composites) must report every meter
-// exactly once rather than just the first match.
-func (s *stack) meters() []*energy.Meter {
-	var ms []*energy.Meter
-	if s.disk != nil {
-		ms = append(ms, s.disk.Meter())
-	}
-	if s.fdisk != nil {
-		ms = append(ms, s.fdisk.Meter())
-	}
-	if s.fcard != nil {
-		ms = append(ms, s.fcard.Meter())
-	}
-	if s.hyb != nil {
-		ms = append(ms, s.hyb.Meter())
-	}
-	if s.arr != nil {
-		ms = append(ms, s.arr.Meters()...)
-	}
-	if s.buffer != nil {
-		ms = append(ms, s.buffer.Meter())
-	}
-	return ms
 }
 
 // dramCache is the buffer-cache surface the simulator's setup, teardown,
@@ -353,16 +325,7 @@ func Run(cfg Config) (*Result, error) {
 	res.EndTime = end
 	fillEnergy(res, st, dc, warmSnapshot)
 	fillDeviceStats(res, st, dc)
-	res.Faults = inj.Report()
-	if st.arr != nil {
-		if ar := st.arr.FaultReport(); ar != nil {
-			if res.Faults == nil {
-				res.Faults = ar
-			} else {
-				res.Faults.Merge(ar)
-			}
-		}
-	}
+	res.Faults = faultReport(st, inj)
 	if reg := sc.Registry(); reg != nil {
 		res.Metrics = reg.Counters()
 	}
@@ -374,7 +337,7 @@ func Run(cfg Config) (*Result, error) {
 //
 //   - a write-through DRAM cache never loses acknowledged writes (it holds
 //     no dirty data); only the write-back ablation may report lost writes;
-//   - the flash card's cleaner never loses live blocks to a crash;
+//   - the flash cards' cleaners never lose live blocks to a crash;
 //   - the battery-backed SRAM buffer is empty after its recovery replay.
 //
 // Violations are recorded on the injector's report — tests fail on any.
@@ -382,17 +345,7 @@ func crashAndRecover(st *stack, dram dramCache, inj *fault.Injector, cfg Config,
 	st.top.Idle(at)
 	inj.RecordPowerFail(at)
 
-	var card *flashcard.Card
-	switch {
-	case st.fcard != nil:
-		card = st.fcard
-	case st.hyb != nil:
-		card = st.hyb.Card()
-	}
-	var preLive int64
-	if card != nil {
-		preLive = card.LiveBlocks()
-	}
+	preLive := liveBlocks(st.base)
 
 	if dram != nil {
 		if lost := dram.Crash(); lost > 0 {
@@ -407,10 +360,8 @@ func crashAndRecover(st *stack, dram dramCache, inj *fault.Injector, cfg Config,
 		cr.Recover(at)
 	}
 
-	if card != nil {
-		if post := card.LiveBlocks(); post < preLive {
-			inj.Violatef("core: flash card lost %d live blocks across power failure t=%dµs", preLive-post, int64(at))
-		}
+	if post := liveBlocks(st.base); post < preLive {
+		inj.Violatef("core: flash card lost %d live blocks across power failure t=%dµs", preLive-post, int64(at))
 	}
 	if st.buffer != nil && st.buffer.BufferedBytes() != 0 {
 		inj.Violatef("core: SRAM buffer holds %v after recovery at t=%dµs", st.buffer.BufferedBytes(), int64(at))
@@ -427,11 +378,48 @@ func writeEvicted(st *stack, extents []cache.Extent, at units.Time) {
 	}
 }
 
-// totalEnergy sums all component meters.
-func totalEnergy(st *stack, dram dramCache) float64 {
+// parts returns the components of a storage device: a composite's parts
+// (the hybrid's disk and card, an array's members), or the device itself.
+func parts(d device.Device) []device.Device {
+	if c, ok := d.(device.Composite); ok {
+		return c.Parts()
+	}
+	return []device.Device{d}
+}
+
+// liveBlocks sums the live data blocks the flash cards among d's parts
+// hold.
+func liveBlocks(d device.Device) int64 {
+	var n int64
+	for _, p := range parts(d) {
+		if lc, ok := p.(interface{ LiveBlocks() int64 }); ok {
+			n += lc.LiveBlocks()
+		}
+	}
+	return n
+}
+
+// storageEnergy returns the storage device's energy in joules. An array
+// keeps no meter of its own: its energy is the in-order sum of its parts'
+// meter totals, since merging them into one meter would reorder the float
+// additions. Every other device, the hybrid included, reports its Meter.
+func storageEnergy(base device.Device) float64 {
+	a, ok := base.(*array.Array)
+	if !ok {
+		return base.Meter().TotalJ()
+	}
 	var j float64
-	for _, m := range st.meters() {
+	for _, m := range a.Meters() {
 		j += m.TotalJ()
+	}
+	return j
+}
+
+// totalEnergy sums the storage, SRAM and DRAM energy.
+func totalEnergy(st *stack, dram dramCache) float64 {
+	j := storageEnergy(st.base)
+	if st.buffer != nil {
+		j += st.buffer.Meter().TotalJ()
 	}
 	if dram != nil {
 		j += dram.Meter().TotalJ()
@@ -442,22 +430,7 @@ func totalEnergy(st *stack, dram dramCache) float64 {
 // fillEnergy computes post-warm-start energy totals and the component
 // breakdown.
 func fillEnergy(res *Result, st *stack, dram dramCache, warmSnapshot float64) {
-	var storageJ float64
-	switch {
-	case st.disk != nil:
-		storageJ = st.disk.Meter().TotalJ()
-	case st.fdisk != nil:
-		storageJ = st.fdisk.Meter().TotalJ()
-	case st.fcard != nil:
-		storageJ = st.fcard.Meter().TotalJ()
-	case st.hyb != nil:
-		storageJ = st.hyb.Meter().TotalJ()
-	case st.arr != nil:
-		for _, m := range st.arr.Meters() {
-			storageJ += m.TotalJ()
-		}
-	}
-	res.EnergyByComponent["storage"] = storageJ
+	res.EnergyByComponent["storage"] = storageEnergy(st.base)
 	if st.buffer != nil {
 		res.EnergyByComponent["sram"] = st.buffer.Meter().TotalJ()
 	}
@@ -467,192 +440,132 @@ func fillEnergy(res *Result, st *stack, dram dramCache, warmSnapshot float64) {
 	res.EnergyJ = totalEnergy(st, dram) - warmSnapshot
 }
 
-// fillDeviceStats extracts device-specific counters.
+// fillDeviceStats extracts the cache, SRAM and device counters. The device
+// counters and the wear figures sum over the storage device's parts, so a
+// single device, the hybrid and an array (replaced members included)
+// follow one rule.
 func fillDeviceStats(res *Result, st *stack, dram dramCache) {
 	if dram != nil {
 		res.CacheHits = dram.Hits()
 		res.CacheMisses = dram.Misses()
 	}
-	if st.disk != nil {
-		res.SpinUps = st.disk.SpinUps()
-		res.SpinDowns = st.disk.SpinDowns()
-	}
 	if st.buffer != nil {
 		res.SRAMFlushes = st.buffer.Flushes()
 		res.SRAMStalledWrites = st.buffer.StalledWrites()
 	}
-	if st.hyb != nil {
-		res.SpinUps = st.hyb.Disk().SpinUps()
-		res.SpinDowns = st.hyb.Disk().SpinDowns()
-		card := st.hyb.Card()
-		res.Erases = card.TotalErases()
-		res.CopiedBlocks = card.CopiedBlocks()
-		res.HostBlocks = card.HostBlocks()
-		res.WriteStalls = card.Stalls()
-	}
-	var wear device.WearReporter
-	if st.fdisk != nil {
-		wear = st.fdisk
-	}
-	if st.hyb != nil {
-		wear = st.hyb.Card()
-	}
-	if st.fcard != nil {
-		wear = st.fcard
-		res.Erases = st.fcard.TotalErases()
-		res.CopiedBlocks = st.fcard.CopiedBlocks()
-		res.HostBlocks = st.fcard.HostBlocks()
-		res.WriteStalls = st.fcard.Stalls()
-		res.CleaningTime = st.fcard.CleaningTime()
-		res.HostTime = st.fcard.HostTime()
-	}
-	if st.arr != nil {
-		wear = st.arr
-		res.Erases = st.arr.TotalErases()
-		res.CopiedBlocks = st.arr.CopiedBlocks()
-		res.HostBlocks = st.arr.HostBlocks()
-		res.WriteStalls = st.arr.Stalls()
-		res.CleaningTime = st.arr.CleaningTime()
-		res.HostTime = st.arr.HostTime()
-	}
-	if wear != nil {
-		counts := wear.EraseCounts()
-		var sum, max int64
-		for _, c := range counts {
-			sum += c
-			if c > max {
-				max = c
+	// Erase counts fold per reporter rather than concatenated: a flash
+	// disk's per-sector slice alone runs to hundreds of KB.
+	var eraseSum, eraseUnits int64
+	for _, p := range parts(st.base) {
+		if s, ok := p.(device.Spinner); ok {
+			res.SpinUps += s.SpinUps()
+			res.SpinDowns += s.SpinDowns()
+		}
+		if c, ok := p.(device.Cleaner); ok {
+			res.Erases += c.TotalErases()
+			res.CopiedBlocks += c.CopiedBlocks()
+			res.HostBlocks += c.HostBlocks()
+			res.WriteStalls += c.Stalls()
+			res.CleaningTime += c.CleaningTime()
+			res.HostTime += c.HostTime()
+		}
+		if w, ok := p.(device.WearReporter); ok {
+			counts := w.EraseCounts()
+			for _, c := range counts {
+				eraseSum += c
+				res.MaxEraseCount = max(res.MaxEraseCount, c)
 			}
-		}
-		res.MaxEraseCount = max
-		if len(counts) > 0 {
-			res.MeanEraseCount = float64(sum) / float64(len(counts))
-		}
-		if res.Erases == 0 {
-			res.Erases = sum
+			eraseUnits += int64(len(counts))
 		}
 	}
+	if eraseUnits > 0 {
+		res.MeanEraseCount = float64(eraseSum) / float64(eraseUnits)
+	}
+	if res.Erases == 0 {
+		res.Erases = eraseSum
+	}
+}
+
+// faultReport is the run's fault report: the system injector's, merged with
+// an array's member reports and its own violations.
+func faultReport(st *stack, inj *fault.Injector) *fault.Report {
+	rep := inj.Report()
+	a, ok := st.base.(*array.Array)
+	if !ok {
+		return rep
+	}
+	ar := a.FaultReport()
+	if rep == nil {
+		return ar
+	}
+	if ar != nil {
+		rep.Merge(ar)
+	}
+	return rep
 }
 
 // Footprint returns the storage footprint of a trace: the maximum
 // concurrent bytes placed over its lifetime. Experiments use it to size
 // flash devices relative to the workload.
 func Footprint(t *trace.Trace) units.Bytes {
-	return traceFootprint(t, t.BlockSize, t.MaxFileExtents())
-}
-
-// traceFootprint dry-runs the layout over the whole trace and returns the
-// maximum concurrent placement high-water mark, block-rounded.
-func traceFootprint(t *trace.Trace, blockSize units.Bytes, hints *trace.FileSizes) units.Bytes {
-	l := trace.NewLayout(blockSize)
-	for _, rec := range t.Records {
-		switch rec.Op {
-		case trace.Delete:
-			l.Delete(rec.File)
-		default:
-			l.Place(rec.File, rec.Offset, hints.Get(rec.File))
-		}
-	}
-	return l.HighWater()
+	_, _, footprint := placeRecords(t, t.BlockSize, t.MaxFileExtents())
+	return footprint
 }
 
 // buildStack constructs the configured storage hierarchy, threading the
-// fault injector (nil = fault injection off) into every device layer.
+// fault injector (nil = fault injection off) into every device layer: the
+// base device (an array or one device), wrapped in the SRAM buffer when one
+// is configured. Flash devices preload the configured stored data, at least
+// the trace's footprint.
 func buildStack(cfg Config, blockSize, footprint units.Bytes, inj *fault.Injector) (*stack, error) {
-	if cfg.Array != nil {
-		return buildArrayStack(cfg, blockSize, footprint, inj)
-	}
-	st := &stack{}
+	stored := max(cfg.StoredData, footprint)
 	var base device.Device
+	var err error
+	if cfg.Array != nil {
+		base, err = buildArray(cfg, blockSize, stored, inj)
+	} else {
+		base, err = buildDevice(cfg, blockSize, stored, inj)
+	}
+	if err != nil {
+		return nil, err
+	}
+	st := &stack{top: base, base: base}
+	if cfg.SRAMBytes > 0 {
+		b, err := sram.New(*cfg.SRAM, cfg.SRAMBytes, blockSize, base, sram.WithScope(cfg.Scope), sram.WithFaults(inj))
+		if err != nil {
+			return nil, err
+		}
+		st.top, st.buffer = b, b
+	}
+	return st, nil
+}
 
+// buildDevice constructs the single storage device cfg.Kind names.
+func buildDevice(cfg Config, blockSize, stored units.Bytes, inj *fault.Injector) (device.Device, error) {
 	switch cfg.Kind {
 	case MagneticDisk:
-		policy, err := spinPolicy(cfg)
-		if err != nil {
-			return nil, err
-		}
-		d, err := disk.New(cfg.Disk, disk.WithPolicy(policy), disk.WithScope(cfg.Scope), disk.WithFaults(inj))
-		if err != nil {
-			return nil, err
-		}
-		st.disk = d
-		base = d
+		return newDisk(cfg, inj)
 
 	case FlashDisk:
 		if err := cfg.FlashDiskParams.Validate(); err != nil {
 			return nil, err
 		}
-		capacity := flashCapacity(cfg, footprint, cfg.FlashDiskParams.SectorSize)
+		capacity := flashCapacity(cfg, stored, cfg.FlashDiskParams.SectorSize)
 		opts := []flashdisk.Option{flashdisk.WithScope(cfg.Scope), flashdisk.WithFaults(inj)}
 		if cfg.AsyncErase {
 			opts = append(opts, flashdisk.WithAsyncErase())
 		}
-		f, err := flashdisk.New(cfg.FlashDiskParams, capacity, opts...)
-		if err != nil {
-			return nil, err
-		}
-		st.fdisk = f
-		base = f
+		return flashdisk.New(cfg.FlashDiskParams, capacity, opts...)
 
 	case FlashCard:
-		if err := cfg.FlashCardParams.Validate(); err != nil {
-			return nil, err
-		}
-		seg := cfg.FlashCardParams.SegmentSize
-		capacity := cfg.FlashCapacity
-		stored := cfg.StoredData
-		if stored < footprint {
-			stored = footprint
-		}
-		if capacity == 0 {
-			capacity = flashCapacity(cfg, footprint, seg)
-			// Guarantee the cleaning reserve above the stored data and the
-			// card's structural minimum of four segments. An explicit
-			// capacity is taken as-is and rejected downstream if too small.
-			if capacity < stored+3*seg {
-				capacity = units.CeilDiv(stored, seg)*seg + 3*seg
-			}
-			// Spare segments are extra physical flash provisioned beyond the
-			// nominal capacity; wear-out retirements consume them before any
-			// usable capacity is lost.
-			capacity += units.Bytes(inj.SpareUnits()) * seg
-		}
-		opts := []flashcard.Option{flashcard.WithScope(cfg.Scope), flashcard.WithFaults(inj)}
-		if cfg.OnDemandCleaning {
-			opts = append(opts, flashcard.WithOnDemandCleaning())
-		}
-		if cfg.WearLeveling > 0 {
-			opts = append(opts, flashcard.WithWearLeveling(cfg.WearLeveling))
-		}
-		if cfg.CleaningPolicy != "" {
-			p, ok := flashcard.Policies()[cfg.CleaningPolicy]
-			if !ok {
-				return nil, fmt.Errorf("core: unknown cleaning policy %q", cfg.CleaningPolicy)
-			}
-			opts = append(opts, flashcard.WithPolicy(p))
-		}
-		c, err := flashcard.New(cfg.FlashCardParams, capacity, blockSize, opts...)
-		if err != nil {
-			return nil, err
-		}
-		if err := c.Prefill(stored); err != nil {
-			return nil, err
-		}
-		st.fcard = c
-		base = c
+		return newCard(cfg, blockSize, stored, inj)
 
 	case FlashCache:
-		// Constructed below, after the switch (it composes two devices).
-	default:
-		return nil, fmt.Errorf("core: unknown storage kind %d", cfg.Kind)
-	}
-
-	if cfg.Kind == FlashCache {
 		cacheBytes := cfg.FlashCacheBytes
 		if cacheBytes == 0 {
 			cacheBytes = 4 * units.MB
 		}
-		h, err := hybrid.New(hybrid.Config{
+		return hybrid.New(hybrid.Config{
 			Disk:      cfg.Disk,
 			SpinDown:  cfg.SpinDown,
 			Card:      cfg.FlashCardParams,
@@ -661,121 +574,83 @@ func buildStack(cfg Config, blockSize, footprint units.Bytes, inj *fault.Injecto
 			Scope:     cfg.Scope,
 			Faults:    inj,
 		})
-		if err != nil {
-			return nil, err
-		}
-		st.hyb = h
-		base = h
-	}
 
-	if cfg.SRAMBytes > 0 {
-		b, err := sram.New(*cfg.SRAM, cfg.SRAMBytes, blockSize, base, sram.WithScope(cfg.Scope), sram.WithFaults(inj))
-		if err != nil {
-			return nil, err
-		}
-		st.buffer = b
-		base = b
+	default:
+		return nil, fmt.Errorf("core: unknown storage kind %d", cfg.Kind)
 	}
-	st.top = base
-	return st, nil
 }
 
-// buildArrayStack constructs a composite-array stack from cfg.Array: every
-// member is built from the same parameter structs a single-device run uses,
-// but carries its own fault injector — its fault domain — seeded
-// independently per slot. The system injector keeps power failures and the
-// shared violation ledger; it never injects member-level faults.
-func buildArrayStack(cfg Config, blockSize, footprint units.Bytes, inj *fault.Injector) (*stack, error) {
+// buildArray constructs the composite array cfg.Array describes. Every
+// member is built by the constructors a single-device run uses, but
+// carries its own fault injector — its fault domain — seeded independently
+// per slot. The system injector keeps power failures and the shared
+// violation ledger; it never injects member-level faults.
+func buildArray(cfg Config, blockSize, stored units.Bytes, inj *fault.Injector) (device.Device, error) {
 	spec := cfg.Array
 	n := len(spec.Members)
 
 	// Mirror members each hold the full data set; stripe members hold a 1/N
 	// round-robin share of the block address space (one extra block covers
 	// the uneven remainder slot).
-	stored := cfg.StoredData
-	if stored < footprint {
-		stored = footprint
-	}
-	memberStored := stored
 	if spec.Mode == array.Stripe {
-		memberStored = units.CeilDiv(stored, units.Bytes(n)) + blockSize
+		stored = units.CeilDiv(stored, units.Bytes(n)) + blockSize
 	}
 
 	members := make([]array.Member, n)
 	for i, kind := range spec.Members {
-		minj := fault.NewInjector(cfg.MemberFaults.Member(i), fault.MemberSeed(cfg.FaultSeed, i), cfg.Scope)
+		var build func(*fault.Injector) (device.Device, error)
 		switch kind {
 		case "flashcard":
-			dev, err := buildMemberCard(cfg, blockSize, memberStored, minj)
-			if err != nil {
-				return nil, fmt.Errorf("core: array member %d: %w", i, err)
-			}
-			members[i] = array.Member{
-				Dev: dev,
-				Inj: minj,
-				// Replacements are fresh fault-free cards: the dead slot's
-				// plan already fired, and a rebuilt card starts unworn.
-				Replace: func() (device.Device, error) {
-					return buildMemberCard(cfg, blockSize, memberStored, nil)
-				},
-			}
+			build = func(minj *fault.Injector) (device.Device, error) { return newCard(cfg, blockSize, stored, minj) }
 		case "disk":
-			d, err := buildMemberDisk(cfg, minj)
-			if err != nil {
-				return nil, fmt.Errorf("core: array member %d: %w", i, err)
-			}
-			members[i] = array.Member{
-				Dev: d,
-				Inj: minj,
-				Replace: func() (device.Device, error) {
-					return buildMemberDisk(cfg, nil)
-				},
-			}
+			build = func(minj *fault.Injector) (device.Device, error) { return newDisk(cfg, minj) }
 		default:
 			return nil, fmt.Errorf("core: array member %d: unknown kind %q", i, kind)
 		}
+		minj := fault.NewInjector(cfg.MemberFaults.Member(i), fault.MemberSeed(cfg.FaultSeed, i), cfg.Scope)
+		dev, err := build(minj)
+		if err != nil {
+			return nil, fmt.Errorf("core: array member %d: %w", i, err)
+		}
+		members[i] = array.Member{
+			Dev: dev,
+			Inj: minj,
+			// Replacements are fresh fault-free devices: the dead slot's
+			// plan already fired, and a rebuilt card starts unworn.
+			Replace: func() (device.Device, error) { return build(nil) },
+		}
 	}
 
-	arr, err := array.New(array.Config{
+	return array.New(array.Config{
 		Mode:      spec.Mode,
 		BlockSize: blockSize,
 		Scope:     cfg.Scope,
 		SysInj:    inj,
 	}, members)
-	if err != nil {
-		return nil, err
-	}
-	st := &stack{arr: arr}
-	var base device.Device = arr
-	if cfg.SRAMBytes > 0 {
-		b, err := sram.New(*cfg.SRAM, cfg.SRAMBytes, blockSize, base, sram.WithScope(cfg.Scope), sram.WithFaults(inj))
-		if err != nil {
-			return nil, err
-		}
-		st.buffer = b
-		base = b
-	}
-	st.top = base
-	return st, nil
 }
 
-// buildMemberCard constructs one flash-card array member sized for its
-// share of the stored data. A nil injector builds the fault-free
-// replacement card used by mirror rebuilds.
-func buildMemberCard(cfg Config, blockSize, stored units.Bytes, minj *fault.Injector) (device.Device, error) {
+// newCard constructs a flash card prefilled with stored bytes of live data.
+// A nil injector builds the fault-free replacement a mirror rebuild uses.
+func newCard(cfg Config, blockSize, stored units.Bytes, inj *fault.Injector) (device.Device, error) {
 	if err := cfg.FlashCardParams.Validate(); err != nil {
 		return nil, err
 	}
 	seg := cfg.FlashCardParams.SegmentSize
 	capacity := cfg.FlashCapacity
 	if capacity == 0 {
-		capacity = units.CeilDiv(units.Bytes(float64(stored)/cfg.FlashUtilization), seg) * seg
+		capacity = flashCapacity(cfg, stored, seg)
+		// Guarantee the cleaning reserve above the stored data and the
+		// card's structural minimum of four segments. An explicit
+		// capacity is taken as-is and rejected downstream if too small.
 		if capacity < stored+3*seg {
 			capacity = units.CeilDiv(stored, seg)*seg + 3*seg
 		}
-		capacity += units.Bytes(minj.SpareUnits()) * seg
+		// Spare segments are extra physical flash provisioned beyond the
+		// nominal capacity; wear-out retirements consume them before any
+		// usable capacity is lost.
+		capacity += units.Bytes(inj.SpareUnits()) * seg
 	}
-	opts := []flashcard.Option{flashcard.WithScope(cfg.Scope), flashcard.WithFaults(minj)}
+	opts := []flashcard.Option{flashcard.WithScope(cfg.Scope), flashcard.WithFaults(inj)}
 	if cfg.OnDemandCleaning {
 		opts = append(opts, flashcard.WithOnDemandCleaning())
 	}
@@ -799,13 +674,13 @@ func buildMemberCard(cfg Config, blockSize, stored units.Bytes, minj *fault.Inje
 	return c, nil
 }
 
-// buildMemberDisk constructs one magnetic-disk array member.
-func buildMemberDisk(cfg Config, minj *fault.Injector) (device.Device, error) {
+// newDisk constructs a magnetic disk under the configured spin policy.
+func newDisk(cfg Config, inj *fault.Injector) (device.Device, error) {
 	policy, err := spinPolicy(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return disk.New(cfg.Disk, disk.WithPolicy(policy), disk.WithScope(cfg.Scope), disk.WithFaults(minj))
+	return disk.New(cfg.Disk, disk.WithPolicy(policy), disk.WithScope(cfg.Scope), disk.WithFaults(inj))
 }
 
 // spinPolicy resolves the configured spin-down policy.
@@ -824,17 +699,12 @@ func spinPolicy(cfg Config) (disk.SpinPolicy, error) {
 	}
 }
 
-// flashCapacity derives the flash device capacity from the config: explicit
-// capacity wins; otherwise stored-data ÷ utilization, rounded up to the
+// flashCapacity derives a flash device's capacity from the config: explicit
+// capacity wins; otherwise stored data ÷ utilization, rounded up to the
 // erase unit.
-func flashCapacity(cfg Config, footprint, unit units.Bytes) units.Bytes {
+func flashCapacity(cfg Config, stored, unit units.Bytes) units.Bytes {
 	if cfg.FlashCapacity > 0 {
 		return cfg.FlashCapacity
 	}
-	stored := cfg.StoredData
-	if stored < footprint {
-		stored = footprint
-	}
-	capacity := units.Bytes(float64(stored) / cfg.FlashUtilization)
-	return units.CeilDiv(capacity, unit) * unit
+	return units.CeilDiv(units.Bytes(float64(stored)/cfg.FlashUtilization), unit) * unit
 }

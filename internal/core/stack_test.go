@@ -1,102 +1,207 @@
 package core
 
 import (
+	"math"
 	"testing"
 
+	"mobilestorage/internal/array"
+	"mobilestorage/internal/cache"
 	"mobilestorage/internal/device"
-	"mobilestorage/internal/disk"
 	"mobilestorage/internal/energy"
-	"mobilestorage/internal/flashcard"
-	"mobilestorage/internal/flashdisk"
-	"mobilestorage/internal/hybrid"
-	"mobilestorage/internal/sram"
+	"mobilestorage/internal/obs"
+	"mobilestorage/internal/trace"
 	"mobilestorage/internal/units"
+	"mobilestorage/internal/workload"
 )
 
-// fullStack hand-assembles a stack with every component populated — a shape
-// buildStack never produces (it sets exactly one base device) but one the
-// stack helpers must still handle correctly.
-func fullStack(t *testing.T) *stack {
+// stackRow is one storage-stack shape the stack helpers must report
+// correctly.
+type stackRow struct {
+	name string
+	cfg  Config
+}
+
+// stackRows covers every shape buildStack produces — a disk under SRAM, a
+// flash disk, a flash card, the flash-cache hybrid, and flash-card, disk
+// and mixed arrays with and without SRAM — each sampled into its own
+// registry, with warm-up off so Result.EnergyJ is the cumulative energy
+// since t=0.
+func stackRows(t *testing.T) []stackRow {
 	t.Helper()
-	d, err := disk.New(device.CU140Measured())
+	tr, err := workload.Synth(workload.SynthConfig{Seed: 7, Ops: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fd, err := flashdisk.New(device.SDP5Datasheet(), 4*units.MB)
-	if err != nil {
-		t.Fatal(err)
+	spec := func(s string) *array.Spec {
+		sp, err := array.ParseSpec(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sp
 	}
-	fc, err := flashcard.New(device.IntelSeries2Measured(), 2*units.MB, 512*units.B)
-	if err != nil {
-		t.Fatal(err)
+	rows := []stackRow{
+		{"cu140+sram", Config{Kind: MagneticDisk, SRAMBytes: 32 * units.KB}},
+		{"sdp5", Config{Kind: FlashDisk, FlashDiskParams: device.SDP5Datasheet()}},
+		{"intel", Config{Kind: FlashCard}},
+		{"flashcache-hybrid", Config{Kind: FlashCache, FlashCacheBytes: 4 * units.MB}},
+		{"mirror:2xflashcard", Config{Array: spec("mirror:2xflashcard")}},
+		{"stripe:3xflashcard", Config{Array: spec("stripe:3xflashcard")}},
+		{"mirror:flashcard+disk", Config{Array: spec("mirror:flashcard+disk")}},
+		{"stripe:2xdisk+sram", Config{Array: spec("stripe:2xdisk"), SRAMBytes: 32 * units.KB}},
 	}
-	h, err := hybrid.New(hybrid.Config{
-		Disk:      device.CU140Measured(),
-		Card:      device.IntelSeries2Measured(),
-		CacheSize: 1 * units.MB,
-		BlockSize: 512 * units.B,
-	})
-	if err != nil {
-		t.Fatal(err)
+	for i := range rows {
+		c := &rows[i].cfg
+		c.Trace, c.DRAMBytes = tr, 256*units.KB
+		c.Disk, c.SpinDown = device.CU140Measured(), 5*units.Second
+		c.FlashCardParams = device.IntelSeries2Datasheet()
+		c.WarmFraction, c.SampleEvery = -1, 10*units.Second
+		c.Scope = obs.NewScope(obs.NewRegistry(), nil)
 	}
-	sramParams := device.NECSRAM()
-	buf, err := sram.New(sramParams, 32*units.KB, 512*units.B, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &stack{top: buf, disk: d, fdisk: fd, fcard: fc, hyb: h, buffer: buf}
+	return rows
 }
 
-// TestStackMetersReportsEveryComponent pins the meters() contract: a stack
-// with every component populated reports each component's meter exactly
-// once. The original switch-based implementation stopped at the first
-// non-nil device, silently dropping the rest from energy totals.
+// TestResultCountersMatchMetrics checks the Result's device counters
+// against the registry on every stack shape. The registry counts every
+// disk and flash card the run built, so the Result must too: arrays with
+// disk members once reported no spin-ups at all, and the hybrid no
+// cleaning or host time.
+func TestResultCountersMatchMetrics(t *testing.T) {
+	for _, row := range stackRows(t) {
+		t.Run(row.name, func(t *testing.T) {
+			res, err := Run(row.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := res.Metrics
+			check := func(name string, got int64) {
+				t.Helper()
+				if want := m[name]; got != want {
+					t.Errorf("Result says %d, metric %s = %d", got, name, want)
+				}
+			}
+			check("disk.spin_ups", res.SpinUps)
+			check("disk.spin_downs", res.SpinDowns)
+			if _, ok := m["flashcard.erases"]; ok {
+				check("flashcard.erases", res.Erases)
+				check("flashcard.copied_blocks", res.CopiedBlocks)
+				check("flashcard.host_blocks", res.HostBlocks)
+				check("flashcard.stalls", res.WriteStalls)
+			}
+			if m["flashcard.host_blocks"] > 0 && res.CleaningTime+res.HostTime <= 0 {
+				t.Errorf("flash cards wrote %d host blocks, but cleaning time %v + host time %v is not positive",
+					m["flashcard.host_blocks"], res.CleaningTime, res.HostTime)
+			}
+		})
+	}
+}
+
+// replayStack builds row's stack and a DRAM cache and drives both directly
+// over the row's trace, so each component's meter holds the whole run.
+func replayStack(t *testing.T, row stackRow) (*stack, *cache.RefCache) {
+	t.Helper()
+	cfg := row.cfg.withDefaults()
+	tr := cfg.Trace
+	prep := PrepareTrace(tr)
+	st, err := buildStack(cfg, tr.BlockSize, prep.Footprint(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dram, err := cache.NewRef(*cfg.DRAM, cfg.DRAMBytes, tr.BlockSize, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var end units.Time
+	for i, rec := range tr.Records {
+		st.top.Idle(rec.Time)
+		if rec.Op == trace.Delete {
+			continue
+		}
+		end = max(end, st.top.Access(device.Request{
+			Time: rec.Time, Op: rec.Op, File: rec.File, Addr: prep.placements[i], Size: rec.Size,
+		}))
+		dram.AccessTime(rec.Size)
+	}
+	st.top.Finish(end)
+	dram.AccrueStandby(end)
+	return st, dram
+}
+
+// TestStackMetersReportsEveryComponent drives every stack shape directly
+// and checks totalEnergy against its components: the storage device, every
+// part of a composite counted exactly once, plus SRAM and DRAM.
 func TestStackMetersReportsEveryComponent(t *testing.T) {
-	st := fullStack(t)
-	// The hybrid composes a fresh merged meter per call, so identity is
-	// checked against nil there; every other component returns its own
-	// stable meter, checked by pointer.
-	want := []*energy.Meter{
-		st.disk.Meter(), st.fdisk.Meter(), st.fcard.Meter(), nil, st.buffer.Meter(),
-	}
-	got := st.meters()
-	if len(got) != len(want) {
-		t.Fatalf("meters() returned %d meters, want %d", len(got), len(want))
-	}
-	seen := make(map[*energy.Meter]bool)
-	for i, m := range got {
-		if m == nil {
-			t.Fatalf("meters()[%d] is nil", i)
-		}
-		if seen[m] {
-			t.Fatalf("meters()[%d] reported twice", i)
-		}
-		seen[m] = true
-		if want[i] != nil && m != want[i] {
-			t.Errorf("meters()[%d] is not the expected component meter", i)
-		}
+	for _, row := range stackRows(t) {
+		t.Run(row.name, func(t *testing.T) {
+			st, dram := replayStack(t, row)
+			var want float64
+			for _, p := range parts(st.base) {
+				j := p.Meter().TotalJ()
+				if j <= 0 {
+					t.Errorf("part %s accrued no energy", p.Name())
+				}
+				want += j
+			}
+			if st.buffer != nil {
+				want += st.buffer.Meter().TotalJ()
+			}
+			want += dram.Meter().TotalJ()
+			// The hybrid merges its parts' meters state by state, which
+			// reorders the float additions, so the sums agree to rounding.
+			if got := totalEnergy(st, dram); math.Abs(got-want) > 1e-12*want {
+				t.Errorf("totalEnergy = %.15g J, storage + SRAM + DRAM = %.15g J", got, want)
+			}
+		})
 	}
 }
 
-// TestStackMetersPartial checks each single-component stack reports exactly
-// its own meter — the shape buildStack actually produces.
+// TestStackMetersPartial checks each stack shape reports exactly its own
+// parts — a single device is its one part, the hybrid its disk and card, an
+// array its members — and that totalEnergy with no DRAM cache counts the
+// storage and SRAM alone.
 func TestStackMetersPartial(t *testing.T) {
-	full := fullStack(t)
-	cases := []struct {
-		name string
-		st   stack
-	}{
-		{"disk-only", stack{disk: full.disk}},
-		{"flashdisk-only", stack{fdisk: full.fdisk}},
-		{"flashcard-only", stack{fcard: full.fcard}},
-		{"hybrid-only", stack{hyb: full.hyb}},
-		{"buffer-over-disk", stack{disk: full.disk, buffer: full.buffer}},
+	wantParts := map[string]int{
+		"cu140+sram":            1,
+		"sdp5":                  1,
+		"intel":                 1,
+		"flashcache-hybrid":     2,
+		"mirror:2xflashcard":    2,
+		"stripe:3xflashcard":    3,
+		"mirror:flashcard+disk": 2,
+		"stripe:2xdisk+sram":    2,
 	}
-	wantCounts := []int{1, 1, 1, 1, 2}
-	for i, c := range cases {
-		if got := len(c.st.meters()); got != wantCounts[i] {
-			t.Errorf("%s: meters() returned %d meters, want %d", c.name, got, wantCounts[i])
-		}
+	for _, row := range stackRows(t) {
+		t.Run(row.name, func(t *testing.T) {
+			want, ok := wantParts[row.name]
+			if !ok {
+				t.Fatalf("no part count for row %s", row.name)
+			}
+			st, _ := replayStack(t, row)
+			ps := parts(st.base)
+			if len(ps) != want {
+				t.Fatalf("parts() returned %d parts, want %d", len(ps), want)
+			}
+			if want == 1 && ps[0] != st.base {
+				t.Errorf("single device's part is %T, not the device itself", ps[0])
+			}
+			seen := make(map[device.Device]bool)
+			var storage float64
+			for i, p := range ps {
+				if seen[p] {
+					t.Fatalf("parts()[%d] reported twice", i)
+				}
+				seen[p] = true
+				storage += p.Meter().TotalJ()
+			}
+			if wantBuf := row.cfg.SRAMBytes > 0; (st.buffer != nil) != wantBuf {
+				t.Errorf("stack has SRAM buffer %v, want %v", st.buffer != nil, wantBuf)
+			}
+			if st.buffer != nil {
+				storage += st.buffer.Meter().TotalJ()
+			}
+			if got := totalEnergy(st, nil); math.Abs(got-storage) > 1e-12*storage {
+				t.Errorf("totalEnergy without DRAM = %.15g J, storage + SRAM = %.15g J", got, storage)
+			}
+		})
 	}
 }
 
@@ -143,7 +248,7 @@ func TestCrashAndRecoverOrdering(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			stub := &crashStub{meter: energy.NewMeter(), recoverDur: c.recoverDur}
-			st := &stack{top: stub}
+			st := &stack{top: stub, base: stub}
 			crashAndRecover(st, nil, nil, Config{}, c.at)
 			want := []string{"idle", "crash", "recover"}
 			if len(stub.calls) != len(want) {
@@ -161,30 +266,26 @@ func TestCrashAndRecoverOrdering(t *testing.T) {
 	}
 }
 
-// TestRealDevicesRecoverAfterCrashInstant checks every Crasher device model
+// TestRealDevicesRecoverAfterCrashInstant checks every stack shape
 // honors the timing half of the protocol: Recover(at) never completes
 // before the crash instant.
 func TestRealDevicesRecoverAfterCrashInstant(t *testing.T) {
-	full := fullStack(t)
-	devices := []struct {
-		name string
-		dev  device.Device
-	}{
-		{"disk", full.disk},
-		{"flashdisk", full.fdisk},
-		{"flashcard", full.fcard},
-		{"hybrid", full.hyb},
-	}
 	const at = 45 * units.Second
-	for _, d := range devices {
-		cr, ok := d.dev.(device.Crasher)
+	for _, row := range stackRows(t) {
+		cfg := row.cfg.withDefaults()
+		st, err := buildStack(cfg, cfg.Trace.BlockSize, Footprint(cfg.Trace), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cr, ok := st.top.(device.Crasher)
 		if !ok {
+			t.Errorf("%s: %T models no power failure", row.name, st.top)
 			continue
 		}
-		d.dev.Idle(at)
+		st.top.Idle(at)
 		cr.Crash(at)
 		if done := cr.Recover(at); done < at {
-			t.Errorf("%s: recovery completed at %v, before crash instant %v", d.name, done, at)
+			t.Errorf("%s: recovery completed at %v, before crash instant %v", row.name, done, at)
 		}
 	}
 }

@@ -69,6 +69,37 @@ type Crasher interface {
 type WearReporter interface {
 	// EraseCounts returns the number of erasures per erase unit.
 	EraseCounts() []int64
-	// EnduranceCycles is the manufacturer's per-unit erase limit.
-	EnduranceCycles() int64
+}
+
+// Composite is implemented by devices assembled from other devices: the
+// flash-cache hybrid (its disk and its flash card) and arrays (their
+// current members in slot order, then the devices retired after a death).
+// The core reads counters, wear and live data off the parts, so every
+// component of a composite is reported exactly once.
+type Composite interface {
+	Parts() []Device
+}
+
+// Spinner is implemented by devices that spin down to save energy (the
+// magnetic disk).
+type Spinner interface {
+	SpinUps() int64
+	SpinDowns() int64
+}
+
+// Cleaner is implemented by log-structured devices whose cleaner copies
+// live data before erasing (the flash card), for §5.3's cleaning cost.
+type Cleaner interface {
+	// TotalErases counts erase operations.
+	TotalErases() int64
+	// CopiedBlocks counts blocks the cleaner relocated.
+	CopiedBlocks() int64
+	// HostBlocks counts blocks the host wrote.
+	HostBlocks() int64
+	// Stalls counts host writes that waited for erased space.
+	Stalls() int64
+	// CleaningTime is the busy time spent copying and erasing.
+	CleaningTime() units.Time
+	// HostTime is the busy time spent on host transfers.
+	HostTime() units.Time
 }

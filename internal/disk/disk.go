@@ -372,5 +372,6 @@ func (d *Disk) advance(now units.Time) {
 
 var (
 	_ device.Device  = (*Disk)(nil)
+	_ device.Spinner = (*Disk)(nil)
 	_ device.Crasher = (*Disk)(nil)
 )

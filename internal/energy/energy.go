@@ -150,39 +150,6 @@ func (m *Meter) AccrueJoules(state State, j float64) {
 // TotalJ returns total accumulated energy in joules.
 func (m *Meter) TotalJ() float64 { return m.total }
 
-// Reset returns the meter to its empty state, retaining the spill map's
-// storage for reuse. Combined with ByStateInto and Merge it lets periodic
-// samplers rebuild aggregate meters without allocating every tick.
-func (m *Meter) Reset() {
-	m.known = [numKnown]float64{}
-	m.present = [numKnown]bool{}
-	m.total = 0
-	for k := range m.spill {
-		delete(m.spill, k)
-	}
-}
-
-// ByStateInto writes the per-state attribution into dst (cleared first) and
-// returns it, allocating only when dst is nil or too small. The allocation-
-// free sibling of ByState for callers that snapshot every tick.
-func (m *Meter) ByStateInto(dst map[State]float64) map[State]float64 {
-	if dst == nil {
-		return m.ByState()
-	}
-	for k := range dst {
-		delete(dst, k)
-	}
-	for i, s := range knownStates {
-		if m.present[i] {
-			dst[s] = m.known[i]
-		}
-	}
-	for k, v := range m.spill {
-		dst[k] = v
-	}
-	return dst
-}
-
 // ByState returns a copy of the per-state attribution map.
 func (m *Meter) ByState() map[State]float64 {
 	out := make(map[State]float64, numKnown+len(m.spill))

@@ -418,7 +418,7 @@ func (c *Card) EraseCounts() []int64 {
 	return out
 }
 
-// EnduranceCycles implements device.WearReporter.
+// EnduranceCycles returns the per-segment erase limit.
 func (c *Card) EnduranceCycles() int64 { return c.p.EnduranceCycles }
 
 // Idle implements device.Device: accounts standby energy and advances
@@ -1139,5 +1139,6 @@ func (c *Card) CheckConsistency() error {
 var (
 	_ device.Device       = (*Card)(nil)
 	_ device.WearReporter = (*Card)(nil)
+	_ device.Cleaner      = (*Card)(nil)
 	_ device.Crasher      = (*Card)(nil)
 )

@@ -389,7 +389,7 @@ func (f *FlashDisk) EraseCounts() []int64 {
 	return counts
 }
 
-// EnduranceCycles implements device.WearReporter.
+// EnduranceCycles returns the per-sector erase limit.
 func (f *FlashDisk) EnduranceCycles() int64 { return f.p.EnduranceCycles }
 
 var (

@@ -139,19 +139,13 @@ func (c *Cache) Name() string {
 // disk and the flash cache.
 func (c *Cache) Meter() *energy.Meter {
 	m := energy.NewMeter()
-	c.MeterInto(m)
+	m.Merge(c.dsk.Meter())
+	m.Merge(c.card.Meter())
 	return m
 }
 
-// MeterInto rebuilds the combined disk+flash energy attribution in dst,
-// reusing its storage. The per-tick sampler path uses this with a scratch
-// meter so snapshotting allocates nothing; the merge order matches Meter
-// exactly, so totals are bit-identical.
-func (c *Cache) MeterInto(dst *energy.Meter) {
-	dst.Reset()
-	dst.Merge(c.dsk.Meter())
-	dst.Merge(c.card.Meter())
-}
+// Parts implements device.Composite: the disk, then the flash cache.
+func (c *Cache) Parts() []device.Device { return []device.Device{c.dsk, c.card} }
 
 // Disk exposes the underlying disk (spin-up statistics).
 func (c *Cache) Disk() *disk.Disk { return c.dsk }
@@ -435,6 +429,7 @@ func (c *Cache) Recover(at units.Time) units.Time {
 }
 
 var (
-	_ device.Device  = (*Cache)(nil)
-	_ device.Crasher = (*Cache)(nil)
+	_ device.Device    = (*Cache)(nil)
+	_ device.Composite = (*Cache)(nil)
+	_ device.Crasher   = (*Cache)(nil)
 )
