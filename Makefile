@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmt-check test test-diff race bench bench-smoke bench-gate bench-gate-faults bench-gate-array bench-gate-update profile-fig2 profile-fig4 fuzz-smoke golden-update serve-smoke check
+.PHONY: build vet fmt-check test test-diff race bench bench-smoke bench-gate bench-gate-faults bench-gate-array bench-gate-update profile-fig2 profile-fig4 profile-fleet fuzz-smoke golden-update serve-smoke check
 
 build:
 	$(GO) build ./...
@@ -100,6 +100,12 @@ profile-fig2:
 profile-fig4:
 	$(GO) test -run='^$$' -bench='^BenchmarkFig4$$' -benchtime=10x \
 		-cpuprofile cpu-fig4.pprof -memprofile mem-fig4.pprof .
+
+# The same profiles of the fleet-grid job (BenchmarkFleetGrid): nine runs
+# whose events feed the fleet's figure builders through their kind masks.
+profile-fleet:
+	$(GO) test -run='^$$' -bench='^BenchmarkFleetGrid$$' -benchtime=10x \
+		-cpuprofile cpu-fleet.pprof -memprofile mem-fleet.pprof .
 
 # End-to-end fleet-service smoke: boot `storagesim -service`, submit a
 # grid job over the HTTP API, poll it to completion, fetch every fleet

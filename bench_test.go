@@ -12,6 +12,9 @@
 package mobilestorage
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"testing"
 
 	"mobilestorage/internal/array"
@@ -19,8 +22,10 @@ import (
 	"mobilestorage/internal/device"
 	"mobilestorage/internal/experiments"
 	"mobilestorage/internal/fault"
+	"mobilestorage/internal/fleet"
 	"mobilestorage/internal/index"
 	"mobilestorage/internal/obs"
+	"mobilestorage/internal/obsreport"
 	"mobilestorage/internal/units"
 	"mobilestorage/internal/workload"
 )
@@ -430,6 +435,108 @@ func BenchmarkRunActiveScope(b *testing.B) {
 
 func BenchmarkRunTracingScope(b *testing.B) {
 	benchRunScope(b, obs.NewScope(obs.NewRegistry(), obs.NewRing(1<<16)))
+}
+
+// fleetGridSpec is the fleet-grid job of the benchmark module at one
+// replica and one worker: 20,000-op synth traces on a flash card, a flash
+// disk and a disk at three utilizations.
+var fleetGridSpec = fleet.Spec{Devices: []string{"intel", "sdp5", "cu140"}, Traces: []string{"synth"},
+	SynthOps: 20_000, Utilizations: []float64{0.6, 0.8, 0.95}, Replicas: 1, Seed: 1, Workers: 1}
+
+// BenchmarkFleetGrid submits fleetGridSpec to an in-process fleet.Service
+// and waits for it: trace generation, nine runs whose events feed the
+// fleet's figure builders, and the merge. events/record counts the events
+// those builders receive and all-events/record the events an unmasked
+// tracer receives from the same runs; both come from an untimed replay of
+// the nine runs, whose aggregate report must equal the job's. Profile it
+// with `make profile-fleet`.
+func BenchmarkFleetGrid(b *testing.B) {
+	svc := fleet.NewService(nil)
+	defer svc.Shutdown(context.Background())
+	var status *fleet.Status
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		j, err := svc.Submit(fleetGridSpec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		<-j.Finished()
+		if status = j.Status(); status.Done != status.Total || status.Failed != 0 {
+			b.Fatalf("job ended %s with %d/%d runs done, %d failed: %v",
+				status.State, status.Done, status.Total, status.Failed, status.Errors)
+		}
+	}
+	b.StopTimer()
+	delivered, all, records := replayFleetGrid(b, status.Report)
+	b.ReportMetric(float64(delivered)/float64(records), "events/record")
+	b.ReportMetric(float64(all)/float64(records), "all-events/record")
+}
+
+// countingTracer counts the events a Scope delivers to a FigureSet under
+// the given mask.
+type countingTracer struct {
+	figs  *obsreport.FigureSet
+	kinds obs.KindSet
+	n     int64
+}
+
+func (c *countingTracer) Emit(e obs.Event) { c.n++; c.figs.Observe(e) }
+
+func (c *countingTracer) Kinds() obs.KindSet { return c.kinds }
+
+// replayFleetGrid reruns fleetGridSpec's nine runs as the fleet configures
+// them and counts the events delivered to each run's FigureSet, with the
+// set's own mask and with every kind. It fails b unless the masked
+// replay's aggregate report equals want, the job's report.
+func replayFleetGrid(b *testing.B, want *fleet.Report) (delivered, all, records int64) {
+	// The fleet derives replica 0's trace seed with SplitMix64 over the
+	// job seed and the "trac" stream tag.
+	z := uint64(fleetGridSpec.Seed) ^ 0x74726163 + 0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	tr, err := workload.Synth(workload.SynthConfig{Seed: int64(z ^ z>>31), Ops: fleetGridSpec.SynthOps})
+	if err != nil {
+		b.Fatal(err)
+	}
+	prep := core.PrepareTrace(tr)
+	agg := fleet.NewAggregator()
+	for _, dev := range fleetGridSpec.Devices {
+		for _, util := range fleetGridSpec.Utilizations {
+			cfg := core.Config{Trace: tr, Prep: prep, SpinDown: fleet.DefaultSpinDown,
+				CleaningPolicy: "greedy", FlashUtilization: util}
+			if err := fleet.SelectDevice(&cfg, dev, ""); err != nil {
+				b.Fatal(err)
+			}
+			fleet.SizeBuffers(&cfg, -1, -1)
+			for _, masked := range []bool{true, false} {
+				figs := obsreport.NewFigureSet()
+				ct := &countingTracer{figs: figs, kinds: obs.AllKinds}
+				if masked {
+					ct.kinds = figs.Kinds()
+				}
+				cfg.Scope = obs.NewScope(nil, ct)
+				res, err := core.Run(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !masked {
+					all += ct.n
+					continue
+				}
+				delivered += ct.n
+				records += int64(len(tr.Records))
+				agg.Add(res, figs)
+			}
+		}
+	}
+	got, err := json.Marshal(agg.Report())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if job, _ := json.Marshal(want); !bytes.Equal(got, job) {
+		b.Fatal("the replayed grid's report differs from the job's; the replay no longer mirrors the fleet")
+	}
+	return delivered, all, records
 }
 
 func BenchmarkSeedSensitivity(b *testing.B) {

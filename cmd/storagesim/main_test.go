@@ -1,8 +1,11 @@
 package main
 
 import (
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mobilestorage/internal/trace"
@@ -93,5 +96,32 @@ func TestBuildTraceIndexWorkloads(t *testing.T) {
 	}
 	if _, _, err := buildTrace("", "synth", 1, "read-heavy"); err == nil {
 		t.Error("mix on a non-index trace accepted")
+	}
+}
+
+// TestHostileTraceFileExits runs the command on a trace whose one block
+// sits at offset 2^40, which a flash disk would size gigabytes of state
+// for: it must exit 1 with core's footprint-bound message. The test
+// re-executes its own binary, whose child branch runs main with the
+// newline-separated arguments in STORAGESIM_ARGS.
+func TestHostileTraceFileExits(t *testing.T) {
+	if args := os.Getenv("STORAGESIM_ARGS"); args != "" {
+		os.Args = append([]string{"storagesim"}, strings.Split(args, "\n")...)
+		main()
+		os.Exit(0)
+	}
+	path := filepath.Join(t.TempDir(), "evil.trace")
+	if err := os.WriteFile(path, []byte("trace evil blocksize=1024\n0 w 1 1099511627776 100\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestHostileTraceFileExits$")
+	cmd.Env = append(os.Environ(), "STORAGESIM_ARGS=-device\nsdp5\n-tracefile\n"+path)
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("exit %v, want status 1; output:\n%s", err, out)
+	}
+	if want := "storagesim: core: trace footprint 1024GB exceeds the 1GB bound (core.MaxFootprint)"; !strings.Contains(string(out), want) {
+		t.Errorf("output %q does not contain %q", out, want)
 	}
 }

@@ -21,6 +21,9 @@ func newLiveFigures() *liveFigures {
 	return &liveFigures{f: obsreport.NewFigureSet()}
 }
 
+// Kinds implements obs.KindFilter: the kinds the figures read.
+func (p *liveFigures) Kinds() obs.KindSet { return p.f.Kinds() }
+
 // Emit implements obs.Tracer.
 func (p *liveFigures) Emit(e obs.Event) {
 	p.mu.Lock()

@@ -60,14 +60,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	col := obs.NewCollector(func(e obs.Event) bool {
-		switch e.Kind {
-		case obs.EvFaultInjected, obs.EvRetryAttempt, obs.EvRemap,
-			obs.EvReclaim, obs.EvPowerFail, obs.EvRecoveryReplayed:
-			return true
-		}
-		return false
-	})
+	col := obs.NewCollector(obs.Kinds(obs.EvFaultInjected, obs.EvRetryAttempt, obs.EvRemap,
+		obs.EvReclaim, obs.EvPowerFail, obs.EvRecoveryReplayed))
 	cfg.Faults = plan
 	cfg.FaultSeed = 42
 	cfg.Scope = obs.NewScope(nil, col)

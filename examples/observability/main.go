@@ -37,13 +37,7 @@ func main() {
 	// 2. Attach a registry (for the sampler) and a collector tracer that
 	// keeps only the cleaning- and wear-related events.
 	reg := obs.NewRegistry()
-	col := obs.NewCollector(func(e obs.Event) bool {
-		switch e.Kind {
-		case obs.EvCardClean, obs.EvCardErase, obs.EvCardStall:
-			return true
-		}
-		return false
-	})
+	col := obs.NewCollector(obs.Kinds(obs.EvCardClean, obs.EvCardErase, obs.EvCardStall))
 
 	res, err := core.Run(core.Config{
 		Trace:           t,

@@ -160,3 +160,47 @@ func TestSRAMOnFlash(t *testing.T) {
 		t.Error("no SRAM energy accounted")
 	}
 }
+
+// TestHostileOffsetRejected replays one-block traces at offsets 2^40 and
+// 2^62. Devices size their state from the trace's footprint, so without
+// the MaxFootprint bound the first asks a flash disk for tens of gigabytes
+// and the second overflows a slice length. Every device kind, on both
+// replay loops, must return an error naming the footprint and the bound.
+func TestHostileOffsetRejected(t *testing.T) {
+	devices := []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"sdp5", func(c *Config) { c.Kind, c.FlashDiskParams = FlashDisk, device.SDP5Datasheet() }},
+		{"intel", func(c *Config) { c.Kind, c.FlashCardParams = FlashCard, device.IntelSeries2Datasheet() }},
+		{"cu140", func(c *Config) {
+			c.Kind, c.Disk, c.SRAMBytes = MagneticDisk, device.CU140Measured(), 32*units.KB
+		}},
+	}
+	for _, off := range []string{"1099511627776", "4611686018427387904"} {
+		tr, err := trace.Decode(strings.NewReader("trace evil blocksize=1024\n0 w 1 " + off + " 100\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		footprint := PrepareTrace(tr).Footprint()
+		if footprint <= MaxFootprint {
+			t.Fatalf("offset %s: footprint %v within the bound", off, footprint)
+		}
+		for _, d := range devices {
+			for _, ref := range []bool{false, true} {
+				cfg := Config{Trace: tr, Reference: ref}
+				d.mut(&cfg)
+				_, err := Run(cfg)
+				if err == nil {
+					t.Errorf("%s offset %s (reference %v): accepted", d.name, off, ref)
+					continue
+				}
+				for _, want := range []string{footprint.String(), MaxFootprint.String(), "MaxFootprint"} {
+					if !strings.Contains(err.Error(), want) {
+						t.Errorf("%s offset %s (reference %v): error %q does not mention %q", d.name, off, ref, err, want)
+					}
+				}
+			}
+		}
+	}
+}

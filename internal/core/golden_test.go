@@ -325,10 +325,10 @@ func TestEventStreamDeterministic(t *testing.T) {
 // number of spin-up (resp. erase) events must equal the spin-up (erase)
 // counter, so neither accounting path can drift.
 func TestEventCountsMatchCounters(t *testing.T) {
-	count := func(events []byte, kind string) int64 {
+	count := func(events []byte, kind obs.Kind) int64 {
 		var n int64
 		for _, line := range bytes.Split(events, []byte("\n")) {
-			if bytes.Contains(line, []byte(`"kind":"`+kind+`"`)) {
+			if bytes.Contains(line, []byte(`"kind":"`+kind.String()+`"`)) {
 				n++
 			}
 		}

@@ -53,7 +53,7 @@ func runReference(cfg Config) (*Result, error) {
 		dc = dram
 	}
 	sc := cfg.Scope
-	tracing := sc.Tracing()
+	traceHit, traceMiss := sc.Wants(obs.EvCacheHit), sc.Wants(obs.EvCacheMiss)
 	smp := newSampler(cfg, sc, st, dc)
 
 	res := &Result{
@@ -106,12 +106,12 @@ func runReference(cfg Config) (*Result, error) {
 			hit := false
 			if dram != nil && dram.Contains(addr, rec.Size) {
 				hit = true
-				if tracing {
+				if traceHit {
 					sc.Emit(obs.Event{T: int64(rec.Time), Kind: obs.EvCacheHit, Size: int64(rec.Size)})
 				}
 				resp = dram.AccessTime(rec.Size)
 			} else {
-				if tracing && dram != nil {
+				if traceMiss && dram != nil {
 					sc.Emit(obs.Event{T: int64(rec.Time), Kind: obs.EvCacheMiss, Size: int64(rec.Size)})
 				}
 				completion := st.top.Access(device.Request{

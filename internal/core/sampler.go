@@ -49,7 +49,7 @@ func newSampler(cfg Config, sc *obs.Scope, st *stack, dram dramCache) *obs.Sampl
 		sramG.Set(sramJ)
 		dramG.Set(dramJ)
 		total.Set(totalJ)
-		if sc.Tracing() {
+		if sc.Wants(obs.EvEnergySample) {
 			sc.Emit(obs.Event{T: tUs, Kind: obs.EvEnergySample, Dev: "storage", Size: microjoules(storageJ)})
 			if st.buffer != nil {
 				sc.Emit(obs.Event{T: tUs, Kind: obs.EvEnergySample, Dev: "sram", Size: microjoules(sramJ)})

@@ -140,7 +140,7 @@ func TestSamplerDoesNotChangeResults(t *testing.T) {
 // Sampling with a tracer interleaves sample.energy events into the stream,
 // cumulative and labelled with the sample time.
 func TestSamplerEmitsEnergyEvents(t *testing.T) {
-	col := obs.NewCollector(func(e obs.Event) bool { return e.Kind == obs.EvEnergySample })
+	col := obs.NewCollector(obs.Kinds(obs.EvEnergySample))
 	sc := obs.NewScope(obs.NewRegistry(), col)
 	res, err := Run(sampledConfig(t, sc))
 	if err != nil {

@@ -188,7 +188,7 @@ func Run(cfg Config) (*Result, error) {
 		dc = dram
 	}
 	sc := cfg.Scope
-	tracing := sc.Tracing()
+	traceHit, traceMiss := sc.Wants(obs.EvCacheHit), sc.Wants(obs.EvCacheMiss)
 	smp := newSampler(cfg, sc, st, dc)
 
 	res := &Result{
@@ -234,12 +234,12 @@ func Run(cfg Config) (*Result, error) {
 			hit := false
 			if dram != nil && dram.hit(i) {
 				hit = true
-				if tracing {
+				if traceHit {
 					sc.Emit(obs.Event{T: int64(rec.Time), Kind: obs.EvCacheHit, Size: int64(rec.Size)})
 				}
 				resp = dram.mem.AccessTime(rec.Size)
 			} else {
-				if tracing && dram != nil {
+				if traceMiss && dram != nil {
 					sc.Emit(obs.Event{T: int64(rec.Time), Kind: obs.EvCacheMiss, Size: int64(rec.Size)})
 				}
 				completion := st.top.Access(device.Request{
@@ -512,12 +512,22 @@ func Footprint(t *trace.Trace) units.Bytes {
 	return footprint
 }
 
+// MaxFootprint bounds the storage footprint of a trace Run accepts. The
+// devices size their per-sector and per-segment state from the footprint,
+// so one block written at a hostile offset such as 2^40 would otherwise
+// allocate gigabytes, or overflow a slice length, before replay begins.
+// 1 GiB is 30× the largest footprint of any generated trace (hp, 32 MB).
+const MaxFootprint = units.GB
+
 // buildStack constructs the configured storage hierarchy, threading the
 // fault injector (nil = fault injection off) into every device layer: the
 // base device (an array or one device), wrapped in the SRAM buffer when one
 // is configured. Flash devices preload the configured stored data, at least
-// the trace's footprint.
+// the trace's footprint; a footprint past MaxFootprint is an error.
 func buildStack(cfg Config, blockSize, footprint units.Bytes, inj *fault.Injector) (*stack, error) {
+	if footprint > MaxFootprint {
+		return nil, fmt.Errorf("core: trace footprint %v exceeds the %v bound (core.MaxFootprint)", footprint, MaxFootprint)
+	}
 	stored := max(cfg.StoredData, footprint)
 	var base device.Device
 	var err error

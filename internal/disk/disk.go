@@ -314,7 +314,7 @@ func (d *Disk) wake(at units.Time) {
 	}
 	d.cSpinUps.Inc()
 	d.hSleepMs.Observe(slept.Milliseconds())
-	if d.sc.Tracing() {
+	if d.sc.Wants(obs.EvDiskSpinUp) {
 		d.sc.Emit(obs.Event{T: int64(at), Kind: obs.EvDiskSpinUp, Dev: d.evName, Dur: int64(slept)})
 	}
 	d.policy.OnSpinUp(slept)
@@ -356,7 +356,7 @@ func (d *Disk) advance(now units.Time) {
 				d.sleepStart = downAt
 				d.spinDowns++
 				d.cSpinDowns.Inc()
-				if d.sc.Tracing() {
+				if d.sc.Wants(obs.EvDiskSpinDown) {
 					d.sc.Emit(obs.Event{T: int64(downAt), Kind: obs.EvDiskSpinDown, Dev: d.evName, Dur: int64(d.spinDown)})
 				}
 				d.lastUpdate = now

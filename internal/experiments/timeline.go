@@ -164,10 +164,7 @@ func CleaningEfficiency(seed int64) ([]CleaningPoint, error) {
 	points := make([]CleaningPoint, len(utils))
 	err = sweep(len(utils), func(i int) error {
 		util := utils[i]
-		keep := func(e obs.Event) bool {
-			return e.Kind == obs.EvCardClean || e.Kind == obs.EvCardStall
-		}
-		col := obs.NewCollector(keep)
+		col := obs.NewCollector(obs.Kinds(obs.EvCardClean, obs.EvCardStall))
 		cfg := core.Config{
 			Trace:           t,
 			DRAMBytes:       fleet.DefaultDRAM("dos"),

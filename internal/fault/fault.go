@@ -236,13 +236,13 @@ func (in *Injector) Attempts(op Op, dev string, at units.Time) (attempts int64, 
 		return 1, 0
 	}
 	limit := in.plan.maxRetries() + 1
-	tracing := in.sc.Tracing()
+	traceFault, traceRetry := in.sc.Wants(obs.EvFaultInjected), in.sc.Wants(obs.EvRetryAttempt)
 	for a := 1; a <= limit; a++ {
 		if in.float64() >= rate {
 			return int64(a), backoff // attempt a succeeded
 		}
 		in.countFault(op)
-		if tracing {
+		if traceFault {
 			in.sc.Emit(obs.Event{T: int64(at), Kind: obs.EvFaultInjected, Dev: dev,
 				Addr: int64(op), Size: int64(a)})
 		}
@@ -259,7 +259,7 @@ func (in *Injector) Attempts(op Op, dev string, at units.Time) (attempts int64, 
 		in.rep.Retries++
 		in.rep.BackoffTime += d
 		in.cRetries.Inc()
-		if tracing {
+		if traceRetry {
 			in.sc.Emit(obs.Event{T: int64(at), Kind: obs.EvRetryAttempt, Dev: dev,
 				Addr: int64(op), Size: int64(a + 1), Dur: int64(d)})
 		}
@@ -277,10 +277,10 @@ func (in *Injector) DeadAttempts(op Op, dev string, at units.Time) (attempts int
 		return 1, 0
 	}
 	limit := in.plan.maxRetries() + 1
-	tracing := in.sc.Tracing()
+	traceFault, traceRetry := in.sc.Wants(obs.EvFaultInjected), in.sc.Wants(obs.EvRetryAttempt)
 	for a := 1; a <= limit; a++ {
 		in.countFault(op)
-		if tracing {
+		if traceFault {
 			in.sc.Emit(obs.Event{T: int64(at), Kind: obs.EvFaultInjected, Dev: dev,
 				Addr: int64(op), Size: int64(a)})
 		}
@@ -294,7 +294,7 @@ func (in *Injector) DeadAttempts(op Op, dev string, at units.Time) (attempts int
 		in.rep.Retries++
 		in.rep.BackoffTime += d
 		in.cRetries.Inc()
-		if tracing {
+		if traceRetry {
 			in.sc.Emit(obs.Event{T: int64(at), Kind: obs.EvRetryAttempt, Dev: dev,
 				Addr: int64(op), Size: int64(a + 1), Dur: int64(d)})
 		}
@@ -347,7 +347,7 @@ func (in *Injector) RecordRemap(dev string, unit, spares int64, at units.Time) {
 	}
 	in.rep.Remaps++
 	in.cRemaps.Inc()
-	if in.sc.Tracing() {
+	if in.sc.Wants(obs.EvRemap) {
 		in.sc.Emit(obs.Event{T: int64(at), Kind: obs.EvRemap, Dev: dev,
 			Addr: unit, Size: spares})
 	}
@@ -359,7 +359,7 @@ func (in *Injector) RecordSpareExhausted(dev string, unit int64, at units.Time) 
 		return
 	}
 	in.rep.SparesExhausted++
-	if in.sc.Tracing() {
+	if in.sc.Wants(obs.EvRemap) {
 		in.sc.Emit(obs.Event{T: int64(at), Kind: obs.EvRemap, Dev: dev,
 			Addr: unit, Size: -1})
 	}
@@ -374,7 +374,7 @@ func (in *Injector) RecordReclaim(dev string, unit int64, at units.Time) {
 	}
 	in.rep.Reclaims++
 	in.cReclaims.Inc()
-	if in.sc.Tracing() {
+	if in.sc.Wants(obs.EvReclaim) {
 		in.sc.Emit(obs.Event{T: int64(at), Kind: obs.EvReclaim, Dev: dev, Addr: unit})
 	}
 }
@@ -395,7 +395,7 @@ func (in *Injector) RecordPowerFail(at units.Time) {
 	}
 	in.rep.PowerFailures++
 	in.cPowerFails.Inc()
-	if in.sc.Tracing() {
+	if in.sc.Wants(obs.EvPowerFail) {
 		in.sc.Emit(obs.Event{T: int64(at), Kind: obs.EvPowerFail})
 	}
 }
@@ -408,7 +408,7 @@ func (in *Injector) RecordReplay(dev string, blocks int64, at, dur units.Time) {
 	}
 	in.rep.ReplayedBlocks += blocks
 	in.cReplayed.Add(blocks)
-	if in.sc.Tracing() {
+	if in.sc.Wants(obs.EvRecoveryReplayed) {
 		in.sc.Emit(obs.Event{T: int64(at), Kind: obs.EvRecoveryReplayed, Dev: dev,
 			Size: blocks, Dur: int64(dur)})
 	}
@@ -468,7 +468,7 @@ func (in *Injector) RecordDeath(dev string, member int64, eraseDeath bool, at un
 	}
 	in.rep.DeviceDeaths++
 	in.cDeaths.Inc()
-	if in.sc.Tracing() {
+	if in.sc.Wants(obs.EvDeviceDie) {
 		size := int64(0)
 		if eraseDeath {
 			size = 1
@@ -526,7 +526,7 @@ func (in *Injector) SurfaceLatent(dev string, first, last int64, at, penalty uni
 	}
 	in.rep.LatentFaults += n
 	in.cLatent.Add(n)
-	if in.sc.Tracing() {
+	if in.sc.Wants(obs.EvFaultLatent) {
 		in.sc.Emit(obs.Event{T: int64(at), Kind: obs.EvFaultLatent, Dev: dev,
 			Addr: firstHit, Size: n, Dur: int64(penalty * units.Time(n))})
 	}
@@ -559,7 +559,7 @@ func (in *Injector) RecordBacklog(dev string, victim, live int64, at, drain unit
 	in.rep.BacklogCarried++
 	in.rep.BacklogTime += drain
 	in.cBacklog.Inc()
-	if in.sc.Tracing() {
+	if in.sc.Wants(obs.EvCleaningBacklog) {
 		in.sc.Emit(obs.Event{T: int64(at), Kind: obs.EvCleaningBacklog, Dev: dev,
 			Addr: victim, Size: live, Dur: int64(drain)})
 	}
@@ -570,7 +570,7 @@ func (in *Injector) RecordDegraded(dev string, member, survivors int64, at units
 	if in == nil {
 		return
 	}
-	if in.sc.Tracing() {
+	if in.sc.Wants(obs.EvArrayDegraded) {
 		in.sc.Emit(obs.Event{T: int64(at), Kind: obs.EvArrayDegraded, Dev: dev,
 			Addr: member, Size: survivors})
 	}
@@ -584,7 +584,7 @@ func (in *Injector) RecordRebuild(dev string, member, blocks int64, at, dur unit
 	in.rep.Rebuilds++
 	in.rep.RebuildTime += dur
 	in.cRebuilds.Inc()
-	if in.sc.Tracing() {
+	if in.sc.Wants(obs.EvArrayRebuild) {
 		in.sc.Emit(obs.Event{T: int64(at), Kind: obs.EvArrayRebuild, Dev: dev,
 			Addr: member, Size: blocks, Dur: int64(dur)})
 	}

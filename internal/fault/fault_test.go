@@ -307,11 +307,11 @@ func TestInjectorEmitsEventsAndCounters(t *testing.T) {
 		}
 	}
 	out := buf.String()
-	for _, kind := range []string{
+	for _, kind := range []obs.Kind{
 		obs.EvFaultInjected, obs.EvRetryAttempt, obs.EvPowerFail,
 		obs.EvRemap, obs.EvReclaim, obs.EvRecoveryReplayed,
 	} {
-		if !strings.Contains(out, `"kind":"`+kind+`"`) {
+		if !strings.Contains(out, `"kind":"`+kind.String()+`"`) {
 			t.Errorf("event stream missing %s:\n%s", kind, out)
 		}
 	}

@@ -509,7 +509,7 @@ func (c *Card) write(addr, size units.Bytes, start units.Time) units.Time {
 		c.stallTime += stall
 		c.stalls++
 		c.cStalls.Inc()
-		if c.sc.Tracing() {
+		if c.sc.Wants(obs.EvCardStall) {
 			c.sc.Emit(obs.Event{T: int64(start), Kind: obs.EvCardStall, Dev: c.evName, Dur: int64(stall)})
 		}
 	}
@@ -979,13 +979,15 @@ func (c *Card) finishJob(at units.Time) {
 	c.cCleans.Inc()
 	c.cCopied.Add(copied)
 	c.hCleanMs.Observe(total.Milliseconds())
-	if c.sc.Tracing() {
+	if c.sc.Wants(obs.EvCardClean) {
 		c.sc.Emit(obs.Event{T: int64(at), Kind: obs.EvCardClean, Dev: c.evName,
 			Addr: int64(v), Size: copied, Dur: int64(total)})
-		if copied > 0 {
-			c.sc.Emit(obs.Event{T: int64(at), Kind: obs.EvCardCopy, Dev: c.evName,
-				Addr: int64(v), Size: copied})
-		}
+	}
+	if copied > 0 && c.sc.Wants(obs.EvCardCopy) {
+		c.sc.Emit(obs.Event{T: int64(at), Kind: obs.EvCardCopy, Dev: c.evName,
+			Addr: int64(v), Size: copied})
+	}
+	if c.sc.Wants(obs.EvCardErase) {
 		c.sc.Emit(obs.Event{T: int64(at), Kind: obs.EvCardErase, Dev: c.evName,
 			Addr: int64(v), Size: c.segErases[v]})
 	}

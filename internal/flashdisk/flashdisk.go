@@ -217,7 +217,7 @@ func (f *FlashDisk) Access(req device.Request) units.Time {
 			}
 		}
 		f.cWrites.Inc()
-		if f.sc.Tracing() {
+		if f.sc.Wants(obs.EvFlashDiskWrite) {
 			f.sc.Emit(obs.Event{T: int64(start), Kind: obs.EvFlashDiskWrite, Dev: f.evName,
 				Addr: int64(req.Addr), Size: int64(req.Size), Dur: int64(service)})
 		}
@@ -273,7 +273,7 @@ func (f *FlashDisk) writeTime(size units.Bytes, start units.Time) units.Time {
 func (f *FlashDisk) recordErases(sectors int64, at units.Time, sync bool) {
 	f.totalErases += sectors
 	f.cErases.Add(sectors)
-	if f.sc.Tracing() {
+	if f.sc.Wants(obs.EvFlashDiskErase) {
 		var addr int64
 		if sync {
 			addr = 1

@@ -44,11 +44,6 @@ const (
 	StateCancelled = "cancelled"
 )
 
-// reporterTracer adapts a report builder to the obs.Tracer a Scope wants.
-type reporterTracer struct{ r obsreport.Reporter }
-
-func (t reporterTracer) Emit(e obs.Event) { t.r.Observe(e) }
-
 // Job is one submitted grid: its expanded runs, live aggregate, and SSE
 // broadcaster. All mutable state is guarded by mu.
 type Job struct {
@@ -437,7 +432,7 @@ func (ej *expandedJob) runOne(rs RunSpec, cache *traceCache) (*core.Result, *obs
 	if ej.spec.SampleEveryS > 0 {
 		reg = obs.NewRegistry()
 	}
-	cfg.Scope = obs.NewScope(reg, reporterTracer{figs})
+	cfg.Scope = obs.NewScope(reg, figs)
 	res, err := core.Run(cfg)
 	if err != nil {
 		return nil, nil, err

@@ -339,7 +339,7 @@ func (c *Cache) destage(at units.Time) {
 	}
 	c.destages++
 	c.cDestages.Inc()
-	if c.sc.Tracing() {
+	if c.sc.Wants(obs.EvHybridDestage) {
 		c.sc.Emit(obs.Event{T: int64(at), Kind: obs.EvHybridDestage, Dev: c.evName,
 			Size: c.dirtyCount, Dur: int64(completion - at)})
 	}

@@ -1,0 +1,105 @@
+package obs
+
+import "testing"
+
+// TestKindRoundTrip maps every Kind through String and back, and pins the
+// edges: the zero Kind is the empty name, an unknown name is KindOther,
+// and a value past the table still prints.
+func TestKindRoundTrip(t *testing.T) {
+	seen := map[string]Kind{}
+	for k := Kind(0); k < numKinds; k++ {
+		name := k.String()
+		if got := ParseKind(name); got != k {
+			t.Errorf("ParseKind(%q) = %d, want %d", name, got, k)
+		}
+		if prev, dup := seen[name]; dup {
+			t.Errorf("kinds %d and %d share the name %q", prev, k, name)
+		}
+		seen[name] = k
+	}
+	if Kind(0).String() != "" || ParseKind("") != 0 {
+		t.Error("the zero Kind is not the empty name")
+	}
+	if got := ParseKind("no.such.kind"); got != KindOther {
+		t.Errorf("unknown name parsed as %v, want KindOther", got)
+	}
+	if got := Kind(200).String(); got != "Kind(200)" {
+		t.Errorf("Kind(200).String() = %q", got)
+	}
+}
+
+// TestParseKindNoAlloc: the decoder's fast path converts each kind name
+// from bytes as it calls ParseKind, so the pair must not allocate.
+func TestParseKindNoAlloc(t *testing.T) {
+	for _, name := range [][]byte{[]byte("flashcard.erase"), []byte("some.future.kind")} {
+		if n := testing.AllocsPerRun(100, func() { _ = ParseKind(string(name)) }); n != 0 {
+			t.Errorf("ParseKind(%q) allocated %.0f times", name, n)
+		}
+	}
+}
+
+func TestKindSet(t *testing.T) {
+	s := Kinds(EvCardClean, EvCardStall)
+	for k := Kind(0); k < 255; k++ {
+		if want := k == EvCardClean || k == EvCardStall; s.Has(k) != want {
+			t.Errorf("Has(%v) = %v", k, !want)
+		}
+		if want := k < numKinds; AllKinds.Has(k) != want {
+			t.Errorf("AllKinds.Has(%v) = %v", k, !want)
+		}
+	}
+}
+
+// maskedRing is a Ring that declares a kind mask.
+type maskedRing struct {
+	*Ring
+	kinds KindSet
+}
+
+func (m maskedRing) Kinds() KindSet { return m.kinds }
+
+// TestScopeKindMask: a scope caches its tracer's mask (every kind for a
+// tracer without one), and Emit never delivers a kind outside it.
+func TestScopeKindMask(t *testing.T) {
+	all := NewRing(8)
+	if sc := NewScope(nil, all); !sc.Wants(EvCacheHit) || !sc.Wants(KindOther) {
+		t.Error("a tracer without a mask must read every kind")
+	}
+	masked := maskedRing{NewRing(8), Kinds(EvCardErase)}
+	sc := NewScope(nil, masked)
+	if sc.Wants(EvCacheHit) || !sc.Wants(EvCardErase) {
+		t.Error("scope does not follow the tracer's mask")
+	}
+	sc.Emit(Event{T: 1, Kind: EvCacheHit})
+	sc.Emit(Event{T: 2, Kind: EvCardErase})
+	if ev := masked.Events(); len(ev) != 1 || ev[0].Kind != EvCardErase {
+		t.Errorf("masked tracer saw %+v", ev)
+	}
+	if NewScope(NewRegistry(), nil).Wants(EvCardErase) {
+		t.Error("a scope without a tracer wants events")
+	}
+}
+
+// TestTeeKindMask: a tee reads the union of its members' kinds and hands
+// each member only the kinds it declared.
+func TestTeeKindMask(t *testing.T) {
+	clean := NewCollector(Kinds(EvCardClean))
+	erase := maskedRing{NewRing(8), Kinds(EvCardErase)}
+	tr := Tee(clean, erase)
+	if got, want := tr.(KindFilter).Kinds(), Kinds(EvCardClean, EvCardErase); got != want {
+		t.Errorf("tee kinds %b, want %b", got, want)
+	}
+	sc := NewScope(nil, tr)
+	for _, k := range []Kind{EvCacheHit, EvCardClean, EvCardErase} {
+		sc.Emit(Event{Kind: k})
+	}
+	if ev := clean.Events(); len(ev) != 1 || ev[0].Kind != EvCardClean {
+		t.Errorf("clean collector saw %+v", ev)
+	}
+	if ev := erase.Events(); len(ev) != 1 || ev[0].Kind != EvCardErase {
+		t.Errorf("erase ring saw %+v", ev)
+	}
+	if _, ok := Tee(clean, NewRing(1)).(KindFilter); !ok || !NewScope(nil, Tee(clean, NewRing(1))).Wants(EvCacheHit) {
+		t.Error("a tee with an unmasked member must read every kind")
+	}
+}

@@ -17,9 +17,11 @@ func TestNilSafety(t *testing.T) {
 	s.Counter("x").Add(5)
 	s.Gauge("g").Set(1.5)
 	s.Histogram("h", LogBuckets(1, 10)).Observe(3)
-	s.Emit(Event{Kind: "anything"})
-	if s.Tracing() {
-		t.Error("nil scope reports tracing")
+	s.Emit(Event{Kind: KindOther})
+	for k := Kind(0); k < numKinds; k++ {
+		if s.Wants(k) {
+			t.Errorf("nil scope wants %v", k)
+		}
 	}
 	if s.Registry() != nil {
 		t.Error("nil scope has a registry")
@@ -163,8 +165,8 @@ func TestRingOrderAndWrap(t *testing.T) {
 }
 
 func TestTee(t *testing.T) {
-	a := NewCollector(nil)
-	b := NewCollector(nil)
+	a := NewCollector(AllKinds)
+	b := NewCollector(AllKinds)
 	tr := Tee(nil, a, nil, b)
 	tr.Emit(Event{T: 1, Kind: EvCacheHit})
 	tr.Emit(Event{T: 2, Kind: EvCacheMiss})
@@ -181,8 +183,8 @@ func TestTee(t *testing.T) {
 		t.Error("Tee with one live tracer should return it unwrapped")
 	}
 	// A nil Tee result plugged into a scope means tracing stays off.
-	if NewScope(NewRegistry(), Tee(nil)).Tracing() {
-		t.Error("scope with nil tee reports Tracing()")
+	if NewScope(NewRegistry(), Tee(nil)).Wants(EvCacheHit) {
+		t.Error("scope with nil tee wants events")
 	}
 }
 
@@ -203,7 +205,7 @@ func TestNDJSONSink(t *testing.T) {
 	if err := json.Unmarshal([]byte(lines[0]), &m); err != nil {
 		t.Fatalf("line 0 not JSON: %v", err)
 	}
-	if m["kind"] != EvDiskSpinUp || m["t_us"] != float64(42) || m["dur_us"] != float64(1000) {
+	if m["kind"] != "disk.spinup" || m["t_us"] != float64(42) || m["dur_us"] != float64(1000) {
 		t.Errorf("line 0 = %v", m)
 	}
 	if _, ok := m["addr"]; ok {
@@ -233,7 +235,7 @@ func TestConcurrentUse(t *testing.T) {
 			for i := 0; i < 1000; i++ {
 				c.Inc()
 				h.Observe(float64(i%100 + 1))
-				sc.Emit(Event{T: int64(i), Kind: "x"})
+				sc.Emit(Event{T: int64(i), Kind: KindOther})
 				sc.Counter("shared").Add(0)
 			}
 		}(w)

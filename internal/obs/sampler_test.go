@@ -110,7 +110,7 @@ func TestTimelineGaugeSeries(t *testing.T) {
 }
 
 func TestCollector(t *testing.T) {
-	c := NewCollector(nil)
+	c := NewCollector(AllKinds)
 	c.Emit(Event{T: 1, Kind: EvCacheHit})
 	c.Emit(Event{T: 2, Kind: EvCardClean, Addr: 3})
 	got := c.Events()
@@ -118,7 +118,7 @@ func TestCollector(t *testing.T) {
 		t.Fatalf("collector events %+v", got)
 	}
 
-	filtered := NewCollector(func(e Event) bool { return e.Kind == EvCardClean })
+	filtered := NewCollector(Kinds(EvCardClean))
 	filtered.Emit(Event{Kind: EvCacheHit})
 	filtered.Emit(Event{Kind: EvCardClean})
 	if got := filtered.Events(); len(got) != 1 || got[0].Kind != EvCardClean {

@@ -14,8 +14,8 @@ import (
 type Event struct {
 	// T is the simulated time of the event in microseconds.
 	T int64
-	// Kind names the event ("disk.spinup", "flashcard.erase", ...).
-	Kind string
+	// Kind is the event type (EvDiskSpinUp, EvCardErase, ...).
+	Kind Kind
 	// Dev is the emitting device's name (may be empty for stack-level
 	// events such as cache hits).
 	Dev string
@@ -28,104 +28,6 @@ type Event struct {
 	Dur int64
 }
 
-// Event kinds emitted by the storage stack.
-const (
-	// EvDiskSpinUp: the disk's platters start spinning. Dur = how long the
-	// disk had been asleep (µs).
-	EvDiskSpinUp = "disk.spinup"
-	// EvDiskSpinDown: the spin-down policy put the disk to sleep. Dur = the
-	// idle threshold that expired (µs).
-	EvDiskSpinDown = "disk.spindown"
-	// EvSRAMFlush: the SRAM write buffer drained to the device. Size =
-	// bytes flushed, Dur = drain duration (µs).
-	EvSRAMFlush = "sram.flush"
-	// EvSRAMStall: a write waited for buffer space. Dur = wait (µs).
-	EvSRAMStall = "sram.stall"
-	// EvFlashDiskWrite: a flash-disk write. Size = bytes, Dur = service (µs).
-	EvFlashDiskWrite = "flashdisk.write"
-	// EvFlashDiskErase: flash-disk sector erasure. Size = sectors erased,
-	// Addr = 1 if performed synchronously on the write path, 0 in background.
-	EvFlashDiskErase = "flashdisk.erase"
-	// EvCardClean: a flash-card cleaning job finished. Addr = victim
-	// segment, Size = live blocks copied out, Dur = total job time (µs).
-	EvCardClean = "flashcard.clean"
-	// EvCardErase: a flash-card segment erasure. Addr = segment, Size = the
-	// segment's cumulative erase count after this erasure.
-	EvCardErase = "flashcard.erase"
-	// EvCardCopy: the cleaner relocated live blocks. Addr = victim segment,
-	// Size = blocks copied.
-	EvCardCopy = "flashcard.copy"
-	// EvCardStall: a host write waited for erased space. Dur = stall (µs).
-	EvCardStall = "flashcard.stall"
-	// EvCacheHit / EvCacheMiss: DRAM buffer cache lookup outcome. Size =
-	// request bytes.
-	EvCacheHit  = "cache.hit"
-	EvCacheMiss = "cache.miss"
-	// EvHybridDestage: the flash cache destaged dirty blocks to disk.
-	// Size = blocks destaged, Dur = batch duration (µs).
-	EvHybridDestage = "hybrid.destage"
-	// EvEnergySample: a sampler snapshot of cumulative energy for one
-	// component. Dev = component ("total", "storage", "dram", "sram"),
-	// Size = cumulative energy in microjoules since the start of the run.
-	// Emitted only when Config.SampleEvery enables the simulated-time
-	// sampler; the obsreport energy report is built from these.
-	EvEnergySample = "sample.energy"
-	// EvIndexWriteAmp: summary of an index-engine workload's write
-	// amplification, emitted once when a generated index trace (storagesim
-	// -trace index-btree / index-lsm) is replayed. Dev = engine name,
-	// Addr = bytes the workload logically changed, Size = bytes the engine
-	// physically wrote through its pager. Size/Addr is the index-level
-	// amplification the device-level cleaner multiplies on top of.
-	EvIndexWriteAmp = "index.writeamp"
-	// EvFaultInjected: the fault injector failed one physical attempt.
-	// Addr = operation class (0 read, 1 write, 2 erase), Size = the attempt
-	// number that failed.
-	EvFaultInjected = "fault.injected"
-	// EvRetryAttempt: a device retries after a transient fault. Addr =
-	// operation class, Size = the attempt number about to run, Dur = the
-	// backoff before it (µs).
-	EvRetryAttempt = "retry.attempt"
-	// EvRemap: a worn-out erase unit was retired. Addr = the unit index,
-	// Size = spares remaining after the remap, or -1 when the spare pool was
-	// already exhausted and usable capacity degraded instead.
-	EvRemap = "remap"
-	// EvReclaim: capacity pressure pressed a retired erase unit back into
-	// service — live data grew past what the surviving units could hold, so
-	// the controller cannibalized the least-worn retired unit rather than
-	// wedge. Addr = the unit index.
-	EvReclaim = "reclaim"
-	// EvPowerFail: an injected power failure. Volatile state is dropped at
-	// this instant; recovery runs before the trace resumes.
-	EvPowerFail = "power.fail"
-	// EvRecoveryReplayed: the post-crash recovery pass replayed
-	// battery-backed SRAM contents to the device. Size = blocks replayed,
-	// Dur = replay duration (µs).
-	EvRecoveryReplayed = "recovery.replayed"
-	// EvDeviceDie: a device's per-member fault plan killed it outright
-	// (scheduled instant or erase-count endurance death). Addr = member
-	// index within its array, Size = 1 for an erase-count death, 0 for a
-	// scheduled one.
-	EvDeviceDie = "device.die"
-	// EvArrayDegraded: a mirrored array lost a member and degraded to
-	// serving from the survivors. Addr = the dead member index, Size =
-	// surviving member count.
-	EvArrayDegraded = "array.degraded"
-	// EvArrayRebuild: a mirrored array finished rebuilding a replacement
-	// member from the survivors. Addr = the rebuilt member index, Size =
-	// blocks copied, Dur = rebuild duration (µs).
-	EvArrayRebuild = "array.rebuild"
-	// EvFaultLatent: a latent read-disturb/retention fault (seeded silently
-	// at write time) surfaced on a read and was scrubbed in place.
-	// Addr = first poisoned block in the read range, Size = poisoned blocks
-	// surfaced, Dur = the scrub penalty (µs).
-	EvFaultLatent = "fault.latent"
-	// EvCleaningBacklog: recovery carried an interrupted cleaning job across
-	// a power failure and drained it before serving. Addr = the victim
-	// segment, Size = live blocks still to relocate at the crash, Dur = the
-	// drain time added to recovery (µs).
-	EvCleaningBacklog = "cleaning.backlog"
-)
-
 // Tracer receives simulator events. Implementations must tolerate
 // concurrent Emit calls (parallel experiments may share one tracer).
 type Tracer interface {
@@ -133,32 +35,58 @@ type Tracer interface {
 }
 
 // Tee fans one event stream out to several tracers, forwarding each event
-// in argument order. Nil entries are dropped, so callers can tee optional
-// sinks without branching; with zero live tracers Tee returns nil, which
-// Scope treats as "not tracing" (devices skip event construction).
+// in argument order to the members that read its kind. Nil entries are
+// dropped, so callers can tee optional sinks without branching; with zero
+// live tracers Tee returns nil, which Scope treats as "not tracing"
+// (devices skip event construction). The tee reads the union of its
+// members' kinds.
 func Tee(tracers ...Tracer) Tracer {
 	live := make(tee, 0, len(tracers))
 	for _, t := range tracers {
 		if t != nil {
-			live = append(live, t)
+			live = append(live, teeMember{t, kindsOf(t)})
 		}
 	}
 	switch len(live) {
 	case 0:
 		return nil
 	case 1:
-		return live[0]
+		return live[0].tr
 	}
 	return live
 }
 
-type tee []Tracer
+type teeMember struct {
+	tr    Tracer
+	kinds KindSet
+}
+
+type tee []teeMember
 
 // Emit implements Tracer.
 func (t tee) Emit(e Event) {
-	for _, tr := range t {
-		tr.Emit(e)
+	for _, m := range t {
+		if m.kinds.Has(e.Kind) {
+			m.tr.Emit(e)
+		}
 	}
+}
+
+// Kinds implements KindFilter.
+func (t tee) Kinds() KindSet {
+	var s KindSet
+	for _, m := range t {
+		s |= m.kinds
+	}
+	return s
+}
+
+// kindsOf returns the kinds tr reads: its KindFilter set, or every kind.
+func kindsOf(tr Tracer) KindSet {
+	if f, ok := tr.(KindFilter); ok {
+		return f.Kinds()
+	}
+	return AllKinds
 }
 
 // Ring is a fixed-capacity ring-buffer Tracer that keeps the most recent
@@ -214,25 +142,30 @@ func (r *Ring) Total() int64 {
 	return r.total
 }
 
-// Collector is an unbounded in-memory Tracer: it appends every kept event
-// to a slice. Unlike Ring it never drops history, so analysis code
-// (internal/obsreport) can consume a complete stream without a file
-// round-trip; bound memory on long runs with a keep filter.
+// Collector is an unbounded in-memory Tracer: it appends every event of a
+// kept kind to a slice. Unlike Ring it never drops history, so analysis
+// code (internal/obsreport) can consume a complete stream without a file
+// round-trip; bound memory on long runs by keeping only the kinds the
+// analysis reads.
 type Collector struct {
 	mu     sync.Mutex
-	keep   func(Event) bool
+	keep   KindSet
 	events []Event
 }
 
-// NewCollector returns a collector retaining the events keep accepts; a nil
-// keep retains everything.
-func NewCollector(keep func(Event) bool) *Collector {
+// NewCollector returns a collector retaining the events whose kind is in
+// keep (AllKinds retains everything). A Scope over it never builds the
+// events of other kinds.
+func NewCollector(keep KindSet) *Collector {
 	return &Collector{keep: keep}
 }
 
+// Kinds implements KindFilter.
+func (c *Collector) Kinds() KindSet { return c.keep }
+
 // Emit implements Tracer.
 func (c *Collector) Emit(e Event) {
-	if c.keep != nil && !c.keep(e) {
+	if !c.keep.Has(e.Kind) {
 		return
 	}
 	c.mu.Lock()
@@ -270,9 +203,7 @@ func (s *NDJSONSink) Emit(e Event) {
 	b := s.w
 	b.WriteString(`{"t_us":`)
 	b.Write(strconv.AppendInt(buf[:0], e.T, 10))
-	b.WriteString(`,"kind":"`)
-	b.WriteString(e.Kind) // kinds are fixed identifiers, no escaping needed
-	b.WriteByte('"')
+	b.WriteString(kindMember(e.Kind))
 	if e.Dev != "" {
 		b.WriteString(`,"dev":"`)
 		b.WriteString(e.Dev) // device names are catalog identifiers
@@ -293,6 +224,23 @@ func (s *NDJSONSink) Emit(e Event) {
 	b.WriteString("}\n")
 }
 
+// kindMembers holds each named Kind's NDJSON member, pre-rendered; wire
+// names are fixed identifiers, so none needs escaping.
+var kindMembers = func() (m [numKinds]string) {
+	for k := range m {
+		m[k] = `,"kind":"` + Kind(k).String() + `"`
+	}
+	return m
+}()
+
+// kindMember returns k's `,"kind":"<name>"` NDJSON member.
+func kindMember(k Kind) string {
+	if k < numKinds {
+		return kindMembers[k]
+	}
+	return `,"kind":"` + k.String() + `"`
+}
+
 // Flush drains the buffer and returns the first write error encountered
 // (bufio retains the first error and discards subsequent writes).
 func (s *NDJSONSink) Flush() error {
@@ -308,14 +256,21 @@ func (s *NDJSONSink) Flush() error {
 type Scope struct {
 	reg *Registry
 	tr  Tracer
+	// kinds caches the kinds tr reads (none without a tracer).
+	kinds KindSet
 }
 
-// NewScope builds a scope; either argument may be nil.
+// NewScope builds a scope; either argument may be nil. The scope caches
+// the kinds tr reads: its KindFilter set, or every kind.
 func NewScope(reg *Registry, tr Tracer) *Scope {
 	if reg == nil && tr == nil {
 		return nil
 	}
-	return &Scope{reg: reg, tr: tr}
+	s := &Scope{reg: reg, tr: tr}
+	if tr != nil {
+		s.kinds = kindsOf(tr)
+	}
+	return s
 }
 
 // Registry returns the scope's registry (nil for a nil scope).
@@ -350,16 +305,17 @@ func (s *Scope) Histogram(name string, bounds []float64) *Histogram {
 	return s.reg.Histogram(name, bounds)
 }
 
-// Tracing reports whether events will be recorded; devices use it to skip
-// event construction entirely on un-traced runs.
-func (s *Scope) Tracing() bool {
-	return s != nil && s.tr != nil
+// Wants reports whether the tracer reads events of kind k. Emit sites ask
+// before they build an event, so an event no tracer reads costs one bit
+// test.
+func (s *Scope) Wants(k Kind) bool {
+	return s != nil && s.kinds.Has(k)
 }
 
-// Emit records an event if a tracer is attached.
+// Emit records an event if the tracer reads its kind. It spells Wants out
+// so that it stays small enough to inline at every emit site.
 func (s *Scope) Emit(e Event) {
-	if s == nil || s.tr == nil {
-		return
+	if s != nil && s.kinds&(1<<e.Kind) != 0 {
+		s.tr.Emit(e)
 	}
-	s.tr.Emit(e)
 }

@@ -90,6 +90,12 @@ func (b *ArrayBuilder) get(dev string) *ArrayDevice {
 	return d
 }
 
+// Kinds implements obs.KindFilter: the kinds Observe reads.
+func (b *ArrayBuilder) Kinds() obs.KindSet {
+	return obs.Kinds(obs.EvDeviceDie, obs.EvArrayDegraded, obs.EvArrayRebuild,
+		obs.EvFaultLatent, obs.EvCleaningBacklog)
+}
+
 // Observe implements Reporter. device.die carries the member index in Addr
 // and 1 in Size for an endurance death; array.degraded carries the dead
 // member in Addr and the survivor count in Size; array.rebuild carries the

@@ -62,7 +62,7 @@ type Decoder struct {
 	// encoding/json — the reference path the differential fuzz target and
 	// benchmarks compare against.
 	noFast bool
-	// strs interns Kind/Dev strings across lines (see Decoder.intern).
+	// strs interns Dev strings across lines (see Decoder.intern).
 	strs map[string]string
 	// malformed counts lines that produced a *DecodeError while the framing
 	// stayed intact — the lines a lenient caller skips.
@@ -79,7 +79,8 @@ func NewDecoder(r io.Reader) *Decoder {
 // Next returns the next event. It returns io.EOF at end of stream and a
 // *DecodeError for malformed lines (the decoder stays usable: callers may
 // skip the bad line and continue). Blank lines are ignored. Unknown event
-// kinds are not an error — forward compatibility with future emitters.
+// kinds are not an error — forward compatibility with future emitters —
+// and decode as obs.KindOther.
 func (d *Decoder) Next() (obs.Event, error) {
 	for d.sc.Scan() {
 		d.line++
@@ -97,9 +98,9 @@ func (d *Decoder) Next() (obs.Event, error) {
 				d.malformed++
 				return obs.Event{}, &DecodeError{Line: d.line, Err: err}
 			}
-			ev = obs.Event{T: ej.T, Kind: ej.Kind, Dev: ej.Dev, Addr: ej.Addr, Size: ej.Size, Dur: ej.Dur}
+			ev = obs.Event{T: ej.T, Kind: obs.ParseKind(ej.Kind), Dev: ej.Dev, Addr: ej.Addr, Size: ej.Size, Dur: ej.Dur}
 		}
-		if ev.Kind == "" {
+		if ev.Kind == 0 {
 			d.malformed++
 			return obs.Event{}, &DecodeError{Line: d.line, Err: fmt.Errorf("missing event kind")}
 		}

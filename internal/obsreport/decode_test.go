@@ -83,7 +83,7 @@ func TestDecodeLenient(t *testing.T) {
 	if skipped != 2 {
 		t.Errorf("skipped %d, want 2", skipped)
 	}
-	if len(events) != 2 || events[1].Kind != "unknown.kind" || events[1].Addr != 9 {
+	if len(events) != 2 || events[1].Kind != obs.KindOther || events[1].Addr != 9 {
 		t.Errorf("events %+v", events)
 	}
 }

@@ -80,6 +80,12 @@ func (b *FaultsBuilder) get(dev string) *DeviceFaults {
 	return d
 }
 
+// Kinds implements obs.KindFilter: the kinds Observe reads.
+func (b *FaultsBuilder) Kinds() obs.KindSet {
+	return obs.Kinds(obs.EvFaultInjected, obs.EvRetryAttempt, obs.EvRemap,
+		obs.EvReclaim, obs.EvPowerFail, obs.EvRecoveryReplayed)
+}
+
 // Observe implements Reporter. Fault events carry the op class in Addr
 // (0 = read, 1 = write, 2 = erase); remap events carry the remaining spare
 // count in Size, with -1 marking a death past the spare pool.

@@ -51,6 +51,16 @@ func NewFigureSet() *FigureSet {
 	}
 }
 
+// Kinds implements obs.KindFilter: the union of the kinds the builders
+// read, so a Scope over the set never builds an event no figure reads.
+func (s *FigureSet) Kinds() obs.KindSet {
+	return s.Timeline.Kinds() | s.Latency.Kinds() | s.Wear.Kinds() | s.Energy.Kinds() |
+		s.Cleaning.Kinds() | s.Faults.Kinds() | s.Array.Kinds()
+}
+
+// Emit implements obs.Tracer, so a set can be a Scope's tracer directly.
+func (s *FigureSet) Emit(e obs.Event) { s.Observe(e) }
+
 // Observe implements Reporter by fanning the event to every builder; each
 // keeps only the kinds it understands.
 func (s *FigureSet) Observe(e obs.Event) {

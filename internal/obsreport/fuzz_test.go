@@ -33,7 +33,7 @@ func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		events, err := ReadEvents(bytes.NewReader(data))
 		for _, e := range events {
-			if e.Kind == "" {
+			if e.Kind == 0 {
 				t.Fatalf("strict mode returned an event with empty kind: %+v", e)
 			}
 		}

@@ -2,7 +2,9 @@ package obsreport
 
 import (
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"mobilestorage/internal/obs"
 )
@@ -76,6 +78,11 @@ func (b *TimelineBuilder) get(dev string) *DeviceTimeline {
 	return tl
 }
 
+// Kinds implements obs.KindFilter: the kinds Observe reads.
+func (b *TimelineBuilder) Kinds() obs.KindSet {
+	return obs.Kinds(obs.EvDiskSpinDown, obs.EvDiskSpinUp)
+}
+
 // Observe implements Reporter.
 func (b *TimelineBuilder) Observe(e obs.Event) {
 	switch e.Kind {
@@ -117,17 +124,11 @@ func StateTimelines(events []obs.Event) []*DeviceTimeline {
 
 // ----------------------------------------------------------------- latency
 
-// latencyKinds maps the event kinds whose Dur payload is a latency-like
+// latencyKinds are the event kinds whose Dur payload is a latency-like
 // duration (service, drain, stall, or job time) — spin events carry sleep
 // durations instead and are excluded.
-var latencyKinds = map[string]bool{
-	obs.EvSRAMFlush:      true,
-	obs.EvSRAMStall:      true,
-	obs.EvFlashDiskWrite: true,
-	obs.EvCardClean:      true,
-	obs.EvCardStall:      true,
-	obs.EvHybridDestage:  true,
-}
+const latencyKinds obs.KindSet = 1<<obs.EvSRAMFlush | 1<<obs.EvSRAMStall | 1<<obs.EvFlashDiskWrite |
+	1<<obs.EvCardClean | 1<<obs.EvCardStall | 1<<obs.EvHybridDestage
 
 // KindLatency summarizes the durations of one event kind.
 type KindLatency struct {
@@ -144,17 +145,20 @@ type KindLatency struct {
 
 // LatencyBuilder aggregates per-kind duration distributions incrementally.
 type LatencyBuilder struct {
-	hists map[string]*Hist
+	hists map[obs.Kind]*Hist
 }
 
 // NewLatencyBuilder returns an empty latency builder.
 func NewLatencyBuilder() *LatencyBuilder {
-	return &LatencyBuilder{hists: make(map[string]*Hist)}
+	return &LatencyBuilder{hists: make(map[obs.Kind]*Hist)}
 }
+
+// Kinds implements obs.KindFilter: the kinds Observe reads.
+func (b *LatencyBuilder) Kinds() obs.KindSet { return latencyKinds }
 
 // Observe implements Reporter.
 func (b *LatencyBuilder) Observe(e obs.Event) {
-	if !latencyKinds[e.Kind] || e.Dur <= 0 {
+	if !latencyKinds.Has(e.Kind) || e.Dur <= 0 {
 		return
 	}
 	h, ok := b.hists[e.Kind]
@@ -167,16 +171,16 @@ func (b *LatencyBuilder) Observe(e obs.Event) {
 
 // Finish summarizes the distributions, sorted by kind.
 func (b *LatencyBuilder) Finish() []KindLatency {
-	kinds := make([]string, 0, len(b.hists))
+	kinds := make([]obs.Kind, 0, len(b.hists))
 	for k := range b.hists {
 		kinds = append(kinds, k)
 	}
-	sort.Strings(kinds)
+	slices.SortFunc(kinds, func(x, y obs.Kind) int { return strings.Compare(x.String(), y.String()) })
 	out := make([]KindLatency, 0, len(kinds))
 	for _, k := range kinds {
 		h := b.hists[k]
 		out = append(out, KindLatency{
-			Kind:   k,
+			Kind:   k.String(),
 			N:      h.N,
 			MeanMs: h.Mean(),
 			P50Ms:  h.Quantile(0.50),
@@ -232,6 +236,9 @@ type WearBuilder struct {
 func NewWearBuilder() *WearBuilder {
 	return &WearBuilder{counts: make(map[int64]int64)}
 }
+
+// Kinds implements obs.KindFilter: the kinds Observe reads.
+func (b *WearBuilder) Kinds() obs.KindSet { return obs.Kinds(obs.EvCardErase) }
 
 // Observe implements Reporter.
 func (b *WearBuilder) Observe(e obs.Event) {
@@ -316,6 +323,9 @@ func NewEnergyBuilder() *EnergyBuilder {
 	return &EnergyBuilder{byComp: make(map[string][]EnergyPoint)}
 }
 
+// Kinds implements obs.KindFilter: the kinds Observe reads.
+func (b *EnergyBuilder) Kinds() obs.KindSet { return obs.Kinds(obs.EvEnergySample) }
+
 // Observe implements Reporter.
 func (b *EnergyBuilder) Observe(e obs.Event) {
 	if e.Kind != obs.EvEnergySample {
@@ -389,6 +399,11 @@ type CleaningBuilder struct {
 // NewCleaningBuilder returns an empty cleaning builder.
 func NewCleaningBuilder() *CleaningBuilder {
 	return &CleaningBuilder{r: &CleaningReport{LivePerClean: NewHist(liveBounds())}}
+}
+
+// Kinds implements obs.KindFilter: the kinds Observe reads.
+func (b *CleaningBuilder) Kinds() obs.KindSet {
+	return obs.Kinds(obs.EvCardClean, obs.EvCardStall, obs.EvIndexWriteAmp)
 }
 
 // Observe implements Reporter.

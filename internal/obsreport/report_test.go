@@ -69,7 +69,7 @@ func TestLatencyReport(t *testing.T) {
 	kinds := Latency(syntheticStream())
 	// Duration-bearing kinds present: flashcard.clean, flashcard.stall,
 	// sram.flush (sorted).
-	want := []string{obs.EvCardClean, obs.EvCardStall, obs.EvSRAMFlush}
+	want := []string{"flashcard.clean", "flashcard.stall", "sram.flush"}
 	if len(kinds) != len(want) {
 		t.Fatalf("kinds %+v, want %v", kinds, want)
 	}
@@ -90,7 +90,7 @@ func TestLatencyReport(t *testing.T) {
 	}
 	// Spin events are excluded: their durations are sleep times.
 	for _, k := range kinds {
-		if k.Kind == obs.EvDiskSpinUp || k.Kind == obs.EvDiskSpinDown {
+		if k.Kind == obs.EvDiskSpinUp.String() || k.Kind == obs.EvDiskSpinDown.String() {
 			t.Errorf("spin event %s in latency report", k.Kind)
 		}
 	}

@@ -3,8 +3,8 @@ package obsreport
 // The zero-allocation NDJSON fast path. scanEvent parses one line of the
 // canonical emitter shape (obs.NDJSONSink output and near relatives) with a
 // hand-rolled scanner: no encoding/json, no per-event map or interface
-// values, and Kind/Dev strings interned so a steady-state stream allocates
-// nothing per event.
+// values, kinds mapped by obs.ParseKind and Dev strings interned, so a
+// steady-state stream allocates nothing per event.
 //
 // The scanner is deliberately conservative: any construct outside its
 // grammar — escape sequences, non-ASCII strings, floats or exponents in
@@ -25,7 +25,7 @@ import (
 // cap costs correctness nothing and keeps the scanner's recursion shallow.
 const maxSkipDepth = 64
 
-// maxInternStrings caps the Kind/Dev interning table so a hostile stream
+// maxInternStrings caps the Dev interning table so a hostile stream
 // with unbounded name cardinality cannot grow memory; past the cap new
 // names are still returned, just not retained.
 const maxInternStrings = 1024
@@ -81,8 +81,8 @@ func fieldExact(key []byte) int {
 }
 
 // intern returns a string for b, reusing a previously built string with the
-// same bytes. Event kinds and device names are tiny fixed vocabularies, so
-// after warm-up no decode allocates for them.
+// same bytes. Device names are a tiny fixed vocabulary, so after warm-up no
+// decode allocates for them.
 func (d *Decoder) intern(b []byte) string {
 	if len(b) == 0 {
 		return ""
@@ -155,7 +155,7 @@ func (d *Decoder) scanMember(b []byte, i int, key []byte, ev *obs.Event) (int, b
 	case fDur:
 		return scanIntField(b, i, &ev.Dur)
 	case fKind:
-		return d.scanStringField(b, i, &ev.Kind)
+		return scanKindField(b, i, &ev.Kind)
 	case fDev:
 		return d.scanStringField(b, i, &ev.Dev)
 	default:
@@ -172,6 +172,20 @@ func scanIntField(b []byte, i int, dst *int64) (int, bool) {
 		return i, false
 	}
 	*dst = v
+	return end, true
+}
+
+// scanKindField maps a kind name through obs.ParseKind; the name's string
+// conversion does not escape, so it allocates nothing.
+func scanKindField(b []byte, i int, dst *obs.Kind) (int, bool) {
+	if isNull(b, i) {
+		return i + 4, true
+	}
+	s, end, ok := scanSimpleString(b, i)
+	if !ok {
+		return i, false
+	}
+	*dst = obs.ParseKind(string(s))
 	return end, true
 }
 

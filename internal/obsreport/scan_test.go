@@ -22,7 +22,7 @@ func jsonOne(line string) (obs.Event, error) {
 	if err := json.Unmarshal([]byte(line), &ej); err != nil {
 		return obs.Event{}, err
 	}
-	return obs.Event{T: ej.T, Kind: ej.Kind, Dev: ej.Dev, Addr: ej.Addr, Size: ej.Size, Dur: ej.Dur}, nil
+	return obs.Event{T: ej.T, Kind: obs.ParseKind(ej.Kind), Dev: ej.Dev, Addr: ej.Addr, Size: ej.Size, Dur: ej.Dur}, nil
 }
 
 func TestScanEventFastPath(t *testing.T) {
@@ -31,21 +31,21 @@ func TestScanEventFastPath(t *testing.T) {
 		want obs.Event
 	}{
 		{`{"t_us":123,"kind":"disk.spinup","dev":"cu140","dur_us":5000}`,
-			obs.Event{T: 123, Kind: "disk.spinup", Dev: "cu140", Dur: 5000}},
+			obs.Event{T: 123, Kind: obs.EvDiskSpinUp, Dev: "cu140", Dur: 5000}},
 		{`{"t_us":0,"kind":"cache.hit","size":4096}`,
-			obs.Event{Kind: "cache.hit", Size: 4096}},
-		{`{"kind":"x","addr":-7,"size":-0}`, obs.Event{Kind: "x", Addr: -7}},
-		{`{ "t_us" : 1 , "kind" : "k" }`, obs.Event{T: 1, Kind: "k"}},
+			obs.Event{Kind: obs.EvCacheHit, Size: 4096}},
+		{`{"kind":"x","addr":-7,"size":-0}`, obs.Event{Kind: obs.KindOther, Addr: -7}},
+		{`{ "t_us" : 1 , "kind" : "k" }`, obs.Event{T: 1, Kind: obs.KindOther}},
 		{`{"kind":"k","future_field":{"a":[1,2.5,true,null],"b":"text"}}`,
-			obs.Event{Kind: "k"}},
-		{`{"kind":"k","t_us":null}`, obs.Event{Kind: "k"}},
+			obs.Event{Kind: obs.KindOther}},
+		{`{"kind":"k","t_us":null}`, obs.Event{Kind: obs.KindOther}},
 		// Duplicate keys: last value wins, as with encoding/json.
-		{`{"kind":"a","kind":"b"}`, obs.Event{Kind: "b"}},
+		{`{"kind":"disk.spinup","kind":"cache.hit"}`, obs.Event{Kind: obs.EvCacheHit}},
 		// Case-insensitive key match, as with encoding/json.
-		{`{"KIND":"k","T_US":9,"Dur_Us":2}`, obs.Event{T: 9, Kind: "k", Dur: 2}},
+		{`{"KIND":"sram.flush","T_US":9,"Dur_Us":2}`, obs.Event{T: 9, Kind: obs.EvSRAMFlush, Dur: 2}},
 		{`{}`, obs.Event{}},
-		{`{"t_us":9223372036854775807,"kind":"k"}`, obs.Event{T: math.MaxInt64, Kind: "k"}},
-		{`{"t_us":-9223372036854775808,"kind":"k"}`, obs.Event{T: math.MinInt64, Kind: "k"}},
+		{`{"t_us":9223372036854775807,"kind":"k"}`, obs.Event{T: math.MaxInt64, Kind: obs.KindOther}},
+		{`{"t_us":-9223372036854775808,"kind":"k"}`, obs.Event{T: math.MinInt64, Kind: obs.KindOther}},
 	}
 	for _, c := range cases {
 		got, ok := scanOne(c.line)

@@ -120,7 +120,7 @@ type diffSide struct {
 
 func newDiffSide(kind int, size, blockSize units.Bytes, frozen bool) (*diffSide, error) {
 	inner, log := diffInner(kind)
-	s := &diffSide{inner: log, events: obs.NewCollector(nil), reg: obs.NewRegistry()}
+	s := &diffSide{inner: log, events: obs.NewCollector(obs.AllKinds), reg: obs.NewRegistry()}
 	sc := obs.NewScope(s.reg, s.events)
 	s.inj = fault.NewInjector(&fault.Plan{PowerFailAtUs: []int64{1}}, 1, sc)
 	if frozen {

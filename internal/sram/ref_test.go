@@ -153,7 +153,7 @@ func (b *refBuffer) write(req device.Request) units.Time {
 			b.overflowStall += b.drainDoneAt - start
 			b.stalledWrites++
 			b.cStalls.Inc()
-			if b.sc.Tracing() {
+			if b.sc.Wants(obs.EvSRAMStall) {
 				b.sc.Emit(obs.Event{T: int64(start), Kind: obs.EvSRAMStall, Dev: b.evName,
 					Dur: int64(b.drainDoneAt - start)})
 			}
@@ -229,7 +229,7 @@ func (b *refBuffer) flushBlocks(now units.Time, blocks []int64) units.Time {
 	b.flushes++
 	b.cFlushes.Inc()
 	b.cFlushedBlks.Add(int64(len(blocks)))
-	if b.sc.Tracing() {
+	if b.sc.Wants(obs.EvSRAMFlush) {
 		b.sc.Emit(obs.Event{T: int64(now), Kind: obs.EvSRAMFlush, Dev: b.evName,
 			Size: int64(units.Bytes(len(blocks)) * b.blockSize), Dur: int64(completion - now)})
 	}

@@ -239,7 +239,7 @@ func (b *Buffer) write(req device.Request) units.Time {
 			b.overflowStall += b.drainDoneAt - start
 			b.stalledWrites++
 			b.cStalls.Inc()
-			if b.sc.Tracing() {
+			if b.sc.Wants(obs.EvSRAMStall) {
 				b.sc.Emit(obs.Event{T: int64(start), Kind: obs.EvSRAMStall, Dev: b.evName,
 					Dur: int64(b.drainDoneAt - start)})
 			}
@@ -305,7 +305,7 @@ func (b *Buffer) flush(now units.Time, first, last int64) units.Time {
 	b.flushes++
 	b.cFlushes.Inc()
 	b.cFlushedBlks.Add(blocks)
-	if b.sc.Tracing() {
+	if b.sc.Wants(obs.EvSRAMFlush) {
 		b.sc.Emit(obs.Event{T: int64(now), Kind: obs.EvSRAMFlush, Dev: b.evName,
 			Size: int64(units.Bytes(blocks) * b.blockSize), Dur: int64(completion - now)})
 	}

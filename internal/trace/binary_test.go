@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -148,8 +149,28 @@ func TestBinaryDecodeHostileCount(t *testing.T) {
 	}
 }
 
+// decodeAllocBound is the heap a decode of n input bytes may allocate: 64
+// bytes per input byte plus a constant that covers the binary decoder's
+// fixed 128 KiB record preallocation and the text scanner's 64 KiB buffer.
+func decodeAllocBound(n int) uint64 { return uint64(64*n + 256<<10) }
+
+// decodeBounded runs decode on data and fails t when it allocates past
+// decodeAllocBound, whatever record count or offsets the input claims.
+func decodeBounded(t *testing.T, data []byte, decode func(io.Reader) (*Trace, error)) (*Trace, error) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr, err := decode(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if alloc, bound := after.TotalAlloc-before.TotalAlloc, decodeAllocBound(len(data)); alloc > bound {
+		t.Fatalf("decoding %d bytes allocated %d bytes (bound %d)", len(data), alloc, bound)
+	}
+	return tr, err
+}
+
 // FuzzDecodeBinary requires that any input that decodes re-encodes and
-// decodes to the same trace.
+// decodes to the same trace, and that decoding stays within
+// decodeAllocBound.
 func FuzzDecodeBinary(f *testing.F) {
 	var buf bytes.Buffer
 	if err := EncodeBinary(&buf, testTrace()); err != nil {
@@ -160,7 +181,7 @@ func FuzzDecodeBinary(f *testing.F) {
 	f.Add(hostileHeader(0))
 	f.Add([]byte("MSTB1"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := DecodeBinary(bytes.NewReader(data))
+		tr, err := decodeBounded(t, data, DecodeBinary)
 		if err != nil {
 			return
 		}

@@ -228,7 +228,8 @@ func TestDecodeErrors(t *testing.T) {
 }
 
 // FuzzDecodeText requires that any input that decodes re-encodes and
-// decodes to the same trace.
+// decodes to the same trace, and that decoding stays within
+// decodeAllocBound.
 func FuzzDecodeText(f *testing.F) {
 	var buf bytes.Buffer
 	if err := Encode(&buf, testTrace()); err != nil {
@@ -239,7 +240,7 @@ func FuzzDecodeText(f *testing.F) {
 	f.Add([]byte("# c\n\ntrace t blocksize=512\n# mid\n5 w 1 0 512\n7 d 1 0 0\n"))
 	f.Add([]byte("trace x blocksize=512\n2 r 1 0 1\n1 r 1 0 1\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := Decode(bytes.NewReader(data))
+		tr, err := decodeBounded(t, data, Decode)
 		if err != nil {
 			return
 		}
@@ -265,5 +266,23 @@ func TestDecodeSkipsComments(t *testing.T) {
 	}
 	if len(got.Records) != 1 || got.Records[0].Op != Write {
 		t.Errorf("records = %v", got.Records)
+	}
+}
+
+// TestDecodeAllocBoundLargeText decodes 1 MB of minimal text records, the
+// input with the most records per byte, within decodeAllocBound: the
+// fuzzers' inputs stay small, so this is where the per-byte term binds.
+func TestDecodeAllocBoundLargeText(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("trace t blocksize=512\n")
+	for b.Len() < 1<<20 {
+		b.WriteString("0 r 1 0 1\n")
+	}
+	tr, err := decodeBounded(t, []byte(b.String()), Decode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Records) < 100_000 {
+		t.Fatalf("decoded %d records", len(tr.Records))
 	}
 }
