@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmt-check test test-diff race bench bench-smoke bench-gate bench-gate-faults bench-gate-array bench-gate-update profile-fig2 profile-fig4 profile-fleet fuzz-smoke golden-update serve-smoke check
+.PHONY: build vet fmt-check test test-diff race bench bench-smoke bench-gate bench-gate-faults bench-gate-array bench-gate-update profile-fig2 profile-fig4 profile-fleet profile-events fuzz-smoke golden-update serve-smoke check
 
 build:
 	$(GO) build ./...
@@ -106,6 +106,12 @@ profile-fig4:
 profile-fleet:
 	$(GO) test -run='^$$' -bench='^BenchmarkFleetGrid$$' -benchtime=10x \
 		-cpuprofile cpu-fleet.pprof -memprofile mem-fleet.pprof .
+
+# The same profiles of the events pipeline (BenchmarkEventsPipeline): two
+# mac replays streamed as NDJSON, decoded and rendered as text reports.
+profile-events:
+	$(GO) test -run='^$$' -bench='^BenchmarkEventsPipeline$$' -benchtime=10x \
+		-cpuprofile cpu-events.pprof -memprofile mem-events.pprof .
 
 # End-to-end fleet-service smoke: boot `storagesim -service`, submit a
 # grid job over the HTTP API, poll it to completion, fetch every fleet

@@ -15,6 +15,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"testing"
 
 	"mobilestorage/internal/array"
@@ -537,6 +539,72 @@ func replayFleetGrid(b *testing.B, want *fleet.Report) (delivered, all, records 
 		b.Fatal("the replayed grid's report differs from the job's; the replay no longer mirrors the fleet")
 	}
 	return delivered, all, records
+}
+
+// BenchmarkEventsPipeline is the benchmark module's events-pipeline pass:
+// mac on the cu140 behind a 32 KB SRAM buffer and on the intel card at 95%
+// utilization, each streamed as NDJSON into a reused buffer, decoded into
+// the timeline, latency, wear and cleaning builders and rendered as text.
+// Trace generation and preparation stay outside the timer, as in the
+// module's set-up. allocs/op counts what the event path allocates, and
+// events/op the events streamed. Profile it with `make profile-events`.
+func BenchmarkEventsPipeline(b *testing.B) {
+	tr, err := experiments.Workload("mac", seed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prep := core.PrepareTrace(tr)
+	disk := core.Config{Trace: tr, Prep: prep, DRAMBytes: 2 * units.MB, SRAMBytes: 32 * units.KB, SpinDown: 5 * units.Second}
+	card := core.Config{Trace: tr, Prep: prep, DRAMBytes: 2 * units.MB, FlashUtilization: 0.95}
+	if err := fleet.SelectDevice(&disk, "cu140", ""); err != nil {
+		b.Fatal(err)
+	}
+	if err := fleet.SelectDevice(&card, "intel", ""); err != nil {
+		b.Fatal(err)
+	}
+	var stream bytes.Buffer
+	var events int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		events = 0
+		for _, cfg := range []core.Config{disk, card} {
+			stream.Reset()
+			sink := obs.NewNDJSONSink(&stream)
+			cfg.Scope = obs.NewScope(nil, sink)
+			if _, err := core.Run(cfg); err != nil {
+				b.Fatal(err)
+			}
+			if err := sink.Flush(); err != nil {
+				b.Fatal(err)
+			}
+			tl, lat, wear, clean := obsreport.NewTimelineBuilder(), obsreport.NewLatencyBuilder(),
+				obsreport.NewWearBuilder(), obsreport.NewCleaningBuilder()
+			dec := obsreport.NewDecoder(bytes.NewReader(stream.Bytes()))
+			for {
+				e, err := dec.Next()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				tl.Observe(e)
+				lat.Observe(e)
+				wear.Observe(e)
+				clean.Observe(e)
+				events++
+			}
+			err := errors.Join(obsreport.WriteTimelines(io.Discard, tl.Finish(), obsreport.Text),
+				obsreport.WriteLatency(io.Discard, lat.Finish(), obsreport.Text),
+				obsreport.WriteWear(io.Discard, wear.Finish(), obsreport.Text),
+				obsreport.WriteCleaning(io.Discard, clean.Finish(), obsreport.Text))
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(events), "events/op")
 }
 
 func BenchmarkSeedSensitivity(b *testing.B) {

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"sort"
@@ -85,6 +86,15 @@ func run() (err error) {
 		return runService(*serve, *drainS)
 	}
 
+	capacity, err := megabytes("capacity", *capMB)
+	if err != nil {
+		return err
+	}
+	stored, err := megabytes("stored", *storedMB)
+	if err != nil {
+		return err
+	}
+
 	t, indexStats, err := buildTrace(*traceFile, *traceName, *seed, *mixName)
 	if err != nil {
 		return err
@@ -97,8 +107,8 @@ func run() (err error) {
 		CleaningPolicy:   *policy,
 		OnDemandCleaning: *onDemand,
 		FlashUtilization: *util,
-		FlashCapacity:    units.Bytes(*capMB) * units.MB,
-		StoredData:       units.Bytes(*storedMB) * units.MB,
+		FlashCapacity:    capacity,
+		StoredData:       stored,
 	}
 	if *arraySpec != "" {
 		spec, err := array.ParseSpec(*arraySpec)
@@ -281,6 +291,16 @@ func run() (err error) {
 		fmt.Print(reg.String())
 	}
 	return nil
+}
+
+// megabytes converts the MB value of flag -name to bytes. A negative value,
+// or one whose byte count overflows, is an error; core bounds the rest
+// (core.MaxCapacity).
+func megabytes(name string, mb int64) (units.Bytes, error) {
+	if limit := int64(math.MaxInt64 / units.MB); mb < 0 || mb > limit {
+		return 0, fmt.Errorf("-%s %d MB out of range [0, %d]", name, mb, limit)
+	}
+	return units.Bytes(mb) * units.MB, nil
 }
 
 // buildTrace resolves the -tracefile/-trace flags to a replayable trace.

@@ -125,3 +125,35 @@ func TestHostileTraceFileExits(t *testing.T) {
 		t.Errorf("output %q does not contain %q", out, want)
 	}
 }
+
+// TestFlashSizeFlagsExit runs the command with flash sizes it must refuse:
+// an explicit capacity whose byte count overflows int64 (it used to wrap
+// negative and fall back to the default utilization), a negative stored
+// amount, and capacities past core.MaxCapacity from -capacity and -stored.
+// Each must exit 1 with its message before replaying. The child branch
+// re-executes main as TestHostileTraceFileExits does.
+func TestFlashSizeFlagsExit(t *testing.T) {
+	if args := os.Getenv("STORAGESIM_ARGS"); args != "" {
+		os.Args = append([]string{"storagesim"}, strings.Split(args, "\n")...)
+		main()
+		os.Exit(0)
+	}
+	for _, c := range []struct{ args, want string }{
+		{"-device\nsdp5\n-capacity\n8796093022208", "storagesim: -capacity 8796093022208 MB out of range [0, 8796093022207]"},
+		{"-device\nsdp5\n-stored\n-1", "storagesim: -stored -1 MB out of range [0, 8796093022207]"},
+		{"-device\nintel\n-capacity\n200000", "storagesim: core: flash capacity 195.3GB exceeds the 4GB bound (core.MaxCapacity)"},
+		{"-device\nsdp5\n-stored\n200000", "storagesim: core: flash capacity for 195.3GB of stored data at 80% utilization exceeds the 4GB bound (core.MaxCapacity)"},
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestFlashSizeFlagsExit$")
+		cmd.Env = append(os.Environ(), "STORAGESIM_ARGS=-trace\nsynth\n"+c.args)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("%q: exit %v, want status 1; output:\n%s", c.args, err, out)
+			continue
+		}
+		if !strings.Contains(string(out), c.want) {
+			t.Errorf("%q: output %q does not contain %q", c.args, out, c.want)
+		}
+	}
+}

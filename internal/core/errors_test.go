@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"mobilestorage/internal/array"
 	"mobilestorage/internal/device"
+	"mobilestorage/internal/fault"
 	"mobilestorage/internal/trace"
 	"mobilestorage/internal/units"
 )
@@ -198,6 +200,68 @@ func TestHostileOffsetRejected(t *testing.T) {
 				for _, want := range []string{footprint.String(), MaxFootprint.String(), "MaxFootprint"} {
 					if !strings.Contains(err.Error(), want) {
 						t.Errorf("%s offset %s (reference %v): error %q does not mention %q", d.name, off, ref, err, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFlashCapacityRejected sizes flash devices past MaxCapacity three
+// ways: an explicit capacity of 2^40 bytes, 2^40 bytes of stored data (at
+// 80% utilization), and a capacity derived exactly at the bound that a
+// fault plan's spare segments push past it. Without the bound the first
+// two ask for gigabytes of device state. A flash card, a flash disk and
+// a mirror of two cards, on both replay loops, must return an error that
+// names the bound before any device is built.
+func TestFlashCapacityRejected(t *testing.T) {
+	tr, err := trace.Decode(strings.NewReader("trace small blocksize=1024\n0 w 1 0 1024\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mirror, err := array.ParseSpec("mirror:2xflashcard")
+	if err != nil {
+		t.Fatal(err)
+	}
+	devices := []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"intel", func(c *Config) { c.Kind, c.FlashCardParams = FlashCard, device.IntelSeries2Datasheet() }},
+		{"sdp5", func(c *Config) { c.Kind, c.FlashDiskParams = FlashDisk, device.SDP5Datasheet() }},
+		{"mirror:2xflashcard", func(c *Config) { c.Array, c.FlashCardParams = mirror, device.IntelSeries2Datasheet() }},
+	}
+	sizes := []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"capacity 2^40", func(c *Config) { c.FlashCapacity = 1 << 40 }},
+		{"stored 2^40", func(c *Config) { c.StoredData = 1 << 40 }},
+		{"spares past the bound", func(c *Config) {
+			// 0.8 × 4 GiB, rounded down: the derived capacity rounds up
+			// to exactly MaxCapacity, and eight spare segments add 1 MB
+			// (an armed plan: spares come with a wear-out threshold).
+			c.StoredData, c.FlashUtilization = MaxCapacity*4/5, 0.8
+			c.Faults = &fault.Plan{SpareSegments: 8, WearOutAfter: 1 << 60}
+		}},
+	}
+	for _, d := range devices {
+		for _, sz := range sizes {
+			if sz.name == "spares past the bound" && d.name != "intel" {
+				continue // only the card provisions spare segments
+			}
+			for _, ref := range []bool{false, true} {
+				cfg := Config{Trace: tr, Reference: ref}
+				d.mut(&cfg)
+				sz.mut(&cfg)
+				_, err := Run(cfg)
+				if err == nil {
+					t.Errorf("%s, %s (reference %v): accepted", d.name, sz.name, ref)
+					continue
+				}
+				for _, want := range []string{MaxCapacity.String(), "MaxCapacity"} {
+					if !strings.Contains(err.Error(), want) {
+						t.Errorf("%s, %s (reference %v): error %q does not mention %q", d.name, sz.name, ref, err, want)
 					}
 				}
 			}

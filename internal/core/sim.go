@@ -519,6 +519,27 @@ func Footprint(t *trace.Trace) units.Bytes {
 // 1 GiB is 30× the largest footprint of any generated trace (hp, 32 MB).
 const MaxFootprint = units.GB
 
+// MaxCapacity bounds the capacity of the flash card or flash disk Run
+// stores the data on, and of each flash-card array member: an explicit
+// FlashCapacity, one derived from the stored data and FlashUtilization, and
+// the spare segments a fault plan adds alike. The devices size their state
+// from it, so -capacity or -stored could otherwise ask for gigabytes or wrap
+// a segment count. At 4 GiB a flash card keeps about 65 MB (two int32 per
+// 512-byte block plus 29 bytes per segment) and a flash disk's wear report
+// 64 MB (one int64 per 512-byte sector); an array holds up to 16 members.
+// 4 GiB is 50× the largest card any experiment builds (Fig. 2's hp card,
+// about 80 MB).
+const MaxCapacity = 4 * units.GB
+
+// checkCapacity rejects a flash capacity past MaxCapacity before a device
+// constructor sizes its state from it.
+func checkCapacity(capacity units.Bytes) error {
+	if capacity > MaxCapacity {
+		return fmt.Errorf("core: flash capacity %v exceeds the %v bound (core.MaxCapacity)", capacity, MaxCapacity)
+	}
+	return nil
+}
+
 // buildStack constructs the configured storage hierarchy, threading the
 // fault injector (nil = fault injection off) into every device layer: the
 // base device (an array or one device), wrapped in the SRAM buffer when one
@@ -560,7 +581,13 @@ func buildDevice(cfg Config, blockSize, stored units.Bytes, inj *fault.Injector)
 		if err := cfg.FlashDiskParams.Validate(); err != nil {
 			return nil, err
 		}
-		capacity := flashCapacity(cfg, stored, cfg.FlashDiskParams.SectorSize)
+		capacity, err := flashCapacity(cfg, stored, cfg.FlashDiskParams.SectorSize)
+		if err != nil {
+			return nil, err
+		}
+		if err := checkCapacity(capacity); err != nil {
+			return nil, err
+		}
 		opts := []flashdisk.Option{flashdisk.WithScope(cfg.Scope), flashdisk.WithFaults(inj)}
 		if cfg.AsyncErase {
 			opts = append(opts, flashdisk.WithAsyncErase())
@@ -648,7 +675,10 @@ func newCard(cfg Config, blockSize, stored units.Bytes, inj *fault.Injector) (de
 	seg := cfg.FlashCardParams.SegmentSize
 	capacity := cfg.FlashCapacity
 	if capacity == 0 {
-		capacity = flashCapacity(cfg, stored, seg)
+		var err error
+		if capacity, err = flashCapacity(cfg, stored, seg); err != nil {
+			return nil, err
+		}
 		// Guarantee the cleaning reserve above the stored data and the
 		// card's structural minimum of four segments. An explicit
 		// capacity is taken as-is and rejected downstream if too small.
@@ -659,6 +689,9 @@ func newCard(cfg Config, blockSize, stored units.Bytes, inj *fault.Injector) (de
 		// nominal capacity; wear-out retirements consume them before any
 		// usable capacity is lost.
 		capacity += units.Bytes(inj.SpareUnits()) * seg
+	}
+	if err := checkCapacity(capacity); err != nil {
+		return nil, err
 	}
 	opts := []flashcard.Option{flashcard.WithScope(cfg.Scope), flashcard.WithFaults(inj)}
 	if cfg.OnDemandCleaning {
@@ -711,10 +744,16 @@ func spinPolicy(cfg Config) (disk.SpinPolicy, error) {
 
 // flashCapacity derives a flash device's capacity from the config: explicit
 // capacity wins; otherwise stored data ÷ utilization, rounded up to the
-// erase unit.
-func flashCapacity(cfg Config, stored, unit units.Bytes) units.Bytes {
+// erase unit. A derived capacity past MaxCapacity is an error, found before
+// the quotient is converted to bytes, which could overflow.
+func flashCapacity(cfg Config, stored, unit units.Bytes) (units.Bytes, error) {
 	if cfg.FlashCapacity > 0 {
-		return cfg.FlashCapacity
+		return cfg.FlashCapacity, nil
 	}
-	return units.CeilDiv(units.Bytes(float64(stored)/cfg.FlashUtilization), unit) * unit
+	capacity := float64(stored) / cfg.FlashUtilization
+	if capacity > float64(MaxCapacity) {
+		return 0, fmt.Errorf("core: flash capacity for %v of stored data at %.0f%% utilization exceeds the %v bound (core.MaxCapacity)",
+			stored, 100*cfg.FlashUtilization, MaxCapacity)
+	}
+	return units.CeilDiv(units.Bytes(capacity), unit) * unit, nil
 }

@@ -1,6 +1,9 @@
 package obs
 
-import "testing"
+import (
+	"io"
+	"testing"
+)
 
 // Microbenchmarks for the per-operation cost of instrumentation. The
 // nil-receiver variants are what every simulation pays when no scope is
@@ -63,6 +66,18 @@ func BenchmarkScopeEmitRing(b *testing.B) {
 // read: the guard is one bit test and the event is never built.
 func BenchmarkScopeEmitUnread(b *testing.B) {
 	sc := NewScope(nil, NewCollector(Kinds(EvCardErase)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if sc.Wants(EvDiskSpinUp) {
+			sc.Emit(Event{T: int64(i), Kind: EvDiskSpinUp, Dev: "disk"})
+		}
+	}
+}
+
+// BenchmarkScopeEmitNDJSON is the storagesim -events path: every event is
+// serialized by an NDJSONSink, here into io.Discard.
+func BenchmarkScopeEmitNDJSON(b *testing.B) {
+	sc := NewScope(nil, NewNDJSONSink(io.Discard))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if sc.Wants(EvDiskSpinUp) {

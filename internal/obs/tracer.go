@@ -183,10 +183,12 @@ func (c *Collector) Events() []Event {
 // NDJSONSink is a Tracer that streams events as newline-delimited JSON.
 // Serialization is hand-rolled (no reflection) and zero-value fields are
 // omitted, so the format stays byte-deterministic for a deterministic
-// simulation — the property the determinism tests pin.
+// simulation — the property the determinism tests pin. Each line is built
+// in a buffer the sink reuses, so emitting an event does not allocate.
 type NDJSONSink struct {
-	mu sync.Mutex
-	w  *bufio.Writer
+	mu   sync.Mutex
+	w    *bufio.Writer
+	line []byte
 }
 
 // NewNDJSONSink wraps w in a buffered NDJSON event writer. Call Flush when
@@ -199,29 +201,29 @@ func NewNDJSONSink(w io.Writer) *NDJSONSink {
 func (s *NDJSONSink) Emit(e Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var buf [24]byte
-	b := s.w
-	b.WriteString(`{"t_us":`)
-	b.Write(strconv.AppendInt(buf[:0], e.T, 10))
-	b.WriteString(kindMember(e.Kind))
+	b := append(s.line[:0], `{"t_us":`...)
+	b = strconv.AppendInt(b, e.T, 10)
+	b = append(b, kindMember(e.Kind)...)
 	if e.Dev != "" {
-		b.WriteString(`,"dev":"`)
-		b.WriteString(e.Dev) // device names are catalog identifiers
-		b.WriteByte('"')
+		b = append(b, `,"dev":"`...)
+		b = append(b, e.Dev...) // device names are catalog identifiers
+		b = append(b, '"')
 	}
 	if e.Addr != 0 {
-		b.WriteString(`,"addr":`)
-		b.Write(strconv.AppendInt(buf[:0], e.Addr, 10))
+		b = append(b, `,"addr":`...)
+		b = strconv.AppendInt(b, e.Addr, 10)
 	}
 	if e.Size != 0 {
-		b.WriteString(`,"size":`)
-		b.Write(strconv.AppendInt(buf[:0], e.Size, 10))
+		b = append(b, `,"size":`...)
+		b = strconv.AppendInt(b, e.Size, 10)
 	}
 	if e.Dur != 0 {
-		b.WriteString(`,"dur_us":`)
-		b.Write(strconv.AppendInt(buf[:0], e.Dur, 10))
+		b = append(b, `,"dur_us":`...)
+		b = strconv.AppendInt(b, e.Dur, 10)
 	}
-	b.WriteString("}\n")
+	b = append(b, "}\n"...)
+	s.w.Write(b)
+	s.line = b
 }
 
 // kindMembers holds each named Kind's NDJSON member, pre-rendered; wire

@@ -119,38 +119,47 @@ func TransferTime(b Bytes, kbPerSec float64) Time {
 
 // TransferMemo caches TransferTime results for one fixed bandwidth. Device
 // models compute transfer times with a handful of datasheet bandwidths over
-// a heavily repeated set of sizes (trace record sizes, block multiples), and
-// the float divide + round per call was a measurable slice of whole-trace
-// replays. Sizes below transferMemoLimit are cached in a lazily grown dense
-// table; each cached value is produced by the same TransferTime call, so
-// results are bit-identical with or without the memo. Larger sizes fall
-// through to TransferTime. The zero value (zero bandwidth) is usable and
-// simply forwards.
+// a heavily repeated set of sizes, and the float divide and round per call
+// was a measurable slice of whole-trace replays. Every generated trace moves
+// whole 512-byte or 1 KB blocks and the flash disk works in 512-byte
+// sectors, so the memo holds a fixed table in 512-byte granules: entry i
+// holds TransferTime(i·512) once computed, up to 256 KB. The table is part of
+// the memo's value, so a device allocates it once, with itself, and a
+// replay's lookups never allocate. Any other size (not a positive multiple of 512, or 256 KB and
+// up) calls TransferTime directly. Each cached value is produced by the same
+// TransferTime call, so results are bit-identical with or without the memo.
+// The zero value (zero bandwidth) is usable and simply forwards.
 type TransferMemo struct {
 	kbPerSec float64
-	dense    []Time
+	// table[i] is TransferTime(i·memoGranule), or 0 while not yet computed.
+	table [memoEntries]Time
 }
+
+// The memo's table covers sizes memoGranule·[1, memoEntries): 512 B up to
+// just under 256 KB, in 4 KB per memo. Both are powers of two, so a size
+// indexes the table exactly when it has no bits outside memoIndexBits.
+const (
+	memoGranule   = 512
+	memoEntries   = 512
+	memoIndexBits = memoGranule*memoEntries - memoGranule
+)
 
 // NewTransferMemo returns a memo for the given bandwidth.
 func NewTransferMemo(kbPerSec float64) TransferMemo {
 	return TransferMemo{kbPerSec: kbPerSec}
 }
 
-// transferMemoLimit bounds the dense size table (entries, i.e. bytes of
-// transfer size): 32 K entries × 8 bytes caps a fully grown memo at 256 KB.
-// Workload transfer sizes nearly all fall below it; the rare larger size
-// recomputes directly, which costs less than zeroing a bigger table on
-// every device construction.
-const transferMemoLimit = 32 * 1024
-
-// Time returns TransferTime(b, kbPerSec), cached. Kept small enough to
-// inline; the miss path computes and stores.
+// Time returns TransferTime(b, kbPerSec), cached; the miss path computes
+// and stores.
 func (m *TransferMemo) Time(b Bytes) Time {
-	// A zero entry is "not cached yet": TransferTime only returns 0 for
-	// sub-round-off sizes, which just recompute (cheaply) every call. The
-	// unsigned compare also routes b ≤ 0 to the slow path's guards.
-	if uint64(b) < uint64(len(m.dense)) {
-		if t := m.dense[b]; t > 0 {
+	// A zero entry is "not cached yet": TransferTime only returns 0 for a
+	// non-positive bandwidth or size, or a sub-round-off size, which
+	// recompute (cheaply) every call. A negative b has its high bits set,
+	// so it takes the slow path with the sizes past the table. The modulo
+	// is a no-op on an indexable size; it lets the compiler drop the
+	// bounds check.
+	if uint64(b)&^memoIndexBits == 0 {
+		if t := m.table[uint64(b)/memoGranule%memoEntries]; t > 0 {
 			return t
 		}
 	}
@@ -159,24 +168,8 @@ func (m *TransferMemo) Time(b Bytes) Time {
 
 func (m *TransferMemo) slow(b Bytes) Time {
 	t := TransferTime(b, m.kbPerSec)
-	if b > 0 && b < transferMemoLimit {
-		if int64(b) >= int64(len(m.dense)) {
-			if int64(b) < int64(cap(m.dense)) {
-				m.dense = m.dense[:b+1]
-			} else {
-				n := 2 * cap(m.dense)
-				if n < 4096 {
-					n = 4096
-				}
-				if int64(b) >= int64(n) {
-					n = int(b) + 1
-				}
-				grown := make([]Time, int(b)+1, n)
-				copy(grown, m.dense)
-				m.dense = grown
-			}
-		}
-		m.dense[b] = t
+	if uint64(b)&^memoIndexBits == 0 {
+		m.table[uint64(b)/memoGranule%memoEntries] = t
 	}
 	return t
 }

@@ -1,7 +1,9 @@
 package units
 
 import (
+	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -167,4 +169,85 @@ func TestCeilDivProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// memoBandwidths are every datasheet bandwidth in internal/device's
+// catalog, plus the zero and negative bandwidths the memo must forward.
+var memoBandwidths = []float64{2125, 543, 900, 410, 50, 600, 800, 75, 150, 400,
+	9765, 214, 645, 35, 50000, 17700, 0, -1}
+
+// memoSizes straddle the table: non-positive sizes, sizes off the 512-byte
+// granule, the first and last granule entries, trace-sized blocks, the
+// table's 256 KB end and sizes far past it.
+var memoSizes = []Bytes{-512, 0, 1, 511, 512, 513, 7168, 32767, 32768, 32769,
+	139264, 262143, 262144, 262656, 1 << 40}
+
+// TestTransferMemoMatchesTransferTime: the memo returns exactly what
+// TransferTime returns, whatever order sizes arrive in and however often
+// they repeat, and neither a lookup nor filling the table allocates.
+func TestTransferMemoMatchesTransferTime(t *testing.T) {
+	desc := slices.Clone(memoSizes)
+	slices.Reverse(desc)
+	repeated := slices.Concat(memoSizes, memoSizes, desc, desc)
+	for _, kb := range memoBandwidths {
+		for name, sizes := range map[string][]Bytes{"ascending": memoSizes, "descending": desc, "repeated": repeated} {
+			m := NewTransferMemo(kb)
+			for _, b := range sizes {
+				if got, want := m.Time(b), TransferTime(b, kb); got != want {
+					t.Errorf("%g KB/s, %s: Time(%d) = %d, want %d", kb, name, b, got, want)
+				}
+			}
+		}
+		// A fresh memo each pass: filling the table must not allocate.
+		if allocs := testing.AllocsPerRun(100, func() {
+			m := NewTransferMemo(kb)
+			for _, b := range memoSizes {
+				m.Time(b)
+			}
+		}); allocs != 0 {
+			t.Errorf("%g KB/s: a new memo allocates %.1f times over the sizes, want 0", kb, allocs)
+		}
+	}
+}
+
+// FuzzTransferMemo replays a fuzz-chosen size sequence through one memo at
+// a fuzz-chosen bandwidth; every lookup must equal TransferTime. The input
+// is read as little-endian 4-byte words (a short tail is zero-padded), and
+// each word's top two bits pick how the rest becomes a size: a multiple of
+// 512 in or past the table, any size below 256 KB, or a signed size of up
+// to ±2^41.
+func FuzzTransferMemo(f *testing.F) {
+	words := func(ws ...uint32) []byte {
+		var b []byte
+		for _, w := range ws {
+			b = binary.LittleEndian.AppendUint32(b, w)
+		}
+		return b
+	}
+	const granules, small, wide = 0, 1 << 30, 2 << 30
+	f.Add(214.0, words(granules|1, granules|2, granules|1, granules|14))
+	f.Add(75.0, words(granules|511, granules|512, granules|1023, small|511, small|513, small|262143))
+	f.Add(0.0, words(granules|1, wide|0x7fffffff, small|0))
+	f.Add(-1.0, words(wide|1<<30, granules|272, small|32768))
+	f.Add(50000.0, []byte{0x01, 0x00})
+	f.Fuzz(func(t *testing.T, kb float64, data []byte) {
+		m := NewTransferMemo(kb)
+		for len(data) > 0 {
+			var word [4]byte
+			data = data[copy(word[:], data):]
+			w := binary.LittleEndian.Uint32(word[:])
+			var b Bytes
+			switch w >> 30 {
+			case 0:
+				b = Bytes(w%1024) * 512
+			case 1:
+				b = Bytes(w % (256 << 10))
+			default:
+				b = Bytes(int32(w<<1)) << 10
+			}
+			if got, want := m.Time(b), TransferTime(b, kb); got != want {
+				t.Fatalf("%g KB/s: Time(%d) = %d, want %d", kb, b, got, want)
+			}
+		}
+	})
 }
