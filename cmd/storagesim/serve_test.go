@@ -12,6 +12,7 @@ import (
 	"mobilestorage/internal/fleet"
 	"mobilestorage/internal/obs"
 	"mobilestorage/internal/obsreport"
+	"mobilestorage/internal/stats"
 )
 
 func getBody(t *testing.T, url string) (int, string) {
@@ -143,7 +144,7 @@ func TestServeMetricsGrammar(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("a.b").Add(1)
 	reg.Gauge("g").Set(-0.25)
-	h := reg.Histogram("lat", obs.LogBuckets(1, 100))
+	h := reg.Histogram("lat", stats.LogBounds(1, 100))
 	h.Observe(3)
 	h.Observe(5000)
 

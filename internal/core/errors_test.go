@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -213,7 +214,9 @@ func TestHostileOffsetRejected(t *testing.T) {
 // fault plan's spare segments push past it. Without the bound the first
 // two ask for gigabytes of device state. A flash card, a flash disk and
 // a mirror of two cards, on both replay loops, must return an error that
-// names the bound before any device is built.
+// names the bound before any device is built. So must the hybrid with a
+// flash cache of 2^33, 2^40 or 2^62 bytes: without the bound the larger
+// two die allocating gigabytes, and 2^33, twice the bound, runs.
 func TestFlashCapacityRejected(t *testing.T) {
 	tr, err := trace.Decode(strings.NewReader("trace small blocksize=1024\n0 w 1 0 1024\n"))
 	if err != nil {
@@ -245,24 +248,37 @@ func TestFlashCapacityRejected(t *testing.T) {
 			c.Faults = &fault.Plan{SpareSegments: 8, WearOutAfter: 1 << 60}
 		}},
 	}
+	type row struct {
+		name string
+		mut  func(*Config)
+	}
+	var rows []row
 	for _, d := range devices {
 		for _, sz := range sizes {
 			if sz.name == "spares past the bound" && d.name != "intel" {
 				continue // only the card provisions spare segments
 			}
-			for _, ref := range []bool{false, true} {
-				cfg := Config{Trace: tr, Reference: ref}
-				d.mut(&cfg)
-				sz.mut(&cfg)
-				_, err := Run(cfg)
-				if err == nil {
-					t.Errorf("%s, %s (reference %v): accepted", d.name, sz.name, ref)
-					continue
-				}
-				for _, want := range []string{MaxCapacity.String(), "MaxCapacity"} {
-					if !strings.Contains(err.Error(), want) {
-						t.Errorf("%s, %s (reference %v): error %q does not mention %q", d.name, sz.name, ref, err, want)
-					}
+			rows = append(rows, row{d.name + ", " + sz.name, func(c *Config) { d.mut(c); sz.mut(c) }})
+		}
+	}
+	for _, exp := range []int{33, 40, 62} {
+		rows = append(rows, row{fmt.Sprintf("hybrid, cache 2^%d", exp), func(c *Config) {
+			c.Kind, c.Disk, c.FlashCardParams = FlashCache, device.CU140Datasheet(), device.IntelSeries2Datasheet()
+			c.FlashCacheBytes = 1 << exp
+		}})
+	}
+	for _, r := range rows {
+		for _, ref := range []bool{false, true} {
+			cfg := Config{Trace: tr, Reference: ref}
+			r.mut(&cfg)
+			_, err := Run(cfg)
+			if err == nil {
+				t.Errorf("%s (reference %v): accepted", r.name, ref)
+				continue
+			}
+			for _, want := range []string{MaxCapacity.String(), "MaxCapacity"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("%s (reference %v): error %q does not mention %q", r.name, ref, err, want)
 				}
 			}
 		}

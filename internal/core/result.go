@@ -83,7 +83,7 @@ func (r *Result) ReadP(q float64) float64 {
 	if r.ReadHist == nil {
 		return 0
 	}
-	return r.ReadHist.Quantile(q)
+	return r.ReadHist.QuantileBound(q)
 }
 
 // WriteP returns an upper bound on the q-quantile of write response time.
@@ -91,7 +91,7 @@ func (r *Result) WriteP(q float64) float64 {
 	if r.WriteHist == nil {
 		return 0
 	}
-	return r.WriteHist.Quantile(q)
+	return r.WriteHist.QuantileBound(q)
 }
 
 // CleaningFraction returns cleaning time over total flash busy time

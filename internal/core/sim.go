@@ -522,13 +522,14 @@ const MaxFootprint = units.GB
 // MaxCapacity bounds the capacity of the flash card or flash disk Run
 // stores the data on, and of each flash-card array member: an explicit
 // FlashCapacity, one derived from the stored data and FlashUtilization, and
-// the spare segments a fault plan adds alike. The devices size their state
-// from it, so -capacity or -stored could otherwise ask for gigabytes or wrap
-// a segment count. At 4 GiB a flash card keeps about 65 MB (two int32 per
-// 512-byte block plus 29 bytes per segment) and a flash disk's wear report
-// 64 MB (one int64 per 512-byte sector); an array holds up to 16 members.
-// 4 GiB is 50× the largest card any experiment builds (Fig. 2's hp card,
-// about 80 MB).
+// the spare segments a fault plan adds alike. It also bounds the hybrid's
+// FlashCacheBytes; the hybrid sizes its card at the cache size ÷ 0.6. The
+// devices size their state from it, so -capacity, -stored or a cache size
+// could otherwise ask for gigabytes or wrap a segment count. At 4 GiB a
+// flash card keeps about 65 MB (two int32 per 512-byte block plus 29 bytes
+// per segment) and a flash disk's wear report 64 MB (one int64 per 512-byte
+// sector); an array holds up to 16 members. 4 GiB is 50× the largest card
+// any experiment builds (Fig. 2's hp card, about 80 MB).
 const MaxCapacity = 4 * units.GB
 
 // checkCapacity rejects a flash capacity past MaxCapacity before a device
@@ -601,6 +602,9 @@ func buildDevice(cfg Config, blockSize, stored units.Bytes, inj *fault.Injector)
 		cacheBytes := cfg.FlashCacheBytes
 		if cacheBytes == 0 {
 			cacheBytes = 4 * units.MB
+		}
+		if err := checkCapacity(cacheBytes); err != nil {
+			return nil, err
 		}
 		return hybrid.New(hybrid.Config{
 			Disk:      cfg.Disk,

@@ -11,6 +11,7 @@ import (
 	"mobilestorage/internal/energy"
 	"mobilestorage/internal/fault"
 	"mobilestorage/internal/obs"
+	"mobilestorage/internal/stats"
 	"mobilestorage/internal/trace"
 	"mobilestorage/internal/units"
 )
@@ -105,7 +106,7 @@ func WithScope(sc *obs.Scope) Option {
 		d.cSpinUps = sc.Counter("disk.spin_ups")
 		d.cSpinDowns = sc.Counter("disk.spin_downs")
 		d.cOps = sc.Counter("disk.ops")
-		d.hSleepMs = sc.Histogram("disk.sleep_ms", obs.LogBuckets(1e-3, 1e7))
+		d.hSleepMs = sc.Histogram("disk.sleep_ms", stats.LogBounds(1e-3, 1e7))
 	}
 }
 

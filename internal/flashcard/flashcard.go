@@ -29,6 +29,7 @@ import (
 	"mobilestorage/internal/energy"
 	"mobilestorage/internal/fault"
 	"mobilestorage/internal/obs"
+	"mobilestorage/internal/stats"
 	"mobilestorage/internal/trace"
 	"mobilestorage/internal/units"
 )
@@ -237,7 +238,7 @@ func WithScope(sc *obs.Scope) Option {
 		c.cCopied = sc.Counter("flashcard.copied_blocks")
 		c.cHostBlks = sc.Counter("flashcard.host_blocks")
 		c.cStalls = sc.Counter("flashcard.stalls")
-		c.hCleanMs = sc.Histogram("flashcard.clean_ms", obs.LogBuckets(1e-3, 1e7))
+		c.hCleanMs = sc.Histogram("flashcard.clean_ms", stats.LogBounds(1e-3, 1e7))
 	}
 }
 

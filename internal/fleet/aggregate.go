@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"mobilestorage/internal/core"
-	"mobilestorage/internal/obs"
 	"mobilestorage/internal/obsreport"
 	"mobilestorage/internal/plot"
 	"mobilestorage/internal/stats"
@@ -19,14 +18,14 @@ import (
 type Aggregator struct {
 	figs *obsreport.FigureSet // merged event-level figures
 
-	readHist  *obsreport.Hist // response-time distributions across all runs (ms)
-	writeHist *obsreport.Hist
+	readHist  *stats.Histogram // response-time distributions across all runs (ms)
+	writeHist *stats.Histogram
 	read      stats.Summary
 	write     stats.Summary
 
 	energyJ      float64
 	energyByComp map[string]float64
-	energyPerRun *obsreport.Hist // per-run total energy distribution (J)
+	energyPerRun *stats.Histogram // per-run total energy distribution (J)
 	energyRuns   stats.Summary
 
 	spinUps, spinDowns               int64
@@ -42,20 +41,17 @@ type Aggregator struct {
 	sawFaults                        bool
 }
 
-// energyBounds spans per-run totals from millijoules to a megajoule — the
-// same five-per-decade layout as the latency buckets.
-func energyBounds() []float64 { return obs.LogBuckets(1e-3, 1e6) }
-
 // NewAggregator returns an empty fleet aggregator. The latency histograms
 // use the core result layout (stats.NewLatencyHistogram) so per-run
-// histograms merge in without rebucketing.
+// histograms merge in without rebucketing; the per-run energy histogram
+// spans millijoules to a megajoule.
 func NewAggregator() *Aggregator {
 	return &Aggregator{
 		figs:         obsreport.NewFigureSet(),
-		readHist:     obsreport.FromStats(stats.NewLatencyHistogram()),
-		writeHist:    obsreport.FromStats(stats.NewLatencyHistogram()),
+		readHist:     stats.NewLatencyHistogram(),
+		writeHist:    stats.NewLatencyHistogram(),
 		energyByComp: map[string]float64{},
-		energyPerRun: obsreport.NewHist(energyBounds()),
+		energyPerRun: stats.NewHistogram(stats.LogBounds(1e-3, 1e6)),
 	}
 }
 
@@ -70,12 +66,8 @@ func (a *Aggregator) Add(res *core.Result, figs *obsreport.FigureSet) {
 	a.runs++
 	a.figs.Merge(figs)
 
-	if res.ReadHist != nil {
-		a.readHist.Merge(obsreport.FromStats(res.ReadHist))
-	}
-	if res.WriteHist != nil {
-		a.writeHist.Merge(obsreport.FromStats(res.WriteHist))
-	}
+	a.readHist.Merge(res.ReadHist)
+	a.writeHist.Merge(res.WriteHist)
 	a.read.Merge(res.Read)
 	a.write.Merge(res.Write)
 
@@ -130,6 +122,9 @@ func sortedKeys(m map[string]float64) []string {
 }
 
 // LatAgg summarizes one operation class's response times across the fleet.
+// Mean, max and σ are exact; the percentiles are interpolated inside the
+// merged histogram's buckets and clamped to the observed range, so a
+// percentile past the layout's top bucket reads the max.
 type LatAgg struct {
 	N        int64   `json:"n"`
 	MeanMs   float64 `json:"mean_ms"`
@@ -263,7 +258,7 @@ func (a *Aggregator) Report() *Report {
 	return r
 }
 
-func latAgg(s *stats.Summary, h *obsreport.Hist) LatAgg {
+func latAgg(s *stats.Summary, h *stats.Histogram) LatAgg {
 	return LatAgg{
 		N:        s.N(),
 		MeanMs:   s.Mean(),

@@ -3,6 +3,8 @@ package obs
 import (
 	"io"
 	"testing"
+
+	"mobilestorage/internal/stats"
 )
 
 // Microbenchmarks for the per-operation cost of instrumentation. The
@@ -35,7 +37,7 @@ func BenchmarkHistogramObserveNil(b *testing.B) {
 }
 
 func BenchmarkHistogramObserveLive(b *testing.B) {
-	h := NewRegistry().Histogram("bench.ms", LogBuckets(0.01, 10000))
+	h := NewRegistry().Histogram("bench.ms", stats.LogBounds(0.01, 10000))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(12.5)

@@ -20,6 +20,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"mobilestorage/internal/stats"
 )
 
 // Counter is a monotonically increasing int64 metric. The nil Counter
@@ -86,15 +88,12 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// histBucketsPerDecade fixes the histogram resolution: five log-spaced
-// buckets per decade, matching the latency histograms the simulator already
-// reports.
-const histBucketsPerDecade = 5
-
-// Histogram is a fixed-bucket log-scale histogram over positive float64
-// samples. Bucket bounds are immutable after construction; observation is a
-// binary search plus one atomic increment. The nil Histogram discards
-// observations.
+// Histogram is the concurrency-safe counterpart of stats.Histogram: the
+// same buckets, bucket rule and exact sum and extremes, kept in atomics so
+// parallel emitters can share it. Bucket bounds are immutable after
+// construction; observation is a binary search plus atomic updates.
+// Registry.Histograms reads it as a stats.Histogram. The nil Histogram
+// discards observations.
 type Histogram struct {
 	bounds   []float64 // inclusive upper edges, strictly ascending
 	counts   []atomic.Int64
@@ -129,32 +128,10 @@ func (f *atomicFloat) Value() float64 {
 	return math.Float64frombits(f.bits.Load())
 }
 
-// LogBuckets returns log-spaced inclusive upper bounds covering [min, max]
-// at five buckets per decade. min and max must be positive with min < max.
-func LogBuckets(min, max float64) []float64 {
-	if !(min > 0 && max > min) {
-		panic(fmt.Sprintf("obs: bad bucket range [%g, %g]", min, max))
-	}
-	var bounds []float64
-	step := 1.0 / histBucketsPerDecade
-	for e := math.Log10(min); ; e += step {
-		v := math.Pow(10, e)
-		bounds = append(bounds, v)
-		if v >= max {
-			return bounds
-		}
-	}
-}
-
-// newHistogram builds a histogram from ascending bounds.
+// newHistogram builds a histogram from strictly ascending bounds; it panics
+// on bounds that are not, as stats.NewHistogram does.
 func newHistogram(bounds []float64) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("obs: histogram bounds must be strictly ascending")
-		}
-	}
-	b := make([]float64, len(bounds))
-	copy(b, bounds)
+	b := stats.NewHistogram(bounds).Bounds
 	h := &Histogram{bounds: b, counts: make([]atomic.Int64, len(b))}
 	h.minBits.Store(math.Float64bits(math.Inf(1)))
 	h.maxBits.Store(math.Float64bits(math.Inf(-1)))
@@ -192,114 +169,31 @@ func (h *Histogram) Observe(x float64) {
 	if h == nil {
 		return
 	}
-	// Binary search for the first bound >= x.
-	lo, hi := 0, len(h.bounds)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if h.bounds[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(h.bounds) {
-		h.overflow.Add(1)
+	if i := stats.Bucket(h.bounds, x); i < len(h.bounds) {
+		h.counts[i].Add(1)
 	} else {
-		h.counts[lo].Add(1)
+		h.overflow.Add(1)
 	}
 	h.sum.Add(x)
 	casMin(&h.minBits, x)
 	casMax(&h.maxBits, x)
 }
 
-// Min returns the smallest observed sample, or 0 with no samples. Unlike
-// quantiles it is exact: the value is tracked per observation, not derived
-// from bucket edges.
-func (h *Histogram) Min() float64 {
-	if h == nil || h.Count() == 0 {
-		return 0
-	}
-	return math.Float64frombits(h.minBits.Load())
-}
-
-// Max returns the largest observed sample, or 0 with no samples. Exact even
-// for samples in the overflow bucket, where the edges say only "> last
-// bound".
-func (h *Histogram) Max() float64 {
-	if h == nil || h.Count() == 0 {
-		return 0
-	}
-	return math.Float64frombits(h.maxBits.Load())
-}
-
-// Sum returns the total of all observed samples (used by the Prometheus
-// exposition's _sum series and mean estimation).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Value()
-}
-
-// Count returns the total number of samples recorded.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	t := h.overflow.Load()
-	for i := range h.counts {
-		t += h.counts[i].Load()
-	}
-	return t
-}
-
-// Quantile returns an upper bound on the q-quantile using the bucket edges,
-// +Inf if it falls in the overflow bucket, and 0 with no samples.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.Count()
-	if total == 0 {
-		return 0
-	}
-	target := int64(math.Ceil(q * float64(total)))
-	if target < 1 {
-		target = 1
-	}
-	var seen int64
-	for i := range h.counts {
-		seen += h.counts[i].Load()
-		if seen >= target {
-			return h.bounds[i]
-		}
-	}
-	return math.Inf(1)
-}
-
-// HistogramSnapshot is an immutable copy of a histogram's state. Min and
-// Max are the exact observed extremes (both 0 when the snapshot holds no
-// samples).
-type HistogramSnapshot struct {
-	Bounds   []float64
-	Counts   []int64
-	Overflow int64
-	Sum      float64
-	Min      float64
-	Max      float64
-}
-
-// snapshot copies the histogram state.
-func (h *Histogram) snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{
+// snapshot copies the histogram state. Min and Max read 0 when it holds
+// no samples.
+func (h *Histogram) snapshot() stats.Histogram {
+	s := stats.Histogram{
 		Bounds: append([]float64(nil), h.bounds...),
 		Counts: make([]int64, len(h.counts)),
 	}
-	var total int64
 	for i := range h.counts {
 		s.Counts[i] = h.counts[i].Load()
-		total += s.Counts[i]
+		s.N += s.Counts[i]
 	}
 	s.Overflow = h.overflow.Load()
+	s.N += s.Overflow
 	s.Sum = h.sum.Value()
-	if total+s.Overflow > 0 {
+	if s.N > 0 {
 		s.Min = math.Float64frombits(h.minBits.Load())
 		s.Max = math.Float64frombits(h.maxBits.Load())
 	}
@@ -427,13 +321,13 @@ func (r *Registry) Gauges() map[string]float64 {
 }
 
 // Histograms returns a snapshot of every histogram, keyed by name.
-func (r *Registry) Histograms() map[string]HistogramSnapshot {
+func (r *Registry) Histograms() map[string]stats.Histogram {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make(map[string]HistogramSnapshot, len(r.hists))
+	out := make(map[string]stats.Histogram, len(r.hists))
 	for name, h := range r.hists {
 		out[name] = h.snapshot()
 	}
@@ -473,37 +367,7 @@ func (r *Registry) String() string {
 	sort.Strings(names)
 	for _, n := range names {
 		h := hists[n]
-		var total int64
-		for _, c := range h.Counts {
-			total += c
-		}
-		total += h.Overflow
-		fmt.Fprintf(&b, "%-28s n=%d p50≤%g p99≤%g\n", n, total,
-			snapshotQuantile(h, 0.50), snapshotQuantile(h, 0.99))
+		fmt.Fprintf(&b, "%-28s n=%d p50≤%g p99≤%g\n", n, h.N, h.QuantileBound(0.50), h.QuantileBound(0.99))
 	}
 	return b.String()
-}
-
-// snapshotQuantile mirrors Histogram.Quantile over a snapshot.
-func snapshotQuantile(h HistogramSnapshot, q float64) float64 {
-	var total int64
-	for _, c := range h.Counts {
-		total += c
-	}
-	total += h.Overflow
-	if total == 0 {
-		return 0
-	}
-	target := int64(math.Ceil(q * float64(total)))
-	if target < 1 {
-		target = 1
-	}
-	var seen int64
-	for i, c := range h.Counts {
-		seen += c
-		if seen >= target {
-			return h.Bounds[i]
-		}
-	}
-	return math.Inf(1)
 }

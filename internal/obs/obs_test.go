@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+
+	"mobilestorage/internal/stats"
 )
 
 func TestNilSafety(t *testing.T) {
@@ -16,7 +19,7 @@ func TestNilSafety(t *testing.T) {
 	s.Counter("x").Inc()
 	s.Counter("x").Add(5)
 	s.Gauge("g").Set(1.5)
-	s.Histogram("h", LogBuckets(1, 10)).Observe(3)
+	s.Histogram("h", stats.LogBounds(1, 10)).Observe(3)
 	s.Emit(Event{Kind: KindOther})
 	for k := Kind(0); k < numKinds; k++ {
 		if s.Wants(k) {
@@ -31,9 +34,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	var h *Histogram
 	h.Observe(1)
-	if h.Count() != 0 || h.Quantile(0.5) != 0 {
-		t.Error("nil histogram not empty")
-	}
 	var g *Gauge
 	g.Set(2)
 	if g.Value() != 0 {
@@ -68,64 +68,68 @@ func TestCounterAndGauge(t *testing.T) {
 
 func TestHistogram(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("lat_ms", LogBuckets(1e-3, 1e3))
+	h := r.Histogram("lat_ms", stats.LogBounds(1e-3, 1e3))
 	for _, v := range []float64{0.5, 0.5, 2, 10, 1e9} {
 		h.Observe(v)
 	}
-	if got := h.Count(); got != 5 {
-		t.Errorf("count = %d, want 5", got)
+	snap := r.Histograms()["lat_ms"]
+	if snap.N != 5 || snap.Sum != 0.5+0.5+2+10+1e9 {
+		t.Errorf("N %d, Sum %g, want 5, %g", snap.N, snap.Sum, 0.5+0.5+2+10+1e9)
 	}
 	// The 3rd of 5 samples is 2; its bucket's upper edge is ≈2.5.
-	p50 := h.Quantile(0.5)
+	p50 := snap.QuantileBound(0.5)
 	if p50 < 2 || p50 > 4 {
 		t.Errorf("p50 = %g, want ≈2–4", p50)
 	}
-	if p40 := h.Quantile(0.4); p40 < 0.5 || p40 > 1 {
+	if p40 := snap.QuantileBound(0.4); p40 < 0.5 || p40 > 1 {
 		t.Errorf("p40 = %g, want ≈0.5–1", p40)
 	}
-	if !math.IsInf(h.Quantile(0.999), 1) {
-		t.Error("overflow sample should push the tail quantile to +Inf")
+	if !math.IsInf(snap.QuantileBound(0.999), 1) {
+		t.Error("overflow sample should push the tail quantile bound to +Inf")
 	}
-	// Bounds must be log-spaced and ascending.
-	b := LogBuckets(1, 100)
-	if b[0] != 1 || b[len(b)-1] < 100 {
-		t.Errorf("LogBuckets(1,100) = %v", b)
+}
+
+// Observe and stats.Histogram.Add share one bucket rule: NaN lands in the
+// overflow bucket, as it does in a first-bound-≥-x scan.
+func TestHistogramNaNOverflow(t *testing.T) {
+	bounds := stats.LogBounds(1, 100)
+	r := NewRegistry()
+	r.Histogram("nan", bounds).Observe(math.NaN())
+	sh := stats.NewHistogram(bounds)
+	sh.Add(math.NaN())
+	for name, h := range map[string]stats.Histogram{"Observe": r.Histograms()["nan"], "Add": *sh} {
+		if h.Overflow != 1 || h.N != 1 || slices.Max(h.Counts) != 0 {
+			t.Errorf("%s(NaN): counts %v overflow %d, want overflow 1", name, h.Counts, h.Overflow)
+		}
 	}
 }
 
 func TestHistogramMinMax(t *testing.T) {
-	var nilH *Histogram
-	if nilH.Min() != 0 || nilH.Max() != 0 {
-		t.Error("nil histogram extremes should read 0")
-	}
 	r := NewRegistry()
-	h := r.Histogram("lat_ms", LogBuckets(1e-3, 1e3))
-	if h.Min() != 0 || h.Max() != 0 {
-		t.Errorf("empty extremes [%g, %g], want [0, 0]", h.Min(), h.Max())
+	h := r.Histogram("lat_ms", stats.LogBounds(1e-3, 1e3))
+	if s := r.Histograms()["lat_ms"]; s.Min != 0 || s.Max != 0 {
+		t.Errorf("empty extremes [%g, %g], want [0, 0]", s.Min, s.Max)
 	}
 	for _, v := range []float64{42, 0.25, 1e9, 7} {
 		h.Observe(v)
 	}
 	// Exact, not bucket edges — 1e9 landed in the overflow bucket.
-	if h.Min() != 0.25 || h.Max() != 1e9 {
-		t.Errorf("extremes [%g, %g], want [0.25, 1e9]", h.Min(), h.Max())
-	}
 	snap := r.Histograms()["lat_ms"]
 	if snap.Min != 0.25 || snap.Max != 1e9 {
 		t.Errorf("snapshot extremes [%g, %g], want [0.25, 1e9]", snap.Min, snap.Max)
 	}
-	if empty := r.Histogram("none", LogBuckets(1, 10)); true {
-		s := r.Histograms()["none"]
-		if s.Min != 0 || s.Max != 0 || empty.Min() != 0 {
-			t.Errorf("empty snapshot extremes [%g, %g], want [0, 0]", s.Min, s.Max)
-		}
+	// An empty snapshot reads 0, not the ±Inf seeds of the extremes.
+	r.Histogram("none", stats.LogBounds(1, 10))
+	if s := r.Histograms()["none"]; s.Min != 0 || s.Max != 0 || s.N != 0 {
+		t.Errorf("empty snapshot N %d, extremes [%g, %g], want 0, [0, 0]", s.N, s.Min, s.Max)
 	}
 }
 
 // Concurrent observers must agree on the exact extremes: the CAS loops may
 // race but never lose the winning sample.
 func TestHistogramMinMaxConcurrent(t *testing.T) {
-	h := NewRegistry().Histogram("c", LogBuckets(1, 1e6))
+	r := NewRegistry()
+	h := r.Histogram("c", stats.LogBounds(1, 1e6))
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -137,11 +141,12 @@ func TestHistogramMinMaxConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if h.Min() != 1 || h.Max() != 8000 {
-		t.Errorf("extremes [%g, %g], want [1, 8000]", h.Min(), h.Max())
+	s := r.Histograms()["c"]
+	if s.Min != 1 || s.Max != 8000 {
+		t.Errorf("extremes [%g, %g], want [1, 8000]", s.Min, s.Max)
 	}
-	if h.Count() != 8000 {
-		t.Errorf("count %d, want 8000", h.Count())
+	if s.N != 8000 {
+		t.Errorf("count %d, want 8000", s.N)
 	}
 }
 
@@ -226,7 +231,7 @@ func TestConcurrentUse(t *testing.T) {
 	ring := NewRing(128)
 	sc := NewScope(reg, ring)
 	c := sc.Counter("shared")
-	h := sc.Histogram("h", LogBuckets(1, 1e6))
+	h := sc.Histogram("h", stats.LogBounds(1, 1e6))
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mobilestorage/internal/obs"
+	"mobilestorage/internal/stats"
 )
 
 // benchStream synthesizes an n-event NDJSON stream mixing the kinds the
@@ -116,7 +117,7 @@ func BenchmarkReports(b *testing.B) {
 }
 
 func BenchmarkQuantile(b *testing.B) {
-	h := NewHist(latencyBounds())
+	h := stats.NewHistogram(latencyBounds())
 	for i := 1; i <= 100_000; i++ {
 		h.Add(float64(i % 997))
 	}

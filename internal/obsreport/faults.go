@@ -8,6 +8,7 @@ import (
 
 	"mobilestorage/internal/obs"
 	"mobilestorage/internal/plot"
+	"mobilestorage/internal/stats"
 )
 
 // DeviceFaults is one device's share of the injected faults.
@@ -42,10 +43,10 @@ type FaultsReport struct {
 	// BackoffUs is the cumulative simulated backoff delay.
 	BackoffUs int64 `json:"backoff_us"`
 	// BackoffHist is the distribution of individual backoff delays in ms.
-	BackoffHist     *Hist `json:"backoff_hist"`
-	Remaps          int64 `json:"remaps"`
-	SparesExhausted int64 `json:"spares_exhausted"`
-	Reclaims        int64 `json:"reclaims"`
+	BackoffHist     *stats.Histogram `json:"backoff_hist"`
+	Remaps          int64            `json:"remaps"`
+	SparesExhausted int64            `json:"spares_exhausted"`
+	Reclaims        int64            `json:"reclaims"`
 	// PowerFailures counts injected power failures; PowerFailUs carries the
 	// individual failure times (dropped by Merge, which keeps only the
 	// count).
@@ -55,7 +56,7 @@ type FaultsReport struct {
 }
 
 // backoffBounds covers retry backoff delays from 1 µs to 1 s, in ms.
-func backoffBounds() []float64 { return obs.LogBuckets(1e-3, 1e3) }
+func backoffBounds() []float64 { return stats.LogBounds(1e-3, 1e3) }
 
 // FaultsBuilder accumulates fault-injection activity incrementally.
 type FaultsBuilder struct {
@@ -66,7 +67,7 @@ type FaultsBuilder struct {
 // NewFaultsBuilder returns an empty faults builder.
 func NewFaultsBuilder() *FaultsBuilder {
 	return &FaultsBuilder{
-		r:     &FaultsReport{BackoffHist: NewHist(backoffBounds())},
+		r:     &FaultsReport{BackoffHist: stats.NewHistogram(backoffBounds())},
 		byDev: make(map[string]*DeviceFaults),
 	}
 }

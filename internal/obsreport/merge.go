@@ -1,5 +1,7 @@
 package obsreport
 
+import "mobilestorage/internal/stats"
+
 // Mergeable builders: every report builder can fold another builder's
 // accumulated state into itself, which is what lets a fleet of simulated
 // devices aggregate at constant memory — each run feeds its own private
@@ -16,58 +18,6 @@ package obsreport
 // builder carries distributions and totals only, so fleet memory stays
 // constant in the number of runs. The per-run builders keep that detail for
 // single-run reports.
-
-// Merge folds o's samples into h. Both histograms must share the same
-// bucket layout (they do when built by the same constructor); mismatched
-// bounds are a programming error and panic like NewHist does.
-//
-// Exact observed extremes survive a merge only when both sides know theirs;
-// merging in a width-only histogram (FromStats) yields a width-only result,
-// matching Quantile's "extremes unknown" behavior.
-func (h *Hist) Merge(o *Hist) {
-	if o == nil || h == o {
-		return
-	}
-	if len(h.Bounds) != len(o.Bounds) {
-		panic("obsreport: merging histograms with different bucket layouts")
-	}
-	for i, b := range h.Bounds {
-		if o.Bounds[i] != b {
-			panic("obsreport: merging histograms with different bucket layouts")
-		}
-	}
-	if o.N == 0 {
-		return
-	}
-	if h.N == 0 {
-		copy(h.Counts, o.Counts)
-		h.Overflow = o.Overflow
-		h.N = o.N
-		h.Sum = o.Sum
-		h.Min = o.Min
-		h.Max = o.Max
-		h.ExtremesKnown = o.ExtremesKnown
-		return
-	}
-	known := h.ExtremesKnown && o.ExtremesKnown
-	for i, c := range o.Counts {
-		h.Counts[i] += c
-	}
-	h.Overflow += o.Overflow
-	h.N += o.N
-	h.Sum += o.Sum
-	if known {
-		if o.Min < h.Min {
-			h.Min = o.Min
-		}
-		if o.Max > h.Max {
-			h.Max = o.Max
-		}
-	} else {
-		h.Min, h.Max = 0, 0
-		h.ExtremesKnown = false
-	}
-}
 
 // Merge folds o's per-device spin history into b: spin counts, completed
 // sleep totals, and the sleep-duration distributions. The per-interval
@@ -95,7 +45,7 @@ func (b *LatencyBuilder) Merge(o *LatencyBuilder) {
 	for kind, oh := range o.hists {
 		h, ok := b.hists[kind]
 		if !ok {
-			h = NewHist(latencyBounds())
+			h = stats.NewHistogram(latencyBounds())
 			b.hists[kind] = h
 		}
 		h.Merge(oh)

@@ -6,11 +6,12 @@ import (
 	"testing"
 
 	"mobilestorage/internal/obs"
+	"mobilestorage/internal/stats"
 )
 
 func TestHistMergeCounts(t *testing.T) {
-	a := NewHist(latencyBounds())
-	b := NewHist(latencyBounds())
+	a := stats.NewHistogram(latencyBounds())
+	b := stats.NewHistogram(latencyBounds())
 	for _, v := range []float64{0.5, 2, 40} {
 		a.Add(v)
 	}
@@ -40,8 +41,8 @@ func TestHistMergeCounts(t *testing.T) {
 }
 
 func TestHistMergeIntoEmptyCopies(t *testing.T) {
-	a := NewHist(latencyBounds())
-	b := NewHist(latencyBounds())
+	a := stats.NewHistogram(latencyBounds())
+	b := stats.NewHistogram(latencyBounds())
 	b.Add(3)
 	b.Add(7)
 	a.Merge(b)
@@ -50,61 +51,35 @@ func TestHistMergeIntoEmptyCopies(t *testing.T) {
 	}
 	// And the other direction: merging an empty histogram is a no-op.
 	before := *a
-	a.Merge(NewHist(latencyBounds()))
+	a.Merge(stats.NewHistogram(latencyBounds()))
 	if a.N != before.N || a.Sum != before.Sum {
 		t.Error("merging an empty histogram changed state")
 	}
 }
 
-// Merging a width-only histogram (extremes unknown, as FromStats builds)
-// must yield a width-only result, not fabricate extremes.
-func TestHistMergeWidthOnly(t *testing.T) {
-	known := NewHist(latencyBounds())
-	known.Add(5)
-	widthOnly := NewHist(latencyBounds())
-	widthOnly.Counts[10] = 3
-	widthOnly.N = 3
-	widthOnly.Sum = 12 // Max stays 0: extremes unknown
-
-	known.Merge(widthOnly)
-	if known.Min != 0 || known.Max != 0 {
-		t.Errorf("extremes [%g, %g] after width-only merge, want [0, 0]", known.Min, known.Max)
-	}
-	if known.N != 4 {
-		t.Errorf("N = %d, want 4", known.N)
-	}
-}
-
-// A histogram whose samples are legitimately all zero still knows its exact
-// extremes; merging it must keep the other side's Min/Max instead of
-// degrading to width-only (regression: Max > 0 was the 'extremes known'
-// sentinel, so an all-zero side looked like a FromStats histogram).
+// A histogram whose samples are legitimately all zero still has exact
+// extremes; merging it must keep the other side's Max and lower Min to 0
+// (regression: Max > 0 once served as the "extremes known" sentinel, so an
+// all-zero side lost them).
 func TestHistMergeAllZeroSamplesKeepsExtremes(t *testing.T) {
-	zero := NewHist(latencyBounds())
+	zero := stats.NewHistogram(latencyBounds())
 	zero.Add(0)
 	zero.Add(0)
-	if !zero.ExtremesKnown {
-		t.Fatal("Add-built histogram must know its extremes")
-	}
 	if q := zero.Quantile(0.99); q != 0 {
 		t.Errorf("all-zero p99 = %g, want exactly 0", q)
 	}
 
-	known := NewHist(latencyBounds())
+	known := stats.NewHistogram(latencyBounds())
 	known.Add(5)
 	known.Merge(zero)
-	if !known.ExtremesKnown {
-		t.Error("merge with an all-zero histogram lost the extremes")
-	}
 	if known.Min != 0 || known.Max != 5 {
 		t.Errorf("extremes [%g, %g], want [0, 5]", known.Min, known.Max)
 	}
 
 	// And the symmetric direction: folding known samples into the zero side.
 	zero.Merge(known)
-	if !zero.ExtremesKnown || zero.Min != 0 || zero.Max != 5 {
-		t.Errorf("reverse merge: known=%v extremes [%g, %g], want [0, 5]",
-			zero.ExtremesKnown, zero.Min, zero.Max)
+	if zero.Min != 0 || zero.Max != 5 {
+		t.Errorf("reverse merge: extremes [%g, %g], want [0, 5]", zero.Min, zero.Max)
 	}
 }
 
@@ -114,7 +89,7 @@ func TestHistMergeLayoutMismatchPanics(t *testing.T) {
 			t.Fatal("merging different bucket layouts did not panic")
 		}
 	}()
-	NewHist(latencyBounds()).Merge(NewHist(sleepBounds()))
+	stats.NewHistogram(latencyBounds()).Merge(stats.NewHistogram(sleepBounds()))
 }
 
 // mergeStream is a deterministic event mix covering every builder: spin
@@ -244,7 +219,7 @@ func TestFigureSetMergeMatchesSequential(t *testing.T) {
 
 // histEqual compares histograms exactly except for the float Sum, which may
 // differ by association order.
-func histEqual(a, b *Hist) bool {
+func histEqual(a, b *stats.Histogram) bool {
 	if a.N != b.N || a.Overflow != b.Overflow || a.Min != b.Min || a.Max != b.Max {
 		return false
 	}
@@ -381,15 +356,15 @@ func BenchmarkFleetAggregate(b *testing.B) {
 	for _, e := range mergeStream(1000) {
 		run.Observe(e)
 	}
-	readH := NewHist(latencyBounds())
-	writeH := NewHist(latencyBounds())
+	readH := stats.NewHistogram(latencyBounds())
+	writeH := stats.NewHistogram(latencyBounds())
 	for i := 0; i < 200; i++ {
 		readH.Add(float64(i%50) + 0.5)
 		writeH.Add(float64(i%80) + 0.25)
 	}
 	fleet := NewFigureSet()
-	fleetRead := NewHist(latencyBounds())
-	fleetWrite := NewHist(latencyBounds())
+	fleetRead := stats.NewHistogram(latencyBounds())
+	fleetWrite := stats.NewHistogram(latencyBounds())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

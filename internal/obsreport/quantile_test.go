@@ -20,7 +20,7 @@ func relErr(got, want float64) float64 {
 // interpolation the estimates must land well inside one bucket ratio
 // (10^0.2 ≈ 1.58×) of the exact answers — we require 10%.
 func TestQuantileUniform(t *testing.T) {
-	h := NewHist(latencyBounds())
+	h := stats.NewHistogram(latencyBounds())
 	for i := 1; i <= 1000; i++ {
 		h.Add(float64(i))
 	}
@@ -48,7 +48,7 @@ func TestQuantileUniform(t *testing.T) {
 // A two-sided point-mass distribution has exactly computable quantiles:
 // 90 samples at 1.0 and 10 at 100.0 put p50 at 1 and p99 at 100.
 func TestQuantilePointMasses(t *testing.T) {
-	h := NewHist(latencyBounds())
+	h := stats.NewHistogram(latencyBounds())
 	for i := 0; i < 90; i++ {
 		h.Add(1.0)
 	}
@@ -74,7 +74,7 @@ func TestQuantilePointMasses(t *testing.T) {
 // tails), deterministic via inverse CDF sampling on a fixed grid.
 func TestQuantileExponential(t *testing.T) {
 	const mean = 5.0 // ms
-	h := NewHist(latencyBounds())
+	h := stats.NewHistogram(latencyBounds())
 	n := 10000
 	for i := 0; i < n; i++ {
 		u := (float64(i) + 0.5) / float64(n)
@@ -96,7 +96,7 @@ func TestQuantileExponential(t *testing.T) {
 }
 
 func TestQuantileEmptyAndOverflow(t *testing.T) {
-	h := NewHist([]float64{1, 10})
+	h := stats.NewHistogram([]float64{1, 10})
 	if got := h.Quantile(0.5); got != 0 {
 		t.Errorf("empty quantile %g, want 0", got)
 	}
@@ -109,15 +109,12 @@ func TestQuantileEmptyAndOverflow(t *testing.T) {
 // The estimator must agree with the simulator's conservative bucket-edge
 // quantiles: estimate ≤ edge bound, always.
 func TestQuantileTighterThanStatsBound(t *testing.T) {
-	sh := stats.NewLatencyHistogram()
-	h := NewHist(sh.Bounds)
+	h := stats.NewLatencyHistogram()
 	for i := 1; i <= 500; i++ {
-		v := float64(i) * 0.37
-		sh.Add(v)
-		h.Add(v)
+		h.Add(float64(i) * 0.37)
 	}
 	for _, q := range []float64{0.5, 0.9, 0.99} {
-		bound := sh.Quantile(q)
+		bound := h.QuantileBound(q)
 		est := h.Quantile(q)
 		if est > bound {
 			t.Errorf("q=%.2f: estimate %g exceeds the edge bound %g", q, est, bound)
@@ -125,19 +122,18 @@ func TestQuantileTighterThanStatsBound(t *testing.T) {
 	}
 }
 
-func TestFromSnapshotAndFromStats(t *testing.T) {
+// A registry snapshot is a stats.Histogram with exact extremes, so the
+// estimator clamps to them and reports them exactly.
+func TestRegistrySnapshotQuantile(t *testing.T) {
 	reg := obs.NewRegistry()
-	oh := reg.Histogram("x", obs.LogBuckets(1e-3, 1e6))
+	oh := reg.Histogram("x", latencyBounds())
 	for i := 1; i <= 100; i++ {
 		oh.Observe(float64(i))
 	}
-	snap := reg.Histograms()["x"]
-	h := FromSnapshot(snap)
+	h := reg.Histograms()["x"]
 	if h.N != 100 {
 		t.Fatalf("snapshot N = %d", h.N)
 	}
-	// Registry snapshots carry exact extremes, so the estimator clamps and
-	// reports them exactly.
 	if h.Min != 1 || h.Max != 100 {
 		t.Errorf("snapshot extremes [%g, %g], want [1, 100]", h.Min, h.Max)
 	}
@@ -147,19 +143,7 @@ func TestFromSnapshotAndFromStats(t *testing.T) {
 	if got := h.Quantile(0.5); relErr(got, 50) > 0.6 {
 		t.Errorf("snapshot p50 = %g, want ≈ 50", got)
 	}
-	if h.Sum != snap.Sum {
-		t.Errorf("sum %g, want %g", h.Sum, snap.Sum)
-	}
-
-	sh := stats.NewLatencyHistogram()
-	for i := 1; i <= 100; i++ {
-		sh.Add(float64(i))
-	}
-	h2 := FromStats(sh)
-	if h2.N != 100 {
-		t.Fatalf("stats N = %d", h2.N)
-	}
-	if FromStats(nil).N != 0 {
-		t.Error("nil stats histogram")
+	if h.Sum != 5050 {
+		t.Errorf("sum %g, want 5050", h.Sum)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"strconv"
 
 	"mobilestorage/internal/obs"
+	"mobilestorage/internal/stats"
 )
 
 // Format selects a report rendering.
@@ -255,7 +256,7 @@ func WriteCleaning(w io.Writer, r *CleaningReport, f Format) error {
 
 // writeHistText prints the non-empty buckets of a histogram as an ASCII
 // bar chart.
-func writeHistText(w io.Writer, indent string, h *Hist, unit string) {
+func writeHistText(w io.Writer, indent string, h *stats.Histogram, unit string) {
 	var peak int64
 	for _, c := range h.Counts {
 		if c > peak {

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"mobilestorage/internal/obs"
+	"mobilestorage/internal/stats"
 )
 
 // Reporter is the incremental face of a report: feed it one event at a
@@ -48,7 +49,7 @@ type DeviceTimeline struct {
 	Sleeps    []Interval `json:"sleeps"`
 	// SleepHist is the distribution of completed sleep durations in
 	// seconds.
-	SleepHist *Hist `json:"sleep_hist"`
+	SleepHist *stats.Histogram `json:"sleep_hist"`
 	// TotalSleepUs sums the completed sleep intervals.
 	TotalSleepUs int64 `json:"total_sleep_us"`
 	// OpenSleepUs is the start time of a trailing spin-down never followed
@@ -57,7 +58,7 @@ type DeviceTimeline struct {
 }
 
 // sleepBounds covers sleep durations from 10 ms to ~28 h, in seconds.
-func sleepBounds() []float64 { return obs.LogBuckets(1e-2, 1e5) }
+func sleepBounds() []float64 { return stats.LogBounds(1e-2, 1e5) }
 
 // TimelineBuilder derives per-device spin timelines incrementally.
 type TimelineBuilder struct {
@@ -72,7 +73,7 @@ func NewTimelineBuilder() *TimelineBuilder {
 func (b *TimelineBuilder) get(dev string) *DeviceTimeline {
 	tl, ok := b.byDev[dev]
 	if !ok {
-		tl = &DeviceTimeline{Dev: dev, SleepHist: NewHist(sleepBounds()), OpenSleepUs: -1}
+		tl = &DeviceTimeline{Dev: dev, SleepHist: stats.NewHistogram(sleepBounds()), OpenSleepUs: -1}
 		b.byDev[dev] = tl
 	}
 	return tl
@@ -140,17 +141,22 @@ type KindLatency struct {
 	P99Ms  float64 `json:"p99_ms"`
 	MaxMs  float64 `json:"max_ms"`
 	// Hist is the underlying log-bucket distribution in milliseconds.
-	Hist *Hist `json:"hist"`
+	Hist *stats.Histogram `json:"hist"`
 }
+
+// latencyBounds buckets durations in milliseconds from 1 µs to ≈1000 s: the
+// 46-bound layout beside core's 45-bound result layout (see
+// stats.NewLatencyHistogram).
+func latencyBounds() []float64 { return stats.LogBounds(1e-3, 1e6) }
 
 // LatencyBuilder aggregates per-kind duration distributions incrementally.
 type LatencyBuilder struct {
-	hists map[obs.Kind]*Hist
+	hists map[obs.Kind]*stats.Histogram
 }
 
 // NewLatencyBuilder returns an empty latency builder.
 func NewLatencyBuilder() *LatencyBuilder {
-	return &LatencyBuilder{hists: make(map[obs.Kind]*Hist)}
+	return &LatencyBuilder{hists: make(map[obs.Kind]*stats.Histogram)}
 }
 
 // Kinds implements obs.KindFilter: the kinds Observe reads.
@@ -163,7 +169,7 @@ func (b *LatencyBuilder) Observe(e obs.Event) {
 	}
 	h, ok := b.hists[e.Kind]
 	if !ok {
-		h = NewHist(latencyBounds())
+		h = stats.NewHistogram(latencyBounds())
 		b.hists[e.Kind] = h
 	}
 	h.Add(float64(e.Dur) / 1e3) // µs → ms
@@ -371,7 +377,7 @@ type CleaningReport struct {
 	Stalls       int64 `json:"stalls"`
 	// LivePerClean is the distribution of live blocks copied out per
 	// cleaning job.
-	LivePerClean *Hist `json:"live_per_clean"`
+	LivePerClean *stats.Histogram `json:"live_per_clean"`
 	// MeanLivePerClean is CopiedBlocks / Cleans.
 	MeanLivePerClean float64 `json:"mean_live_per_clean"`
 	// TotalCleanUs sums cleaning job durations.
@@ -389,7 +395,7 @@ type CleaningReport struct {
 }
 
 // liveBounds covers live-blocks-per-clean from 1 to 100k.
-func liveBounds() []float64 { return obs.LogBuckets(1, 1e5) }
+func liveBounds() []float64 { return stats.LogBounds(1, 1e5) }
 
 // CleaningBuilder accumulates cleaner work incrementally.
 type CleaningBuilder struct {
@@ -398,7 +404,7 @@ type CleaningBuilder struct {
 
 // NewCleaningBuilder returns an empty cleaning builder.
 func NewCleaningBuilder() *CleaningBuilder {
-	return &CleaningBuilder{r: &CleaningReport{LivePerClean: NewHist(liveBounds())}}
+	return &CleaningBuilder{r: &CleaningReport{LivePerClean: stats.NewHistogram(liveBounds())}}
 }
 
 // Kinds implements obs.KindFilter: the kinds Observe reads.

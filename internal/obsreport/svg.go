@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"mobilestorage/internal/plot"
+	"mobilestorage/internal/stats"
 )
 
 // TimelineChart renders per-device spin state over time: 1 = spinning,
@@ -126,7 +127,7 @@ func CleaningChart(r *CleaningReport) *plot.Chart {
 // upper bounds, trimming the all-zero tail (but keeping interior zeros so
 // gaps in the distribution stay visible). The overflow count, if any,
 // lands one bucket ratio past the last bound.
-func HistPoints(h *Hist) []plot.Point {
+func HistPoints(h *stats.Histogram) []plot.Point {
 	if h == nil {
 		return nil
 	}

@@ -127,38 +127,3 @@ func TestSummaryMergeZeroMean(t *testing.T) {
 		t.Error("merge of a zero-mean input disagrees with the sequential summary")
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{1, 10, 100})
-	for _, x := range []float64{0.5, 0.9, 5, 50, 500} {
-		h.Add(x)
-	}
-	if h.Counts[0] != 2 || h.Counts[1] != 1 || h.Counts[2] != 1 || h.Overflow != 1 {
-		t.Errorf("counts = %v overflow = %d", h.Counts, h.Overflow)
-	}
-	if h.Total() != 5 {
-		t.Errorf("Total = %d, want 5", h.Total())
-	}
-	if q := h.Quantile(0.5); q != 10 {
-		t.Errorf("Quantile(0.5) = %g, want 10", q)
-	}
-	if q := h.Quantile(1.0); !math.IsInf(q, 1) {
-		t.Errorf("Quantile(1.0) = %g, want +Inf (overflow)", q)
-	}
-}
-
-func TestHistogramEmptyQuantile(t *testing.T) {
-	h := NewHistogram([]float64{1})
-	if q := h.Quantile(0.9); q != 0 {
-		t.Errorf("empty Quantile = %g, want 0", q)
-	}
-}
-
-func TestHistogramBadBoundsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("descending bounds did not panic")
-		}
-	}()
-	NewHistogram([]float64{10, 1})
-}
