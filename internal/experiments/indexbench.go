@@ -51,15 +51,10 @@ type indexTraceEntry struct {
 	stats index.Stats
 }
 
-// IndexWorkload returns the canonical index trace for an engine and seed,
+// IndexWorkloadMix returns the canonical index trace for an engine, seed
+// and named op mix ("default" or "read-heavy", per index.MixByName),
 // memoized like Workload; the returned stats carry the engine-level write
 // amplification.
-func IndexWorkload(engine index.EngineKind, seed int64) (*trace.Trace, index.Stats, error) {
-	return IndexWorkloadMix(engine, seed, "default")
-}
-
-// IndexWorkloadMix is IndexWorkload with a named op mix ("default" or
-// "read-heavy", per index.MixByName).
 func IndexWorkloadMix(engine index.EngineKind, seed int64, mixName string) (*trace.Trace, index.Stats, error) {
 	cfg, err := index.BenchTraceConfigMix(engine, seed, mixName)
 	if err != nil {

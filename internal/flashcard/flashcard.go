@@ -316,9 +316,9 @@ func (c *Card) Prefill(data units.Bytes) error {
 		return fmt.Errorf("flashcard %s: prefill %v exceeds usable capacity (%v of %v)",
 			c.p.Name, data, units.Bytes(maxBlocks)*c.blockSize, c.capacity)
 	}
-	// Bulk-fill whole segments: state-identical to appending each block in
-	// order through appendBlock (which this replaced), but without the
-	// per-block bookkeeping — Figure 4 prefills 32 MB for every point.
+	// Bulk-fill whole segments: state-identical to appending the blocks one
+	// at a time in order, but without the per-block bookkeeping — Figure 4
+	// prefills 32 MB for every point.
 	bps := int64(c.blocksPerSeg)
 	for b := int64(0); b < blocks; {
 		n := blocks - b
@@ -646,43 +646,15 @@ func (c *Card) openSegment(h logHead) {
 	c.stateGen++ // the smaller erased pool can change what relocation fits
 }
 
-// appendBlock writes one logical block at head h's log position,
-// invalidating any previous copy. Callers ensure erased space exists;
-// Prefill starts from an all-erased card so its opens always succeed.
-func (c *Card) appendBlock(b int32, h logHead) {
-	if c.active[h] == noSegment || c.activeFree[h] == 0 {
-		if c.active[h] != noSegment {
-			c.segState[c.active[h]] = segClosed
-			c.active[h] = noSegment
-		}
-		if len(c.erased) == 0 {
-			panic(fmt.Sprintf("flashcard %s: appendBlock without erased space", c.p.Name))
-		}
-		c.openSegment(h)
-	}
-	s := c.active[h]
-	if old := c.blockSeg[b] - 1; old != noSegment {
-		c.segLive[old]--
-	}
-	c.blockSeg[b] = s + 1
-	c.segLive[s]++
-	c.segArena[int64(s)*int64(c.blocksPerSeg)+int64(c.segFill[s])] = b
-	c.segFill[s]++
-	c.activeFree[h]--
-	if c.activeFree[h] == 0 {
-		c.segState[s] = segClosed
-		c.active[h] = noSegment
-	}
-}
-
 // appendHostRun appends logical blocks [first, last] to the host log,
 // returning the synchronous stall time spent waiting for erased space.
-// State-identical to the per-block ensureSpace+appendBlock loop it replaced:
-// blocks land in the same arena slots, segments close and open at the same
-// points, and ensureSpace runs exactly where the per-block loop would have
-// done non-trivial work (at rollover, with the stall accumulated so far —
-// for every other block it returned immediately). The live counts batch as
-// plain integer sums, so the final state is identical, not just equivalent.
+// State-identical to appending one block at a time, each after an
+// ensureSpace call: blocks land in the same arena slots, segments close and
+// open at the same points, and ensureSpace runs exactly where a per-block
+// append would have it do non-trivial work (at rollover, with the stall
+// accumulated so far — for every other block it returns immediately). The
+// live counts batch as plain integer sums, so the final state is
+// identical, not just equivalent.
 func (c *Card) appendHostRun(first, last int64, start units.Time) units.Time {
 	var stall units.Time
 	bps := int64(c.blocksPerSeg)
@@ -916,11 +888,11 @@ func (c *Card) finishJob(at units.Time) {
 	c.job = nil
 	c.victimLiveSum += int64(c.segLive[v])
 	// Relocate the victim's live blocks to the cleaner's log head in chunks
-	// bounded by the head's free space. State-identical to the per-block
-	// appendBlock loop it replaced: a victim is always closed (never the
-	// cleaner's own active segment), so the per-block decrement/increment
-	// pairs batch into one subtraction from the victim and one addition per
-	// destination chunk.
+	// bounded by the head's free space. State-identical to relocating one
+	// block at a time: a victim is always closed (never the cleaner's own
+	// active segment), so the per-block decrement/increment pairs batch
+	// into one subtraction from the victim and one addition per destination
+	// chunk.
 	var copied int64
 	bps := int64(c.blocksPerSeg)
 	base := int64(v) * bps
@@ -937,7 +909,7 @@ func (c *Card) finishJob(at units.Time) {
 				c.active[cleanHead] = noSegment
 			}
 			if len(c.erased) == 0 {
-				panic(fmt.Sprintf("flashcard %s: appendBlock without erased space", c.p.Name))
+				panic(fmt.Sprintf("flashcard %s: relocation without erased space", c.p.Name))
 			}
 			c.openSegment(cleanHead)
 		}

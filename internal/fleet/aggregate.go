@@ -290,7 +290,9 @@ func hitRate(hits, misses int64) float64 {
 // distribution (individual intervals are not retained across runs), energy
 // is the per-run total-energy distribution (cumulative curves do not merge
 // across independent simulated clocks), and latency overlays the fleet
-// read/write response-time histograms.
+// read/write response-time histograms. faults and array draw their time
+// series from per-run timestamps, which their builders' Merge drops, so
+// the merged figures carry no series.
 func (a *Aggregator) Chart(kind string) (*plot.Chart, error) {
 	switch kind {
 	case "timeline":
@@ -326,6 +328,8 @@ func (a *Aggregator) Chart(kind string) (*plot.Chart, error) {
 		return obsreport.CleaningChart(a.figs.Cleaning.Finish()), nil
 	case "faults":
 		return obsreport.FaultsChart(a.figs.Faults.Finish()), nil
+	case "array":
+		return obsreport.ArrayChart(a.figs.Array.Finish()), nil
 	default:
 		return nil, obsreport.UnknownKindError(kind)
 	}

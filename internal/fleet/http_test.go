@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"mobilestorage/internal/obs"
+	"mobilestorage/internal/obsreport"
 )
 
 func newTestServer(t *testing.T) (*Service, *httptest.Server) {
@@ -116,6 +117,7 @@ func TestJobAPIRejectsBadSpecs(t *testing.T) {
 		{"unknown field", `{"devicez": ["cu140"]}`, http.StatusBadRequest},
 		{"unknown device", `{"devices": ["floppy"]}`, http.StatusBadRequest},
 		{"bad utilization", `{"utilizations": [2.0]}`, http.StatusBadRequest},
+		{"too many synth ops", `{"synth_ops": 1000001}`, http.StatusBadRequest},
 	} {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(c.body))
 		if err != nil {
@@ -142,7 +144,8 @@ func TestJobPlotEndpoints(t *testing.T) {
 	st := postJob(t, ts, `{"synth_ops": 300, "sample_every_s": 1}`)
 	pollDone(t, ts, st.ID)
 
-	for _, kind := range []string{"timeline", "latency", "wear", "energy", "cleaning", "faults"} {
+	// The dashboard links and embeds every figure kind for every job.
+	for _, kind := range obsreport.FigureKinds() {
 		resp, err := http.Get(ts.URL + "/jobs/" + st.ID + "/plot/" + kind)
 		if err != nil {
 			t.Fatal(err)

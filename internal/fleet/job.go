@@ -36,7 +36,8 @@ type Spec struct {
 	// Traces are workload presets (mac, dos, hp, synth). Default: synth.
 	Traces []string `json:"traces,omitempty"`
 	// SynthOps overrides the synthetic workload length (0 = the preset's
-	// default of 20000 operations). Applies to "synth" traces only.
+	// default of 20000 operations, at most workload.MaxSynthOps). Applies
+	// to "synth" traces only.
 	SynthOps int `json:"synth_ops,omitempty"`
 	// Utilizations are flash utilization points. Default: 0.8.
 	Utilizations []float64 `json:"utilizations,omitempty"`
@@ -197,8 +198,8 @@ func validate(s Spec) (*validated, error) {
 			return nil, fmt.Errorf("negative spin-down threshold %g", sd)
 		}
 	}
-	if s.SynthOps < 0 {
-		return nil, fmt.Errorf("negative synth_ops %d", s.SynthOps)
+	if s.SynthOps < 0 || s.SynthOps > workload.MaxSynthOps {
+		return nil, fmt.Errorf("synth_ops %d out of [0, %d]", s.SynthOps, workload.MaxSynthOps)
 	}
 	if s.Replicas > maxRuns {
 		return nil, fmt.Errorf("replicas %d exceeds the %d-run limit", s.Replicas, maxRuns)

@@ -10,6 +10,7 @@ import (
 	"mobilestorage/internal/core"
 	"mobilestorage/internal/trace"
 	"mobilestorage/internal/units"
+	"mobilestorage/internal/workload"
 )
 
 func TestExpandDefaults(t *testing.T) {
@@ -96,6 +97,7 @@ func TestExpandValidation(t *testing.T) {
 		{"bad utilization", Spec{Utilizations: []float64{1.5}}, "utilization"},
 		{"negative spindown", Spec{SpinDownS: []float64{-1}}, "spin-down"},
 		{"negative ops", Spec{SynthOps: -5}, "synth_ops"},
+		{"too many ops", Spec{SynthOps: workload.MaxSynthOps + 1}, "synth_ops"},
 		{"too many workers", Spec{Workers: maxWorkers + 1}, "workers"},
 		{"negative sample", Spec{SampleEveryS: -1}, "sample_every_s"},
 		{"bad fault plan", Spec{FaultPlans: []json.RawMessage{json.RawMessage(`{"nope`)}}, "fault_plans[0]"},

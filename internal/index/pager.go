@@ -112,9 +112,6 @@ func (p *Pager) NewFile() FileID {
 	return FileID(len(p.filePages) - 1)
 }
 
-// Pages returns the number of pages in a file.
-func (p *Pager) Pages(f FileID) int64 { return p.filePages[f] }
-
 // emit appends one trace record at the current clock.
 func (p *Pager) emit(op trace.Op, key pageKey, size units.Bytes) {
 	p.recs = append(p.recs, trace.Record{
@@ -271,7 +268,6 @@ func (p *Pager) PageReads() int64        { return p.pageReads }
 func (p *Pager) PageWrites() int64       { return p.pageWrites }
 func (p *Pager) ReadBytes() units.Bytes  { return p.readBytes }
 func (p *Pager) WriteBytes() units.Bytes { return p.writeByts }
-func (p *Pager) Resident() int           { return len(p.frames) }
 
 // Page is a pinned page handle.
 type Page struct {
@@ -281,10 +277,6 @@ type Page struct {
 
 // Data returns the engine-owned payload.
 func (pg *Page) Data() any { return pg.fr.data }
-
-// SetData replaces the payload (pages holding slices or values rather than
-// pointers need this after mutation).
-func (pg *Page) SetData(d any) { pg.fr.data = d }
 
 // Index returns the page's index within its file.
 func (pg *Page) Index() int64 { return pg.fr.key.idx }

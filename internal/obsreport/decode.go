@@ -49,12 +49,13 @@ type eventJSON struct {
 }
 
 // Decoder reads an NDJSON event stream line by line. Each line is first
-// parsed by the hand-rolled fast scanner (scan.go), which handles the
-// canonical emitter shape with zero allocations per event; lines outside
-// the fast grammar — escape sequences, non-ASCII strings, floats, unknown
-// JSON features — fall back to encoding/json, which is also where every
-// malformed-line error comes from. FuzzScanDifferential pins the two paths
-// to byte-for-byte agreement.
+// parsed by the fast scanner (scan.go), which takes exactly the line
+// obs.NDJSONSink writes, in the sink's member order, with zero allocations
+// per event; every other line — another member order, whitespace, escape
+// sequences, non-ASCII strings, floats, unknown members — falls back to
+// encoding/json, which is also where every malformed-line error comes
+// from. FuzzScanDifferential pins the two paths to byte-for-byte agreement,
+// and FuzzSinkFastPath pins every sink line to the fast path.
 type Decoder struct {
 	sc   *bufio.Scanner
 	line int

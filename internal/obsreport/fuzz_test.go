@@ -3,6 +3,8 @@ package obsreport
 import (
 	"bytes"
 	"io"
+	"math"
+	"strings"
 	"testing"
 
 	"mobilestorage/internal/obs"
@@ -132,6 +134,58 @@ func FuzzScanDifferential(f *testing.F) {
 		}
 		if fastErr != nil && fastErr.Error() != refErr.Error() {
 			t.Fatalf("error text disagreement:\n fast %v\n  ref %v", fastErr, refErr)
+		}
+	})
+}
+
+// sinkDev keeps the bytes of s that obs.NDJSONSink writes raw into a
+// "dev" member: printable ASCII other than '"' and '\', the characters of
+// catalog device names.
+func sinkDev(s string) string {
+	return strings.Map(func(r rune) rune {
+		if r < ' ' || r > '~' || r == '"' || r == '\\' {
+			return -1
+		}
+		return r
+	}, s)
+}
+
+// FuzzSinkFastPath pins the fast scanner to obs.NDJSONSink: the line the
+// sink writes for any event with a named kind must take the fast path and
+// decode to that event. FuzzScanDifferential cannot catch a drift between
+// the two, because a sink line that bails to encoding/json still decodes
+// to the same event; only the speed would be lost.
+func FuzzSinkFastPath(f *testing.F) {
+	f.Add(uint8(obs.EvDiskSpinUp), int64(1), int64(0), int64(0), int64(1000), "cu140")
+	f.Add(uint8(obs.EvCardErase), int64(2), int64(7), int64(3), int64(0), "")
+	f.Add(uint8(obs.EvEnergySample), int64(0), int64(0), int64(-123456), int64(0), "total")
+	f.Add(uint8(obs.KindOther), int64(math.MinInt64), int64(math.MaxInt64), int64(-1), int64(math.MinInt64), " !#~")
+	f.Add(uint8(255), int64(math.MaxInt64), int64(math.MinInt64), int64(math.MaxInt64), int64(math.MaxInt64), "m0:intel")
+	f.Fuzz(func(t *testing.T, kind uint8, tUS, addr, size, dur int64, dev string) {
+		// Kinds 1 through KindOther map to themselves; other bytes fold
+		// into that range.
+		n := int(obs.KindOther)
+		e := obs.Event{
+			T:    tUS,
+			Kind: obs.Kind(1 + (int(kind)+n-1)%n),
+			Dev:  sinkDev(dev),
+			Addr: addr,
+			Size: size,
+			Dur:  dur,
+		}
+		var buf bytes.Buffer
+		sink := obs.NewNDJSONSink(&buf)
+		sink.Emit(e)
+		if err := sink.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		line := bytes.TrimSuffix(buf.Bytes(), []byte("\n"))
+		got, ok := (&Decoder{}).scanEvent(line)
+		if !ok {
+			t.Fatalf("sink line %s bailed to encoding/json", line)
+		}
+		if got != e {
+			t.Fatalf("sink line %s decoded to %+v, want %+v", line, got, e)
 		}
 	})
 }

@@ -1,18 +1,22 @@
 package obsreport
 
-// The zero-allocation NDJSON fast path. scanEvent parses one line of the
-// canonical emitter shape (obs.NDJSONSink output and near relatives) with a
-// hand-rolled scanner: no encoding/json, no per-event map or interface
-// values, kinds mapped by obs.ParseKind and Dev strings interned, so a
-// steady-state stream allocates nothing per event.
+// The zero-allocation NDJSON fast path. scanEvent parses exactly the line
+// obs.NDJSONSink writes, member for member in the sink's order:
 //
-// The scanner is deliberately conservative: any construct outside its
-// grammar — escape sequences, non-ASCII strings, floats or exponents in
-// integer fields, oversized numbers, unusual whitespace — makes it bail
-// with ok=false, and the caller re-parses the line with encoding/json (the
-// lenient fallback path). The fast path therefore never has to reproduce
-// encoding/json's error behavior, only its successes; the differential
-// fuzz target FuzzScanDifferential pins that agreement byte for byte.
+//	{"t_us":T,"kind":"K"[,"dev":"D"][,"addr":A][,"size":S][,"dur_us":U]}
+//
+// with no whitespace, plain integers, and strings of printable ASCII
+// without escapes. There are no per-event map or interface values, kinds
+// are mapped by obs.ParseKind and Dev strings interned, so a steady-state
+// stream allocates nothing per event.
+//
+// Any other line — reordered, spaced, escaped, non-ASCII, a float, an
+// unknown or repeated member — makes the scanner bail with ok=false, and
+// the caller re-parses it with encoding/json (the lenient fallback path).
+// The fast path therefore never has to reproduce encoding/json's error
+// behavior, only its successes: FuzzScanDifferential pins that agreement
+// byte for byte, and FuzzSinkFastPath pins every line the sink writes to
+// the fast path.
 
 import (
 	"math"
@@ -20,65 +24,10 @@ import (
 	"mobilestorage/internal/obs"
 )
 
-// maxSkipDepth bounds nesting while skipping unknown-field values. Deeper
-// documents fall back to encoding/json (which allows ~10000 levels), so the
-// cap costs correctness nothing and keeps the scanner's recursion shallow.
-const maxSkipDepth = 64
-
 // maxInternStrings caps the Dev interning table so a hostile stream
 // with unbounded name cardinality cannot grow memory; past the cap new
 // names are still returned, just not retained.
 const maxInternStrings = 1024
-
-// Field indices for the known event shape.
-const (
-	fUnknown = iota
-	fT
-	fKind
-	fDev
-	fAddr
-	fSize
-	fDur
-)
-
-// fieldOf resolves a member key to a known event field. Exact matches are
-// the emitter's spelling; the ASCII-lowercase retry mirrors encoding/json's
-// case-insensitive key matching (non-ASCII keys never reach here — the key
-// grammar already forced a fallback).
-func fieldOf(key []byte) int {
-	if f := fieldExact(key); f != fUnknown {
-		return f
-	}
-	if len(key) > 6 {
-		return fUnknown
-	}
-	var low [6]byte
-	for i, c := range key {
-		if c >= 'A' && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		low[i] = c
-	}
-	return fieldExact(low[:len(key)])
-}
-
-func fieldExact(key []byte) int {
-	switch string(key) { // compiler-optimized, no allocation
-	case "t_us":
-		return fT
-	case "kind":
-		return fKind
-	case "dev":
-		return fDev
-	case "addr":
-		return fAddr
-	case "size":
-		return fSize
-	case "dur_us":
-		return fDur
-	}
-	return fUnknown
-}
 
 // intern returns a string for b, reusing a previously built string with the
 // same bytes. Device names are a tiny fixed vocabulary, so after warm-up no
@@ -100,123 +49,66 @@ func (d *Decoder) intern(b []byte) string {
 	return s
 }
 
-// scanEvent parses one NDJSON line into ev. ok=false means "not fast-path
-// parseable" — the line may still be valid JSON for the fallback decoder.
-func (d *Decoder) scanEvent(b []byte) (ev obs.Event, ok bool) {
-	i := skipWS(b, 0)
-	if i >= len(b) || b[i] != '{' {
-		return ev, false
-	}
-	i = skipWS(b, i+1)
-	if i < len(b) && b[i] == '}' {
-		return ev, skipWS(b, i+1) == len(b)
-	}
-	for {
-		key, j, ok := scanSimpleString(b, i)
-		if !ok {
-			return obs.Event{}, false
-		}
-		i = skipWS(b, j)
-		if i >= len(b) || b[i] != ':' {
-			return obs.Event{}, false
-		}
-		i = skipWS(b, i+1)
-		if i, ok = d.scanMember(b, i, key, &ev); !ok {
-			return obs.Event{}, false
-		}
-		i = skipWS(b, i)
-		if i >= len(b) {
-			return obs.Event{}, false
-		}
-		if b[i] == '}' {
-			if skipWS(b, i+1) != len(b) {
-				return obs.Event{}, false
-			}
-			return ev, true
-		}
-		if b[i] != ',' {
-			return obs.Event{}, false
-		}
-		i = skipWS(b, i+1)
-	}
-}
-
-// scanMember consumes one member's value, storing it into the matching
-// event field or validating and skipping it for unknown keys. A JSON null
-// leaves the field untouched, exactly as encoding/json does.
-func (d *Decoder) scanMember(b []byte, i int, key []byte, ev *obs.Event) (int, bool) {
-	switch fieldOf(key) {
-	case fT:
-		return scanIntField(b, i, &ev.T)
-	case fAddr:
-		return scanIntField(b, i, &ev.Addr)
-	case fSize:
-		return scanIntField(b, i, &ev.Size)
-	case fDur:
-		return scanIntField(b, i, &ev.Dur)
-	case fKind:
-		return scanKindField(b, i, &ev.Kind)
-	case fDev:
-		return d.scanStringField(b, i, &ev.Dev)
-	default:
-		return skipValue(b, i, 0)
-	}
-}
-
-func scanIntField(b []byte, i int, dst *int64) (int, bool) {
-	if isNull(b, i) {
-		return i + 4, true
-	}
-	v, end, ok := scanInt(b, i)
+// scanEvent parses one NDJSON line of the sink's layout into an event.
+// ok=false means "not the sink's layout": the line may still be valid JSON
+// for the fallback decoder.
+func (d *Decoder) scanEvent(b []byte) (obs.Event, bool) {
+	var ev obs.Event
+	i, ok := scanLit(b, 0, `{"t_us":`)
 	if !ok {
+		return obs.Event{}, false
+	}
+	if ev.T, i, ok = scanInt(b, i); !ok {
+		return obs.Event{}, false
+	}
+	if i, ok = scanLit(b, i, `,"kind":`); !ok {
+		return obs.Event{}, false
+	}
+	kind, i, ok := scanSimpleString(b, i)
+	if !ok {
+		return obs.Event{}, false
+	}
+	ev.Kind = obs.ParseKind(string(kind)) // the conversion does not escape
+	if j, ok := scanLit(b, i, `,"dev":`); ok {
+		var dev []byte
+		if dev, i, ok = scanSimpleString(b, j); !ok {
+			return obs.Event{}, false
+		}
+		ev.Dev = d.intern(dev)
+	}
+	if i, ok = scanIntMember(b, i, `,"addr":`, &ev.Addr); !ok {
+		return obs.Event{}, false
+	}
+	if i, ok = scanIntMember(b, i, `,"size":`, &ev.Size); !ok {
+		return obs.Event{}, false
+	}
+	if i, ok = scanIntMember(b, i, `,"dur_us":`, &ev.Dur); !ok {
+		return obs.Event{}, false
+	}
+	if i != len(b)-1 || b[i] != '}' {
+		return obs.Event{}, false
+	}
+	return ev, true
+}
+
+// scanLit matches lit at b[i:], returning the index just past it.
+func scanLit(b []byte, i int, lit string) (end int, ok bool) {
+	if len(b)-i < len(lit) || string(b[i:i+len(lit)]) != lit {
 		return i, false
 	}
-	*dst = v
-	return end, true
+	return i + len(lit), true
 }
 
-// scanKindField maps a kind name through obs.ParseKind; the name's string
-// conversion does not escape, so it allocates nothing.
-func scanKindField(b []byte, i int, dst *obs.Kind) (int, bool) {
-	if isNull(b, i) {
-		return i + 4, true
-	}
-	s, end, ok := scanSimpleString(b, i)
+// scanIntMember parses the optional integer member whose `,"name":` prefix
+// is key into *dst. A line without the member leaves *dst alone and is
+// fine; a member whose value is not an int64 literal is not.
+func scanIntMember(b []byte, i int, key string, dst *int64) (end int, ok bool) {
+	j, ok := scanLit(b, i, key)
 	if !ok {
-		return i, false
+		return i, true
 	}
-	*dst = obs.ParseKind(string(s))
-	return end, true
-}
-
-func (d *Decoder) scanStringField(b []byte, i int, dst *string) (int, bool) {
-	if isNull(b, i) {
-		return i + 4, true
-	}
-	s, end, ok := scanSimpleString(b, i)
-	if !ok {
-		return i, false
-	}
-	*dst = d.intern(s)
-	return end, true
-}
-
-// skipWS advances past JSON whitespace (the framing already consumed any
-// newline, but interior \r and \n are still legal whitespace).
-func skipWS(b []byte, i int) int {
-	for i < len(b) {
-		switch b[i] {
-		case ' ', '\t', '\r', '\n':
-			i++
-		default:
-			return i
-		}
-	}
-	return i
-}
-
-func isNull(b []byte, i int) bool {
-	return i+4 <= len(b) && string(b[i:i+4]) == "null"
+	*dst, j, ok = scanInt(b, j)
+	return j, ok
 }
 
 // scanSimpleString scans a quoted string containing only printable ASCII
@@ -290,179 +182,4 @@ func scanInt(b []byte, i int) (v int64, end int, ok bool) {
 		return 0, i, false
 	}
 	return int64(n), i, true
-}
-
-// skipValue validates and skips one JSON value of any type — the unknown-
-// field case. It must never accept input encoding/json would reject
-// (that would make the fast path succeed where the fallback errors), so it
-// applies the full JSON grammar; content it does not need to interpret
-// (escaped or non-ASCII string bytes, float numbers) is allowed through.
-func skipValue(b []byte, i, depth int) (end int, ok bool) {
-	if depth > maxSkipDepth {
-		return i, false
-	}
-	i = skipWS(b, i)
-	if i >= len(b) {
-		return i, false
-	}
-	switch c := b[i]; {
-	case c == '"':
-		return skipString(b, i)
-	case c == '{':
-		i = skipWS(b, i+1)
-		if i < len(b) && b[i] == '}' {
-			return i + 1, true
-		}
-		for {
-			if i, ok = skipString(b, skipWS(b, i)); !ok {
-				return i, false
-			}
-			i = skipWS(b, i)
-			if i >= len(b) || b[i] != ':' {
-				return i, false
-			}
-			if i, ok = skipValue(b, i+1, depth+1); !ok {
-				return i, false
-			}
-			i = skipWS(b, i)
-			if i >= len(b) {
-				return i, false
-			}
-			if b[i] == '}' {
-				return i + 1, true
-			}
-			if b[i] != ',' {
-				return i, false
-			}
-			i++
-		}
-	case c == '[':
-		i = skipWS(b, i+1)
-		if i < len(b) && b[i] == ']' {
-			return i + 1, true
-		}
-		for {
-			if i, ok = skipValue(b, i, depth+1); !ok {
-				return i, false
-			}
-			i = skipWS(b, i)
-			if i >= len(b) {
-				return i, false
-			}
-			if b[i] == ']' {
-				return i + 1, true
-			}
-			if b[i] != ',' {
-				return i, false
-			}
-			i++
-		}
-	case c == 't':
-		return expectLit(b, i, "true")
-	case c == 'f':
-		return expectLit(b, i, "false")
-	case c == 'n':
-		return expectLit(b, i, "null")
-	case c == '-' || (c >= '0' && c <= '9'):
-		return skipNumber(b, i)
-	default:
-		return i, false
-	}
-}
-
-func expectLit(b []byte, i int, lit string) (int, bool) {
-	if i+len(lit) > len(b) || string(b[i:i+len(lit)]) != lit {
-		return i, false
-	}
-	return i + len(lit), true
-}
-
-// skipString validates a quoted string for skipping: escape sequences must
-// be well-formed (that is all encoding/json checks — even lone surrogates
-// are accepted and replaced) and control bytes are forbidden, but non-ASCII
-// bytes pass through since the content is discarded.
-func skipString(b []byte, i int) (end int, ok bool) {
-	if i >= len(b) || b[i] != '"' {
-		return i, false
-	}
-	j := i + 1
-	for j < len(b) {
-		switch c := b[j]; {
-		case c == '"':
-			return j + 1, true
-		case c == '\\':
-			j++
-			if j >= len(b) {
-				return i, false
-			}
-			switch b[j] {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-				j++
-			case 'u':
-				if j+4 >= len(b) {
-					return i, false
-				}
-				for k := 1; k <= 4; k++ {
-					if !isHex(b[j+k]) {
-						return i, false
-					}
-				}
-				j += 5
-			default:
-				return i, false
-			}
-		case c < 0x20:
-			return i, false
-		default:
-			j++
-		}
-	}
-	return i, false
-}
-
-func isHex(c byte) bool {
-	return c >= '0' && c <= '9' || c >= 'a' && c <= 'f' || c >= 'A' && c <= 'F'
-}
-
-// skipNumber validates a full JSON number (integer, fraction, exponent).
-func skipNumber(b []byte, i int) (end int, ok bool) {
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	switch {
-	case i >= len(b):
-		return i, false
-	case b[i] == '0':
-		i++
-	case b[i] >= '1' && b[i] <= '9':
-		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-			i++
-		}
-	default:
-		return i, false
-	}
-	if i < len(b) && b[i] == '.' {
-		i++
-		j := i
-		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-			i++
-		}
-		if i == j {
-			return i, false
-		}
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		j := i
-		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-			i++
-		}
-		if i == j {
-			return i, false
-		}
-	}
-	return i, true
 }

@@ -25,6 +25,11 @@ type SynthConfig struct {
 // enough to cycle the 6 MB dataset several times so cleaning happens.
 const DefaultSynthOps = 20000
 
+// MaxSynthOps bounds SynthConfig.Ops, which reaches Synth from outside
+// (tracegen -ops, a fleet job's synth_ops). Synth sizes its records in one
+// allocation, so the bound caps that at 32 MB, 50 times the default trace.
+const MaxSynthOps = 1000000
+
 // Paper constants for the synth workload.
 const (
 	synthFileSize  = 32 * units.KB
@@ -45,6 +50,9 @@ func Synth(c SynthConfig) (*trace.Trace, error) {
 	if c.Ops <= 0 {
 		c.Ops = DefaultSynthOps
 	}
+	if c.Ops > MaxSynthOps {
+		return nil, fmt.Errorf("workload: synth ops %d exceeds the %d-op bound (MaxSynthOps)", c.Ops, MaxSynthOps)
+	}
 	if c.DataMB <= 0 {
 		c.DataMB = 6
 	}
@@ -60,7 +68,8 @@ func Synth(c SynthConfig) (*trace.Trace, error) {
 		{Weight: 0.10, Kind: ExpComponent, Mean: 3.0, Shift: 0.020},
 	}}
 
-	t := &trace.Trace{Name: "synth", BlockSize: synthBlockSize}
+	// Every op makes exactly one record.
+	t := &trace.Trace{Name: "synth", BlockSize: synthBlockSize, Records: make([]trace.Record, 0, c.Ops)}
 	erased := make(map[uint32]bool)
 	now := units.Time(0)
 	for i := 0; i < c.Ops; i++ {
@@ -180,7 +189,7 @@ func TPCA(c TPCAConfig) (*trace.Trace, error) {
 		return nil, fmt.Errorf("workload: tpca dataset too small (%d MB)", c.DataMB)
 	}
 	g := NewRNG(c.Seed)
-	t := &trace.Trace{Name: "tpca", BlockSize: blockSize}
+	t := &trace.Trace{Name: "tpca", BlockSize: blockSize, Records: make([]trace.Record, 0, 2*c.Ops)}
 	gap := 1.0 / c.TPS
 	now := units.Time(0)
 	blocksPerFile := int(synthFileSize / blockSize)

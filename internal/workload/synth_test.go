@@ -121,13 +121,25 @@ func TestSynthDeterminism(t *testing.T) {
 	}
 }
 
+// Synth refuses an op count past MaxSynthOps before it sizes the records:
+// at math.MaxInt the one allocation could not even be made.
+func TestSynthOpsBound(t *testing.T) {
+	for _, ops := range []int{MaxSynthOps + 1, math.MaxInt} {
+		if tr, err := Synth(SynthConfig{Seed: 1, Ops: ops}); err == nil {
+			t.Errorf("ops %d: accepted, %d records", ops, len(tr.Records))
+		}
+	}
+}
+
 func TestSynthDefaults(t *testing.T) {
 	tr, err := Synth(SynthConfig{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Records) != DefaultSynthOps {
-		t.Errorf("default ops = %d, want %d", len(tr.Records), DefaultSynthOps)
+	// One record per op, in a slice sized once.
+	if len(tr.Records) != DefaultSynthOps || cap(tr.Records) != DefaultSynthOps {
+		t.Errorf("default ops: %d records in a slice of cap %d, want %d in %d",
+			len(tr.Records), cap(tr.Records), DefaultSynthOps, DefaultSynthOps)
 	}
 	// Footprint fits the 10 MB flash devices (the whole point of synth).
 	sizes := tr.MaxFileSizes()

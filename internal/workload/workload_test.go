@@ -338,8 +338,8 @@ func TestTPCA(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Records) != 1000 { // read+write per transaction
-		t.Fatalf("records = %d, want 1000", len(tr.Records))
+	if len(tr.Records) != 1000 || cap(tr.Records) != 1000 { // read+write per transaction, sized once
+		t.Fatalf("%d records in a slice of cap %d, want 1000 in 1000", len(tr.Records), cap(tr.Records))
 	}
 	var reads, writes int
 	for i := 0; i < len(tr.Records); i += 2 {

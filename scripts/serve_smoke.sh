@@ -76,14 +76,14 @@ case "$status" in
 esac
 echo "serve-smoke: job done"
 
-for kind in timeline latency wear energy cleaning faults; do
+for kind in timeline latency wear energy cleaning faults array; do
     svg=$(curl -fsS "$base/jobs/$job/plot/$kind") || fail "plot $kind"
     case "$svg" in
     '<svg'*) ;;
     *) fail "plot $kind is not an SVG" ;;
     esac
 done
-echo "serve-smoke: all six figures render"
+echo "serve-smoke: all seven figures render"
 
 index=$(curl -fsS "$base/") || fail "GET /"
 case "$index" in
