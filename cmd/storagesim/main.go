@@ -17,6 +17,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"os/signal"
@@ -286,7 +287,7 @@ func run() (err error) {
 			return err
 		}
 	}
-	printResult(res, *verbose)
+	printResult(os.Stdout, res, *verbose)
 	if reg != nil {
 		fmt.Print(reg.String())
 	}
@@ -332,50 +333,50 @@ func buildTrace(traceFile, traceName string, seed int64, mixName string) (*trace
 	return t, nil, err
 }
 
-func printResult(res *core.Result, verbose bool) {
-	fmt.Printf("trace    %s\n", res.TraceName)
-	fmt.Printf("device   %s\n", res.Device)
-	fmt.Printf("energy   %.0f J\n", res.EnergyJ)
-	fmt.Printf("read     mean %.2f ms, max %.1f ms, σ %.1f ms (%d ops)\n",
+func printResult(w io.Writer, res *core.Result, verbose bool) {
+	fmt.Fprintf(w, "trace    %s\n", res.TraceName)
+	fmt.Fprintf(w, "device   %s\n", res.Device)
+	fmt.Fprintf(w, "energy   %.0f J\n", res.EnergyJ)
+	fmt.Fprintf(w, "read     mean %.2f ms, max %.2f ms, σ %.2f ms (%d ops)\n",
 		res.Read.Mean(), res.Read.Max(), res.Read.StdDev(), res.Read.N())
-	fmt.Printf("write    mean %.2f ms, max %.1f ms, σ %.1f ms (%d ops)\n",
+	fmt.Fprintf(w, "write    mean %.2f ms, max %.2f ms, σ %.2f ms (%d ops)\n",
 		res.Write.Mean(), res.Write.Max(), res.Write.StdDev(), res.Write.N())
 	if f := res.Faults; f != nil {
-		fmt.Printf("faults   %d injected (%d read / %d write / %d erase), %d retries, %d exhausted, %.1f ms backoff\n",
+		fmt.Fprintf(w, "faults   %d injected (%d read / %d write / %d erase), %d retries, %d exhausted, %.1f ms backoff\n",
 			f.ReadFaults+f.WriteFaults+f.EraseFaults, f.ReadFaults, f.WriteFaults, f.EraseFaults,
 			f.Retries, f.Exhausted, float64(f.BackoffTime)/1000)
 		if f.Remaps+f.SparesExhausted > 0 {
-			fmt.Printf("badblock %d remapped to spares, %d beyond spare capacity\n", f.Remaps, f.SparesExhausted)
+			fmt.Fprintf(w, "badblock %d remapped to spares, %d beyond spare capacity\n", f.Remaps, f.SparesExhausted)
 		}
 		if f.Reclaims > 0 {
-			fmt.Printf("reclaim  %d retired units pressed back into service under capacity pressure\n", f.Reclaims)
+			fmt.Fprintf(w, "reclaim  %d retired units pressed back into service under capacity pressure\n", f.Reclaims)
 		}
 		if f.PowerFailures > 0 {
-			fmt.Printf("powerfail %d failures, %d buffered blocks replayed, %d acknowledged writes lost\n",
+			fmt.Fprintf(w, "powerfail %d failures, %d buffered blocks replayed, %d acknowledged writes lost\n",
 				f.PowerFailures, f.ReplayedBlocks, f.LostWrites)
 		}
 		if f.DeviceDeaths > 0 {
-			fmt.Printf("death    %d device deaths, %d mirror rebuilds (%.1f ms rebuilding)\n",
+			fmt.Fprintf(w, "death    %d device deaths, %d mirror rebuilds (%.1f ms rebuilding)\n",
 				f.DeviceDeaths, f.Rebuilds, float64(f.RebuildTime)/1000)
 		}
 		if f.LatentSeeded+f.LatentFaults > 0 {
-			fmt.Printf("latent   %d blocks poisoned at write, %d surfaced and scrubbed on read\n",
+			fmt.Fprintf(w, "latent   %d blocks poisoned at write, %d surfaced and scrubbed on read\n",
 				f.LatentSeeded, f.LatentFaults)
 		}
 		if f.BacklogCarried > 0 {
-			fmt.Printf("backlog  %d cleaning jobs carried across power failures, %.1f ms drained at recovery\n",
+			fmt.Fprintf(w, "backlog  %d cleaning jobs carried across power failures, %.1f ms drained at recovery\n",
 				f.BacklogCarried, float64(f.BacklogTime)/1000)
 		}
 		for _, v := range f.Violations {
-			fmt.Printf("VIOLATION %s\n", v)
+			fmt.Fprintf(w, "VIOLATION %s\n", v)
 		}
 	}
 	if !verbose {
 		return
 	}
-	fmt.Printf("read  p50/p95/p99  ≤ %.2f / %.1f / %.1f ms\n",
+	fmt.Fprintf(w, "read  p50/p95/p99  ≤ %.2f / %.2f / %.2f ms\n",
 		res.ReadP(0.50), res.ReadP(0.95), res.ReadP(0.99))
-	fmt.Printf("write p50/p95/p99  ≤ %.2f / %.1f / %.1f ms\n",
+	fmt.Fprintf(w, "write p50/p95/p99  ≤ %.2f / %.2f / %.2f ms\n",
 		res.WriteP(0.50), res.WriteP(0.95), res.WriteP(0.99))
 	keys := make([]string, 0, len(res.EnergyByComponent))
 	for k := range res.EnergyByComponent {
@@ -383,19 +384,19 @@ func printResult(res *core.Result, verbose bool) {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		fmt.Printf("energy.%-8s %.1f J\n", k, res.EnergyByComponent[k])
+		fmt.Fprintf(w, "energy.%-8s %.1f J\n", k, res.EnergyByComponent[k])
 	}
 	if res.CacheHits+res.CacheMisses > 0 {
-		fmt.Printf("cache    %.1f%% hit (%d/%d)\n",
+		fmt.Fprintf(w, "cache    %.1f%% hit (%d/%d)\n",
 			res.HitRate()*100, res.CacheHits, res.CacheHits+res.CacheMisses)
 	}
 	if res.SpinUps > 0 {
-		fmt.Printf("spinups  %d\n", res.SpinUps)
+		fmt.Fprintf(w, "spinups  %d\n", res.SpinUps)
 	}
 	if res.Erases > 0 {
-		fmt.Printf("erases   %d (max/unit %d, mean/unit %.2f)\n",
+		fmt.Fprintf(w, "erases   %d (max/unit %d, mean/unit %.2f)\n",
 			res.Erases, res.MaxEraseCount, res.MeanEraseCount)
-		fmt.Printf("cleaner  copied %d blocks for %d host blocks (amplification %.2f), %d stalled writes\n",
+		fmt.Fprintf(w, "cleaner  copied %d blocks for %d host blocks (amplification %.2f), %d stalled writes\n",
 			res.CopiedBlocks, res.HostBlocks, res.WriteAmplification(), res.WriteStalls)
 	}
 }

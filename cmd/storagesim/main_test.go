@@ -1,13 +1,17 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
+	"mobilestorage/internal/core"
+	"mobilestorage/internal/stats"
 	"mobilestorage/internal/trace"
 	"mobilestorage/internal/units"
 	"mobilestorage/internal/workload"
@@ -154,6 +158,56 @@ func TestFlashSizeFlagsExit(t *testing.T) {
 		}
 		if !strings.Contains(string(out), c.want) {
 			t.Errorf("%q: output %q does not contain %q", c.args, out, c.want)
+		}
+	}
+}
+
+// TestPrintResultPrecision: the response-time rows print every number at
+// one precision, so with sub-0.05 ms responses a max never reads below its
+// mean and the percentile bounds never read out of order.
+func TestPrintResultPrecision(t *testing.T) {
+	res := &core.Result{
+		TraceName: "t", Device: "d",
+		ReadHist: stats.NewLatencyHistogram(), WriteHist: stats.NewLatencyHistogram(),
+	}
+	for _, ms := range []float64{0.02, 0.04} {
+		res.Read.Add(ms)
+		res.ReadHist.Add(ms)
+		res.Write.Add(ms)
+		res.WriteHist.Add(ms)
+	}
+	var out bytes.Buffer
+	printResult(&out, res, true)
+
+	// rows maps "read mean", "read p50/p95/p99", ... to the row's numbers.
+	rows := make(map[string][]float64)
+	for _, line := range strings.Split(out.String(), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 2 || (f[0] != "read" && f[0] != "write") {
+			continue
+		}
+		var nums []float64
+		for _, w := range f[2:] {
+			if v, err := strconv.ParseFloat(strings.TrimSuffix(w, ","), 64); err == nil {
+				nums = append(nums, v)
+			}
+		}
+		rows[f[0]+" "+f[1]] = nums
+	}
+	for _, op := range []string{"read", "write"} {
+		mean := rows[op+" mean"] // mean, max, σ
+		if len(mean) != 3 {
+			t.Fatalf("%s mean row: numbers %v in\n%s", op, mean, out.String())
+		}
+		if mean[1] < mean[0] {
+			t.Errorf("%s: max %v below mean %v", op, mean[1], mean[0])
+		}
+		p := rows[op+" p50/p95/p99"]
+		if len(p) != 3 {
+			t.Fatalf("%s percentile row: numbers %v in\n%s", op, p, out.String())
+		}
+		if p[0] > p[1] || p[1] > p[2] {
+			t.Errorf("%s: p50/p95/p99 %v out of order", op, p)
 		}
 	}
 }

@@ -164,7 +164,7 @@ func (c *Cache) Len() int { return c.used }
 // active energy for it.
 func (c *Cache) AccessTime(size units.Bytes) units.Time {
 	t := c.xferMemo.Time(size)
-	c.meter.AccrueSlot(energy.SlotActive, c.params.ActiveW, t)
+	c.meter.Accrue(energy.StateActive, c.params.ActiveW, t)
 	return t
 }
 
@@ -175,7 +175,7 @@ func (c *Cache) AccrueStandby(now units.Time) {
 	if now <= c.lastUpdate {
 		return
 	}
-	c.meter.AccrueSlot(energy.SlotStandby, c.params.StandbyWPerMB*c.size.MBytes(), now-c.lastUpdate)
+	c.meter.Accrue(energy.StateStandby, c.params.StandbyWPerMB*c.size.MBytes(), now-c.lastUpdate)
 	c.lastUpdate = now
 }
 

@@ -126,7 +126,7 @@ func (r *Result) WriteAmplification() float64 {
 func (r *Result) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s on %s: energy %.0f J", r.Device, r.TraceName, r.EnergyJ)
-	fmt.Fprintf(&b, ", read ms mean=%.2f max=%.1f σ=%.1f", r.Read.Mean(), r.Read.Max(), r.Read.StdDev())
-	fmt.Fprintf(&b, ", write ms mean=%.2f max=%.1f σ=%.1f", r.Write.Mean(), r.Write.Max(), r.Write.StdDev())
+	fmt.Fprintf(&b, ", read ms mean=%.2f max=%.2f σ=%.2f", r.Read.Mean(), r.Read.Max(), r.Read.StdDev())
+	fmt.Fprintf(&b, ", write ms mean=%.2f max=%.2f σ=%.2f", r.Write.Mean(), r.Write.Max(), r.Write.StdDev())
 	return b.String()
 }

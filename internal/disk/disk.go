@@ -58,7 +58,6 @@ type Disk struct {
 
 	spinUps   int64
 	spinDowns int64
-	ops       int64
 
 	// xferMemo caches transfer times at the fixed media bandwidth;
 	// results are bit-identical to calling units.TransferTime directly.
@@ -184,31 +183,7 @@ func (d *Disk) Spinning(now units.Time) bool {
 // drives service host requests ahead of background writeback. Returns the
 // completion time of the background write.
 func (d *Disk) Background(req device.Request) units.Time {
-	start := units.Max(req.Time, d.bgBusyUntil)
-	d.advance(start)
-	if d.st == sleeping {
-		d.wake(start)
-		start += d.p.SpinUpTime
-		d.spinUpUntil = start
-	} else if start < d.spinUpUntil {
-		start = d.spinUpUntil
-	}
-	service := d.serviceTime(req)
-	d.meter.AccrueSlot(energy.SlotActive, d.p.ActiveW, service)
-	if d.inj != nil {
-		service += d.retry(req, service, start)
-	}
-	completion := start + service
-	if completion > d.lastUpdate {
-		d.lastUpdate = completion
-	}
-	if completion > d.idleSince {
-		d.idleSince = completion
-	}
-	d.bgBusyUntil = completion
-	d.lastFile = req.File
-	d.hasLastFile = true
-	return completion
+	return d.serve(req, &d.bgBusyUntil)
 }
 
 // Idle implements device.Device: integrates idle/sleep energy and applies
@@ -225,10 +200,19 @@ func (d *Disk) Access(req device.Request) units.Time {
 		d.hasLastFile = false
 		return req.Time
 	}
-	start := units.Max(req.Time, d.busyUntil)
+	completion := d.serve(req, &d.busyUntil)
+	d.cOps.Inc()
+	return completion
+}
+
+// serve services req after the work already queued on *queue (the host
+// queue's busyUntil or the background queue's bgBusyUntil), waking the disk
+// if it is asleep, and moves *queue to the completion time it returns.
+func (d *Disk) serve(req device.Request, queue *units.Time) units.Time {
+	start := units.Max(req.Time, *queue)
 	d.advance(start)
 
-	// Wake the disk if it is asleep; if a background drain already started
+	// Wake the disk if it is asleep; if the other queue already started
 	// the spin-up, wait only for the platters to reach speed.
 	if d.st == sleeping {
 		d.wake(start)
@@ -239,25 +223,23 @@ func (d *Disk) Access(req device.Request) units.Time {
 	}
 
 	service := d.serviceTime(req)
-	d.meter.AccrueSlot(energy.SlotActive, d.p.ActiveW, service)
+	d.meter.Accrue(energy.StateActive, d.p.ActiveW, service)
 	if d.inj != nil {
 		service += d.retry(req, service, start)
 	}
 	completion := start + service
 
-	// A concurrent background write may already have advanced the energy
-	// clock past this completion; never move it backwards.
+	// Work on the other queue may already have advanced the energy clock
+	// past this completion; never move it backwards.
 	if completion > d.lastUpdate {
 		d.lastUpdate = completion
 	}
 	if completion > d.idleSince {
 		d.idleSince = completion
 	}
-	d.busyUntil = completion
+	*queue = completion
 	d.lastFile = req.File
 	d.hasLastFile = true
-	d.ops++
-	d.cOps.Inc()
 	return completion
 }
 
@@ -271,8 +253,8 @@ func (d *Disk) retry(req device.Request, service, start units.Time) units.Time {
 		return 0
 	}
 	extra := service * units.Time(att-1)
-	d.meter.AccrueSlot(energy.SlotActive, d.p.ActiveW, extra)
-	d.meter.AccrueSlot(energy.SlotIdle, d.p.IdleW, backoff)
+	d.meter.Accrue(energy.StateActive, d.p.ActiveW, extra)
+	d.meter.Accrue(energy.StateIdle, d.p.IdleW, backoff)
 	return extra + backoff
 }
 
@@ -306,7 +288,7 @@ func (d *Disk) Recover(at units.Time) units.Time { return at }
 // wake spins the disk up at the given instant, charging spin-up energy and
 // feeding the observed sleep duration back to the policy.
 func (d *Disk) wake(at units.Time) {
-	d.meter.AccrueSlot(energy.SlotSpinUp, d.p.SpinUpW, d.p.SpinUpTime)
+	d.meter.Accrue(energy.StateSpinUp, d.p.SpinUpW, d.p.SpinUpTime)
 	d.st = spinning
 	d.spinUps++
 	slept := at - d.sleepStart
@@ -348,11 +330,11 @@ func (d *Disk) advance(now units.Time) {
 			downAt := d.idleSince + d.spinDown
 			if now > downAt {
 				if downAt > d.lastUpdate {
-					d.meter.AccrueSlot(energy.SlotIdle, d.p.IdleW, downAt-d.lastUpdate)
+					d.meter.Accrue(energy.StateIdle, d.p.IdleW, downAt-d.lastUpdate)
 				} else {
 					downAt = d.lastUpdate
 				}
-				d.meter.AccrueSlot(energy.SlotSleep, d.p.SleepW, now-downAt)
+				d.meter.Accrue(energy.StateSleep, d.p.SleepW, now-downAt)
 				d.st = sleeping
 				d.sleepStart = downAt
 				d.spinDowns++
@@ -364,9 +346,9 @@ func (d *Disk) advance(now units.Time) {
 				return
 			}
 		}
-		d.meter.AccrueSlot(energy.SlotIdle, d.p.IdleW, now-d.lastUpdate)
+		d.meter.Accrue(energy.StateIdle, d.p.IdleW, now-d.lastUpdate)
 	case sleeping:
-		d.meter.AccrueSlot(energy.SlotSleep, d.p.SleepW, now-d.lastUpdate)
+		d.meter.Accrue(energy.StateSleep, d.p.SleepW, now-d.lastUpdate)
 	}
 	d.lastUpdate = now
 }

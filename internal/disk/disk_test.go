@@ -6,6 +6,7 @@ import (
 
 	"mobilestorage/internal/device"
 	"mobilestorage/internal/energy"
+	"mobilestorage/internal/obs"
 	"mobilestorage/internal/trace"
 	"mobilestorage/internal/units"
 )
@@ -193,6 +194,28 @@ func TestDiskEnergyNoDoubleCountWithBackground(t *testing.T) {
 	dur := (clock + units.Second).Seconds()
 	if total := d.Meter().TotalJ(); total > dur*2*1.05 {
 		t.Errorf("energy %g J exceeds %g s at max 2 W — double counting", total, dur)
+	}
+}
+
+// TestDiskOpsCountsHostAccessesOnly: the disk.ops counter counts host
+// accesses; background writes (SRAM buffer drains) and deletes leave it
+// unchanged.
+func TestDiskOpsCountsHostAccessesOnly(t *testing.T) {
+	reg := obs.NewRegistry()
+	d, _ := New(testParams(), WithScope(obs.NewScope(reg, nil)))
+	ops := func() int64 { return reg.Counters()["disk.ops"] }
+	d.Access(read(0, 1, units.KB))
+	if got := ops(); got != 1 {
+		t.Fatalf("disk.ops after one host read = %d, want 1", got)
+	}
+	d.Background(device.Request{Time: units.Second, Op: trace.Write, File: 2, Size: 8 * units.KB})
+	d.Access(device.Request{Time: 2 * units.Second, Op: trace.Delete, File: 1, Size: units.KB})
+	if got := ops(); got != 1 {
+		t.Errorf("disk.ops after a background write and a delete = %d, want 1", got)
+	}
+	d.Access(read(3*units.Second, 1, units.KB))
+	if got := ops(); got != 2 {
+		t.Errorf("disk.ops after a second host read = %d, want 2", got)
 	}
 }
 

@@ -10,59 +10,39 @@ package energy
 
 import (
 	"fmt"
-	"sort"
+	"strconv"
 	"strings"
 
 	"mobilestorage/internal/units"
 )
 
-// State identifies a device power state for attribution purposes.
-type State string
+// State identifies a device power state for attribution purposes. The set
+// is closed, and the states are numbered in name order, so walking them by
+// index is walking them by name.
+type State uint8
 
-// Common states shared across device models. Devices may define their own.
+// The device power states.
 const (
-	StateActive  State = "active"  // transferring data
-	StateIdle    State = "idle"    // powered and ready (disk spinning, chip idle)
-	StateSleep   State = "sleep"   // spun down / deep standby
-	StateSpinUp  State = "spinup"  // disk spin-up transient
-	StateErase   State = "erase"   // flash erase operation
-	StateCleaner State = "cleaner" // flash cleaning copies
-	StateStandby State = "standby" // memory retention (DRAM refresh, SRAM data hold)
+	StateActive  State = iota // transferring data
+	StateCleaner              // flash cleaning copies
+	StateErase                // flash erase operation
+	StateIdle                 // powered and ready (disk spinning, chip idle)
+	StateSleep                // spun down / deep standby
+	StateSpinUp               // disk spin-up transient
+	StateStandby              // memory retention (DRAM refresh, SRAM data hold)
+	numStates
 )
 
-// knownStates lists the predefined states in sorted name order. The meter
-// stores their energy in a flat array indexed by this order — Accrue is on
-// every device's per-operation path, and hashing a string key per accrual
-// dominated whole-trace replay profiles. Keeping the array in sorted name
-// order means Merge's in-order walk reproduces the exact float-addition
-// order of the original sorted-map implementation.
-var knownStates = [...]State{
-	StateActive, StateCleaner, StateErase, StateIdle,
-	StateSleep, StateSpinUp, StateStandby,
+var stateNames = [numStates]string{
+	"active", "cleaner", "erase", "idle", "sleep", "spinup", "standby",
 }
 
-const numKnown = len(knownStates)
-
-// knownIndex maps a predefined state to its array slot, or -1 for a
-// device-defined custom state (those spill to a map).
-func knownIndex(s State) int {
-	switch s {
-	case StateActive:
-		return 0
-	case StateCleaner:
-		return 1
-	case StateErase:
-		return 2
-	case StateIdle:
-		return 3
-	case StateSleep:
-		return 4
-	case StateSpinUp:
-		return 5
-	case StateStandby:
-		return 6
+// String returns the state's name.
+func (s State) String() string {
+	if s < numStates {
+		return stateNames[s]
 	}
-	return -1
+	return "State(" + strconv.Itoa(int(s)) + ")"
 }
 
 // Meter integrates energy across labelled power states.
@@ -73,14 +53,11 @@ func knownIndex(s State) int {
 // overlapping background work (e.g. a flash erase that proceeds during host
 // idle time) however their model requires.
 type Meter struct {
-	known [numKnown]float64
-	// present[i] records that known state i was ever accrued, preserving the
-	// map implementation's distinction between "absent" and "zero joules" in
-	// ByState and String output.
-	present [numKnown]bool
-	// spill holds device-defined custom states; nil until one appears.
-	spill map[State]float64
-	total float64
+	joules [numStates]float64
+	// present[i] records that state i was ever accrued, so ByState and
+	// String tell an absent state from one at zero joules.
+	present [numStates]bool
+	total   float64
 }
 
 // NewMeter returns an empty meter.
@@ -98,52 +75,9 @@ func (m *Meter) Accrue(state State, watts float64, d units.Time) {
 	if watts < 0 {
 		panic(fmt.Sprintf("energy: negative power %g W in state %s", watts, state))
 	}
-	m.AccrueJoules(state, watts*d.Seconds())
-}
-
-// Slot is a precomputed index for one of the predefined states. Device hot
-// paths accrue through a slot to skip the per-call state-name dispatch;
-// AccrueSlot(SlotX, w, d) is exactly Accrue(StateX, w, d).
-type Slot int8
-
-// Slots for the predefined states, in knownStates order.
-const (
-	SlotActive  Slot = 0
-	SlotCleaner Slot = 1
-	SlotErase   Slot = 2
-	SlotIdle    Slot = 3
-	SlotSleep   Slot = 4
-	SlotSpinUp  Slot = 5
-	SlotStandby Slot = 6
-)
-
-// AccrueSlot adds watts × duration of energy attributed to the slot's state,
-// with the same negative-input panics as Accrue.
-func (m *Meter) AccrueSlot(i Slot, watts float64, d units.Time) {
-	if d < 0 || watts < 0 {
-		m.Accrue(knownStates[i], watts, d) // reproduce Accrue's panic
-	}
 	j := watts * d.Seconds()
-	m.known[i] += j
-	m.present[i] = true
-	m.total += j
-}
-
-// AccrueJoules adds a precomputed energy amount to a state. Used for
-// fixed-energy events (e.g. a disk spin-up charged as a lump).
-func (m *Meter) AccrueJoules(state State, j float64) {
-	if j < 0 {
-		panic(fmt.Sprintf("energy: negative energy %g J in state %s", j, state))
-	}
-	if i := knownIndex(state); i >= 0 {
-		m.known[i] += j
-		m.present[i] = true
-	} else {
-		if m.spill == nil {
-			m.spill = make(map[State]float64)
-		}
-		m.spill[state] += j
-	}
+	m.joules[state] += j
+	m.present[state] = true
 	m.total += j
 }
 
@@ -152,66 +86,41 @@ func (m *Meter) TotalJ() float64 { return m.total }
 
 // ByState returns a copy of the per-state attribution map.
 func (m *Meter) ByState() map[State]float64 {
-	out := make(map[State]float64, numKnown+len(m.spill))
-	for i, s := range knownStates {
-		if m.present[i] {
-			out[s] = m.known[i]
+	out := make(map[State]float64, numStates)
+	for s := range numStates {
+		if m.present[s] {
+			out[s] = m.joules[s]
 		}
-	}
-	for k, v := range m.spill {
-		out[k] = v
 	}
 	return out
 }
 
 // StateJ returns the energy attributed to one state.
-func (m *Meter) StateJ(s State) float64 {
-	if i := knownIndex(s); i >= 0 {
-		return m.known[i]
-	}
-	return m.spill[s]
-}
+func (m *Meter) StateJ(s State) float64 { return m.joules[s] }
 
-// Merge adds all of other's energy into m. States are merged in sorted
+// Merge adds all of other's energy into m. States are merged in index
 // order: float addition is order-sensitive in the last ulp, and arbitrary
 // order would make merged totals vary between identical runs.
 func (m *Meter) Merge(other *Meter) {
-	if other.spill == nil {
-		// knownStates is already in sorted name order.
-		for i := range knownStates {
-			if !other.present[i] {
-				continue
-			}
-			v := other.known[i]
-			m.known[i] += v
-			m.present[i] = true
-			m.total += v
+	for s := range numStates {
+		if !other.present[s] {
+			continue
 		}
-		return
-	}
-	by := other.ByState()
-	states := make([]State, 0, len(by))
-	for k := range by {
-		states = append(states, k)
-	}
-	sort.Slice(states, func(i, j int) bool { return states[i] < states[j] })
-	for _, k := range states {
-		m.AccrueJoules(k, by[k])
+		v := other.joules[s]
+		m.joules[s] += v
+		m.present[s] = true
+		m.total += v
 	}
 }
 
-// String renders the meter as "total J (state=J, ...)" with states sorted
-// for deterministic output.
+// String renders the meter as "total J (state=J, ...)" with states in name
+// order for deterministic output.
 func (m *Meter) String() string {
-	by := m.ByState()
-	states := make([]string, 0, len(by))
-	for k := range by {
-		states = append(states, string(k))
-	}
-	sort.Strings(states)
-	parts := make([]string, 0, len(states))
-	for _, s := range states {
-		parts = append(parts, fmt.Sprintf("%s=%.1fJ", s, by[State(s)]))
+	parts := make([]string, 0, numStates)
+	for s := range numStates {
+		if m.present[s] {
+			parts = append(parts, fmt.Sprintf("%s=%.1fJ", s, m.joules[s]))
+		}
 	}
 	return fmt.Sprintf("%.1fJ (%s)", m.total, strings.Join(parts, ", "))
 }

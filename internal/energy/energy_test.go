@@ -25,14 +25,6 @@ func TestMeterAccrue(t *testing.T) {
 	}
 }
 
-func TestMeterAccrueJoules(t *testing.T) {
-	m := NewMeter()
-	m.AccrueJoules(StateSpinUp, 3.0)
-	if m.TotalJ() != 3.0 || m.StateJ(StateSpinUp) != 3.0 {
-		t.Errorf("AccrueJoules: total %g, spinup %g", m.TotalJ(), m.StateJ(StateSpinUp))
-	}
-}
-
 func TestMeterNegativeDurationPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

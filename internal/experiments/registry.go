@@ -1,10 +1,5 @@
 package experiments
 
-import (
-	"fmt"
-	"sort"
-)
-
 // Experiment is a runnable reproduction unit: it executes and returns the
 // rendered text report.
 type Experiment struct {
@@ -13,203 +8,71 @@ type Experiment struct {
 	Run         func(seed int64) (string, error)
 }
 
-// Registry returns every experiment keyed by ID.
-func Registry() map[string]Experiment {
-	exps := []Experiment{
-		{"table1", "measured device throughput on the emulated OmniBook", func(int64) (string, error) {
-			rows, err := Table1()
-			if err != nil {
-				return "", err
-			}
-			return RenderTable1(rows), nil
-		}},
-		{"table2", "manufacturers' specifications (device catalog)", func(int64) (string, error) {
-			return RenderTable2(Table2()), nil
-		}},
-		{"table3", "trace characteristics", func(seed int64) (string, error) {
-			rows, err := Table3(seed)
-			if err != nil {
-				return "", err
-			}
-			return RenderTable3(rows), nil
-		}},
-		{"table4a", "energy and response per device, mac trace", table4Runner("mac")},
-		{"table4b", "energy and response per device, dos trace", table4Runner("dos")},
-		{"table4c", "energy and response per device, hp trace", table4Runner("hp")},
-		{"fig1", "write latency/throughput vs. cumulative data (MFFS anomaly)", func(int64) (string, error) {
-			series, err := Fig1()
-			if err != nil {
-				return "", err
-			}
-			return RenderFig1(series), nil
-		}},
-		{"fig2", "flash card energy/response vs. storage utilization", func(seed int64) (string, error) {
-			pts, err := Fig2(seed)
-			if err != nil {
-				return "", err
-			}
-			return RenderFig2(pts), nil
-		}},
-		{"fig3", "overwrite throughput vs. live data on a 10 MB card", func(seed int64) (string, error) {
-			series, err := Fig3(seed)
-			if err != nil {
-				return "", err
-			}
-			return RenderFig3(series), nil
-		}},
-		{"fig4", "energy/response vs. DRAM and flash size (dos)", func(seed int64) (string, error) {
-			pts, err := Fig4(seed)
-			if err != nil {
-				return "", err
-			}
-			return RenderFig4(pts), nil
-		}},
-		{"fig5", "energy/write response vs. SRAM size", func(seed int64) (string, error) {
-			pts, err := Fig5(seed)
-			if err != nil {
-				return "", err
-			}
-			return RenderFig5(pts), nil
-		}},
-		{"async", "§5.3 asynchronous flash-disk erasure", func(seed int64) (string, error) {
-			rows, err := AsyncCleaning(seed)
-			if err != nil {
-				return "", err
-			}
-			return RenderAsync(rows), nil
-		}},
-		{"validate", "§5.1 simulator vs. testbed on the synth trace", func(seed int64) (string, error) {
-			rows, err := Validate(seed)
-			if err != nil {
-				return "", err
-			}
-			return RenderValidation(rows), nil
-		}},
-		{"wear", "§5.2 endurance vs. utilization", func(seed int64) (string, error) {
-			rows, err := Wear(seed)
-			if err != nil {
-				return "", err
-			}
-			return RenderWear(rows), nil
-		}},
-		{"battery", "battery-life extension headline", func(seed int64) (string, error) {
-			rows, err := BatteryLife(seed)
-			if err != nil {
-				return "", err
-			}
-			return RenderBattery(rows), nil
-		}},
-		{"ablate-cleaner", "cleaning-policy comparison", func(seed int64) (string, error) {
-			rows, err := CleanerPolicies(seed)
-			if err != nil {
-				return "", err
-			}
-			return RenderCleaner(rows), nil
-		}},
-		{"ablate-flash-sram", "SRAM write buffer in front of flash (§7)", func(seed int64) (string, error) {
-			rows, err := FlashSRAM(seed)
-			if err != nil {
-				return "", err
-			}
-			return RenderFlashSRAM(rows), nil
-		}},
-		{"ablate-series2plus", "Series 2 vs. Series 2+ erase generation (§7)", func(seed int64) (string, error) {
-			rows, err := Series2Plus(seed)
-			if err != nil {
-				return "", err
-			}
-			return RenderSeries2Plus(rows), nil
-		}},
-		{"ablate-writeback", "write-back vs. write-through cache (§4.2)", func(seed int64) (string, error) {
-			rows, err := WriteBack(seed)
-			if err != nil {
-				return "", err
-			}
-			return RenderWriteBack(rows), nil
-		}},
-		{"ablate-spindown", "disk spin-down policy comparison (§2, §5.1)", func(seed int64) (string, error) {
-			rows, err := SpinDownPolicies(seed)
-			if err != nil {
-				return "", err
-			}
-			return RenderSpinDown(rows), nil
-		}},
-		{"ablate-wearlevel", "static wear leveling (§2)", func(seed int64) (string, error) {
-			rows, err := WearLeveling(seed)
-			if err != nil {
-				return "", err
-			}
-			return RenderWearLevel(rows), nil
-		}},
-		{"hybrid", "flash-as-disk-cache architecture (§6, Marsh et al.)", func(seed int64) (string, error) {
-			rows, err := HybridComparison(seed)
-			if err != nil {
-				return "", err
-			}
-			return RenderHybrid(rows), nil
-		}},
-		{"envy", "cleaning-time fraction under TPC-A (§6, eNVy)", func(seed int64) (string, error) {
-			rows, err := Envy(seed)
-			if err != nil {
-				return "", err
-			}
-			return RenderEnvy(rows), nil
-		}},
-		{"ablate-mffs", "MFFS 2.00 vs. a repaired MFFS (§7)", func(int64) (string, error) {
-			rows, err := MFFSFixed()
-			if err != nil {
-				return "", err
-			}
-			return RenderMFFSFixed(rows), nil
-		}},
-		{"seeds", "Table 4 robustness across workload seeds", func(seed int64) (string, error) {
-			rows, err := SeedSensitivity("mac", []int64{seed, seed + 1, seed + 2, seed + 3, seed + 4})
-			if err != nil {
-				return "", err
-			}
-			return RenderSeeds(rows), nil
-		}},
-		{"energy-time", "cumulative energy over the mac trace (sampler timeline)", func(seed int64) (string, error) {
-			curves, err := EnergyOverTime(seed)
-			if err != nil {
-				return "", err
-			}
-			return RenderEnergyOverTime(curves), nil
-		}},
-		{"cleaning-efficiency", "cleaner work vs. utilization from the event stream (§5.3)", func(seed int64) (string, error) {
-			points, err := CleaningEfficiency(seed)
-			if err != nil {
-				return "", err
-			}
-			return RenderCleaningEfficiency(points), nil
-		}},
-		{"indexbench", "B+tree vs. LSM index workloads across devices and utilizations", func(seed int64) (string, error) {
-			points, err := IndexBench(seed)
-			if err != nil {
-				return "", err
-			}
-			return RenderIndexBench(points), nil
-		}},
-		{"indexbench-readheavy", "index workloads under the read-heavy op mix (settled database)", func(seed int64) (string, error) {
-			points, err := IndexBenchMix(seed, "read-heavy")
-			if err != nil {
-				return "", err
-			}
-			return "Op mix: read-heavy (15/65/15/5 insert/lookup/scan/delete)\n" + RenderIndexBench(points), nil
-		}},
-		{"arraybench", "degraded-mode device arrays: mirror/stripe × utilization, healthy vs. one member dead", func(seed int64) (string, error) {
-			rows, err := ArrayBench(seed)
-			if err != nil {
-				return "", err
-			}
-			return RenderArrayBench(rows), nil
-		}},
+// list holds every experiment in paper order: tables, figures, analyses,
+// ablations, then the extensions. IDs returns this order.
+var list = []Experiment{
+	{"table1", "measured device throughput on the emulated OmniBook", text(noSeed(Table1), RenderTable1)},
+	{"table2", "manufacturers' specifications (device catalog)", func(int64) (string, error) {
+		return RenderTable2(Table2()), nil
+	}},
+	{"table3", "trace characteristics", text(Table3, RenderTable3)},
+	{"table4a", "energy and response per device, mac trace", table4Runner("mac")},
+	{"table4b", "energy and response per device, dos trace", table4Runner("dos")},
+	{"table4c", "energy and response per device, hp trace", table4Runner("hp")},
+	{"fig1", "write latency/throughput vs. cumulative data (MFFS anomaly)", text(noSeed(Fig1), RenderFig1)},
+	{"fig2", "flash card energy/response vs. storage utilization", text(Fig2, RenderFig2)},
+	{"fig3", "overwrite throughput vs. live data on a 10 MB card", text(Fig3, RenderFig3)},
+	{"fig4", "energy/response vs. DRAM and flash size (dos)", text(Fig4, RenderFig4)},
+	{"fig5", "energy/write response vs. SRAM size", text(Fig5, RenderFig5)},
+	{"async", "§5.3 asynchronous flash-disk erasure", text(AsyncCleaning, RenderAsync)},
+	{"validate", "§5.1 simulator vs. testbed on the synth trace", text(Validate, RenderValidation)},
+	{"wear", "§5.2 endurance vs. utilization", text(Wear, RenderWear)},
+	{"battery", "battery-life extension headline", text(BatteryLife, RenderBattery)},
+	{"ablate-cleaner", "cleaning-policy comparison", text(CleanerPolicies, RenderCleaner)},
+	{"ablate-flash-sram", "SRAM write buffer in front of flash (§7)", text(FlashSRAM, RenderFlashSRAM)},
+	{"ablate-series2plus", "Series 2 vs. Series 2+ erase generation (§7)", text(Series2Plus, RenderSeries2Plus)},
+	{"ablate-writeback", "write-back vs. write-through cache (§4.2)", text(WriteBack, RenderWriteBack)},
+	{"ablate-spindown", "disk spin-down policy comparison (§2, §5.1)", text(SpinDownPolicies, RenderSpinDown)},
+	{"ablate-wearlevel", "static wear leveling (§2)", text(WearLeveling, RenderWearLevel)},
+	{"hybrid", "flash-as-disk-cache architecture (§6, Marsh et al.)", text(HybridComparison, RenderHybrid)},
+	{"envy", "cleaning-time fraction under TPC-A (§6, eNVy)", text(Envy, RenderEnvy)},
+	{"ablate-mffs", "MFFS 2.00 vs. a repaired MFFS (§7)", text(noSeed(MFFSFixed), RenderMFFSFixed)},
+	{"seeds", "Table 4 robustness across workload seeds", func(seed int64) (string, error) {
+		rows, err := SeedSensitivity("mac", []int64{seed, seed + 1, seed + 2, seed + 3, seed + 4})
+		if err != nil {
+			return "", err
+		}
+		return RenderSeeds(rows), nil
+	}},
+	{"energy-time", "cumulative energy over the mac trace (sampler timeline)", text(EnergyOverTime, RenderEnergyOverTime)},
+	{"cleaning-efficiency", "cleaner work vs. utilization from the event stream (§5.3)", text(CleaningEfficiency, RenderCleaningEfficiency)},
+	{"indexbench", "B+tree vs. LSM index workloads across devices and utilizations", text(IndexBench, RenderIndexBench)},
+	{"indexbench-readheavy", "index workloads under the read-heavy op mix (settled database)", func(seed int64) (string, error) {
+		points, err := IndexBenchMix(seed, "read-heavy")
+		if err != nil {
+			return "", err
+		}
+		return "Op mix: read-heavy (15/65/15/5 insert/lookup/scan/delete)\n" + RenderIndexBench(points), nil
+	}},
+	{"arraybench", "degraded-mode device arrays: mirror/stripe × utilization, healthy vs. one member dead", text(ArrayBench, RenderArrayBench)},
+}
+
+// text adapts an experiment and the renderer of its result to
+// Experiment.Run.
+func text[T any](run func(seed int64) (T, error), render func(T) string) func(int64) (string, error) {
+	return func(seed int64) (string, error) {
+		v, err := run(seed)
+		if err != nil {
+			return "", err
+		}
+		return render(v), nil
 	}
-	m := make(map[string]Experiment, len(exps))
-	for _, e := range exps {
-		m[e.ID] = e
-	}
-	return m
+}
+
+// noSeed adapts an experiment that takes no seed (the OmniBook testbed
+// runs) to text.
+func noSeed[T any](run func() (T, error)) func(int64) (T, error) {
+	return func(int64) (T, error) { return run() }
 }
 
 func table4Runner(traceName string) func(int64) (string, error) {
@@ -222,30 +85,21 @@ func table4Runner(traceName string) func(int64) (string, error) {
 	}
 }
 
-// IDs returns experiment IDs in a stable order: tables, figures, analyses,
-// ablations.
-func IDs() []string {
-	reg := Registry()
-	ids := make([]string, 0, len(reg))
-	for id := range reg {
-		ids = append(ids, id)
+// Registry returns every experiment keyed by ID.
+func Registry() map[string]Experiment {
+	m := make(map[string]Experiment, len(list))
+	for _, e := range list {
+		m[e.ID] = e
 	}
-	sort.Slice(ids, func(i, j int) bool { return orderKey(ids[i]) < orderKey(ids[j]) })
-	return ids
+	return m
 }
 
-func orderKey(id string) string {
-	order := map[string]int{
-		"table1": 0, "table2": 1, "table3": 2, "table4a": 3, "table4b": 4, "table4c": 5,
-		"fig1": 6, "fig2": 7, "fig3": 8, "fig4": 9, "fig5": 10,
-		"async": 11, "validate": 12, "wear": 13, "battery": 14,
-		"ablate-cleaner": 15, "ablate-flash-sram": 16, "ablate-series2plus": 17, "ablate-writeback": 18,
-		"ablate-spindown": 19, "ablate-wearlevel": 20, "hybrid": 21, "envy": 22,
-		"ablate-mffs": 23, "seeds": 24, "energy-time": 25, "cleaning-efficiency": 26,
-		"indexbench": 27, "indexbench-readheavy": 28, "arraybench": 29,
+// IDs returns experiment IDs in paper order: tables, figures, analyses,
+// ablations, then the extensions.
+func IDs() []string {
+	ids := make([]string, len(list))
+	for i, e := range list {
+		ids[i] = e.ID
 	}
-	if n, ok := order[id]; ok {
-		return fmt.Sprintf("%02d", n)
-	}
-	return "99" + id
+	return ids
 }

@@ -431,55 +431,47 @@ func (c *Card) Finish(now units.Time) { c.advance(now) }
 
 // Access implements device.Device.
 func (c *Card) Access(req device.Request) units.Time {
-	if req.Op == trace.Delete {
-		c.invalidate(req.Addr, req.Size)
-		return req.Time
+	completion, service := c.serve(req, &c.busyUntil)
+	if req.Op == trace.Read {
+		c.hostTime += service // write counts its own host time
 	}
-	start := units.Max(req.Time, c.busyUntil)
-	c.advance(start)
-
-	var service units.Time
-	switch req.Op {
-	case trace.Read:
-		service = c.readService(req.Size, start) + c.scrubLatent(req.Addr, req.Size, start)
-		c.hostTime += service
-	case trace.Write:
-		service = c.write(req.Addr, req.Size, start)
-	}
-	completion := start + service
-	// A background operation may already have advanced the energy clock
-	// past this completion; never move it backwards.
-	if completion > c.lastUpdate {
-		c.lastUpdate = completion
-	}
-	c.busyUntil = completion
 	return completion
 }
 
 // Background performs an operation off the host's critical path (cache
-// installs in the hybrid architecture): it charges the same time and
-// energy as Access and mutates the same block state, but does not delay
-// subsequent host operations. Returns the completion time.
+// installs in the hybrid architecture, mirror-rebuild copies): it charges
+// the same time and energy as Access and mutates the same block state, but
+// does not delay subsequent host operations, and its reads are not host
+// time. Returns the completion time.
 func (c *Card) Background(req device.Request) units.Time {
+	completion, _ := c.serve(req, &c.bgBusyUntil)
+	return completion
+}
+
+// serve performs req after the work already queued on *queue (the host
+// queue's busyUntil or the background queue's bgBusyUntil) and moves *queue
+// to the completion time. It returns that time and the service time.
+func (c *Card) serve(req device.Request, queue *units.Time) (completion, service units.Time) {
 	if req.Op == trace.Delete {
 		c.invalidate(req.Addr, req.Size)
-		return req.Time
+		return req.Time, 0
 	}
-	start := units.Max(req.Time, c.bgBusyUntil)
+	start := units.Max(req.Time, *queue)
 	c.advance(start)
-	var service units.Time
 	switch req.Op {
 	case trace.Read:
 		service = c.readService(req.Size, start) + c.scrubLatent(req.Addr, req.Size, start)
 	case trace.Write:
 		service = c.write(req.Addr, req.Size, start)
 	}
-	completion := start + service
+	completion = start + service
+	// Work on the other queue may already have advanced the energy clock
+	// past this completion; never move it backwards.
 	if completion > c.lastUpdate {
 		c.lastUpdate = completion
 	}
-	c.bgBusyUntil = completion
-	return completion
+	*queue = completion
+	return completion, service
 }
 
 // write appends the blocks of [addr, addr+size) to the host log and returns
@@ -490,15 +482,15 @@ func (c *Card) write(addr, size units.Bytes, start units.Time) units.Time {
 	stall := c.appendHostRun(first, last, start)
 	c.cHostBlks.Add(last - first + 1)
 	transfer := c.writeMemo.Time(size)
-	c.meter.AccrueSlot(energy.SlotActive, c.p.ActiveW, transfer)
+	c.meter.Accrue(energy.StateActive, c.p.ActiveW, transfer)
 	c.hostTime += transfer // stall time is cleaning work, counted there
 	if c.inj != nil {
 		// A failed program repeats the whole transfer: full time and energy
 		// per physical attempt, standby power across the backoff waits.
 		if att, backoff := c.inj.Attempts(fault.OpWrite, c.evName, start); att > 1 {
 			extra := transfer * units.Time(att-1)
-			c.meter.AccrueSlot(energy.SlotActive, c.p.ActiveW, extra)
-			c.meter.AccrueSlot(energy.SlotStandby, c.p.StandbyW, backoff)
+			c.meter.Accrue(energy.StateActive, c.p.ActiveW, extra)
+			c.meter.Accrue(energy.StateStandby, c.p.StandbyW, backoff)
 			c.hostTime += extra
 			transfer += extra + backoff
 		}
@@ -522,12 +514,12 @@ func (c *Card) write(addr, size units.Bytes, start units.Time) units.Time {
 // attempt and standby energy for the backoff waits.
 func (c *Card) readService(size units.Bytes, start units.Time) units.Time {
 	service := c.readMemo.Time(size)
-	c.meter.AccrueSlot(energy.SlotActive, c.p.ActiveW, service)
+	c.meter.Accrue(energy.StateActive, c.p.ActiveW, service)
 	if c.inj != nil {
 		if att, backoff := c.inj.Attempts(fault.OpRead, c.evName, start); att > 1 {
 			extra := service * units.Time(att-1)
-			c.meter.AccrueSlot(energy.SlotActive, c.p.ActiveW, extra)
-			c.meter.AccrueSlot(energy.SlotStandby, c.p.StandbyW, backoff)
+			c.meter.Accrue(energy.StateActive, c.p.ActiveW, extra)
+			c.meter.Accrue(energy.StateStandby, c.p.StandbyW, backoff)
 			service += extra + backoff
 		}
 	}
@@ -549,7 +541,7 @@ func (c *Card) scrubLatent(addr, size units.Bytes, start units.Time) units.Time 
 		return 0
 	}
 	penalty := perBlock * units.Time(n)
-	c.meter.AccrueSlot(energy.SlotActive, c.p.ActiveW, penalty)
+	c.meter.Accrue(energy.StateActive, c.p.ActiveW, penalty)
 	return penalty
 }
 
@@ -732,7 +724,7 @@ func (c *Card) advance(now units.Time) {
 	if !c.onDemand {
 		spent = c.runCleaner(c.lastUpdate, gap)
 	}
-	c.meter.AccrueSlot(energy.SlotStandby, c.p.StandbyW, gap-spent)
+	c.meter.Accrue(energy.StateStandby, c.p.StandbyW, gap-spent)
 	c.lastUpdate = now
 }
 
@@ -871,10 +863,10 @@ func (c *Card) accrueJob(step units.Time) {
 	copying := units.Max(0, c.job.remaining-c.job.eraseWork)
 	cp := units.Min(step, copying)
 	if cp > 0 {
-		c.meter.AccrueSlot(energy.SlotCleaner, c.p.ActiveW, cp)
+		c.meter.Accrue(energy.StateCleaner, c.p.ActiveW, cp)
 	}
 	if er := step - cp; er > 0 {
-		c.meter.AccrueSlot(energy.SlotErase, c.p.EraseW, er)
+		c.meter.Accrue(energy.StateErase, c.p.EraseW, er)
 	}
 }
 
@@ -1048,7 +1040,7 @@ func (c *Card) Crash(at units.Time) {
 // so the backlog lands on post-recovery latency, where it belongs.
 func (c *Card) Recover(at units.Time) units.Time {
 	scan := units.Time(c.nseg) * units.TransferTime(c.blockSize, c.p.ReadKBs)
-	c.meter.AccrueSlot(energy.SlotActive, c.p.ActiveW, scan)
+	c.meter.Accrue(energy.StateActive, c.p.ActiveW, scan)
 	done := at + scan
 	if job := c.carried; job != nil {
 		c.carried = nil

@@ -110,6 +110,28 @@ func TestDeleteInvalidates(t *testing.T) {
 	}
 }
 
+// TestBackgroundReadsAreNotHostTime: a host read adds its service time to
+// HostTime; the same read issued in the background (a mirror-rebuild copy,
+// a hybrid cache install) leaves HostTime unchanged.
+func TestBackgroundReadsAreNotHostTime(t *testing.T) {
+	c := newCard(t, 8)
+	c.Access(wr(0, 0, 8*units.KB))
+	before := c.HostTime()
+	rd := device.Request{Time: units.Second, Op: trace.Read, Addr: 0, Size: 8 * units.KB}
+	done := c.Background(rd)
+	if done <= rd.Time {
+		t.Fatalf("background read completed at %v, not after its start %v", done, rd.Time)
+	}
+	if got := c.HostTime(); got != before {
+		t.Errorf("HostTime after a background read = %v, want %v", got, before)
+	}
+	rd.Time = 2 * units.Second
+	done = c.Access(rd)
+	if got, want := c.HostTime(), before+(done-rd.Time); got != want {
+		t.Errorf("HostTime after a host read = %v, want %v", got, want)
+	}
+}
+
 func TestBackgroundCleaningDuringIdle(t *testing.T) {
 	c := newCard(t, 4) // 32 KB
 	// Rewrite the same 8 KB three times: two wholly-invalid segments pile

@@ -191,12 +191,12 @@ func (f *FlashDisk) Access(req device.Request) units.Time {
 	switch req.Op {
 	case trace.Read:
 		service = f.p.AccessLatency + f.readMemo.Time(req.Size)
-		f.meter.AccrueSlot(energy.SlotActive, f.p.ActiveW, service)
+		f.meter.Accrue(energy.StateActive, f.p.ActiveW, service)
 		if f.inj != nil {
 			if att, backoff := f.inj.Attempts(fault.OpRead, f.evName, start); att > 1 {
 				extra := service * units.Time(att-1)
-				f.meter.AccrueSlot(energy.SlotActive, f.p.ActiveW, extra)
-				f.meter.AccrueSlot(energy.SlotStandby, f.p.StandbyW, backoff)
+				f.meter.Accrue(energy.StateActive, f.p.ActiveW, extra)
+				f.meter.Accrue(energy.StateStandby, f.p.StandbyW, backoff)
 				service += extra + backoff
 			}
 		}
@@ -212,7 +212,7 @@ func (f *FlashDisk) Access(req device.Request) units.Time {
 				service += f.writeTime(req.Size, start+service)
 			}
 			if backoff > 0 {
-				f.meter.AccrueSlot(energy.SlotStandby, f.p.StandbyW, backoff)
+				f.meter.Accrue(energy.StateStandby, f.p.StandbyW, backoff)
 				service += backoff
 			}
 		}
@@ -236,7 +236,7 @@ func (f *FlashDisk) writeTime(size units.Bytes, start units.Time) units.Time {
 	if !f.asyncErase {
 		// Erase coupled with write at the low combined bandwidth.
 		t := f.p.AccessLatency + f.coupledMemo.Time(size)
-		f.meter.AccrueSlot(energy.SlotActive, f.p.WriteW, t)
+		f.meter.Accrue(energy.StateActive, f.p.WriteW, t)
 		f.recordErases(sectors, start, true)
 		return t
 	}
@@ -264,7 +264,7 @@ func (f *FlashDisk) writeTime(size units.Bytes, start units.Time) units.Time {
 		t += f.eraseMemo.Time(b) + f.preErasedMemo.Time(b)
 		f.recordErases(slow, start, true)
 	}
-	f.meter.AccrueSlot(energy.SlotActive, f.p.WriteW, t)
+	f.meter.Accrue(energy.StateActive, f.p.WriteW, t)
 	return t
 }
 
@@ -367,9 +367,9 @@ func (f *FlashDisk) advance(now units.Time) {
 		if erased > 0 {
 			f.recordErases(erased, f.lastUpdate+spent, false)
 		}
-		f.meter.AccrueSlot(energy.SlotErase, f.p.WriteW, spent)
+		f.meter.Accrue(energy.StateErase, f.p.WriteW, spent)
 	}
-	f.meter.AccrueSlot(energy.SlotStandby, f.p.StandbyW, gap-spent)
+	f.meter.Accrue(energy.StateStandby, f.p.StandbyW, gap-spent)
 	f.lastUpdate = now
 }
 

@@ -41,7 +41,7 @@ func (d *diffDevice) serve(req device.Request, background bool) units.Time {
 	start := units.Max(req.Time, d.busyUntil)
 	service := 2*units.Millisecond + units.Time(req.Size/units.KB)*100*units.Microsecond
 	d.busyUntil = start + service
-	d.meter.AccrueSlot(energy.SlotActive, 2, service)
+	d.meter.Accrue(energy.StateActive, 2, service)
 	return d.busyUntil
 }
 

@@ -251,7 +251,7 @@ func (b *refBuffer) drop(addr, size units.Bytes) {
 
 func (b *refBuffer) accessTime(size units.Bytes) units.Time {
 	t := b.params.AccessTime(size)
-	b.meter.AccrueSlot(energy.SlotActive, b.params.ActiveW, t)
+	b.meter.Accrue(energy.StateActive, b.params.ActiveW, t)
 	return t
 }
 
@@ -259,7 +259,7 @@ func (b *refBuffer) accrueStandby(now units.Time) {
 	if now <= b.lastUpdate {
 		return
 	}
-	b.meter.AccrueSlot(energy.SlotStandby, b.params.StandbyWPerMB*b.size.MBytes(), now-b.lastUpdate)
+	b.meter.Accrue(energy.StateStandby, b.params.StandbyWPerMB*b.size.MBytes(), now-b.lastUpdate)
 	b.lastUpdate = now
 }
 

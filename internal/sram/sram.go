@@ -396,7 +396,7 @@ func (b *Buffer) remove(first, last int64) {
 // duration.
 func (b *Buffer) accessTime(size units.Bytes) units.Time {
 	t := b.params.AccessTime(size)
-	b.meter.AccrueSlot(energy.SlotActive, b.params.ActiveW, t)
+	b.meter.Accrue(energy.StateActive, b.params.ActiveW, t)
 	return t
 }
 
@@ -404,7 +404,7 @@ func (b *Buffer) accrueStandby(now units.Time) {
 	if now <= b.lastUpdate {
 		return
 	}
-	b.meter.AccrueSlot(energy.SlotStandby, b.params.StandbyWPerMB*b.size.MBytes(), now-b.lastUpdate)
+	b.meter.Accrue(energy.StateStandby, b.params.StandbyWPerMB*b.size.MBytes(), now-b.lastUpdate)
 	b.lastUpdate = now
 }
 

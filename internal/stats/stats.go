@@ -121,5 +121,5 @@ func (s *Summary) Merge(other Summary) {
 
 // String renders "mean/max/σ" in the style of the paper's tables.
 func (s *Summary) String() string {
-	return fmt.Sprintf("mean=%.2f max=%.1f σ=%.1f (n=%d)", s.Mean(), s.Max(), s.StdDev(), s.n)
+	return fmt.Sprintf("mean=%.2f max=%.2f σ=%.2f (n=%d)", s.Mean(), s.Max(), s.StdDev(), s.n)
 }
