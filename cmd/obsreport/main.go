@@ -50,9 +50,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"mobilestorage/internal/obsreport"
-	"mobilestorage/internal/plot"
 )
 
 func main() {
@@ -60,99 +60,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "obsreport:", err)
 		os.Exit(1)
 	}
-}
-
-// handle is one report aggregation in flight: the streaming reporter plus
-// renderers bound to it. diff compares this handle's finished report
-// against another handle of the same kind (the -vs run).
-type handle struct {
-	reporter obsreport.Reporter
-	render   func(w io.Writer, f obsreport.Format) error
-	chart    func() *plot.Chart
-	diff     func(other *handle) []obsreport.DeltaRow
-}
-
-// reports maps each subcommand to its handle factory. The diff closures
-// type-assert the other handle's reporter; -vs always builds both handles
-// from the same factory, so the assertion cannot fail.
-var reports = map[string]func() *handle{
-	"timeline": func() *handle {
-		b := obsreport.NewTimelineBuilder()
-		return &handle{
-			reporter: b,
-			render:   func(w io.Writer, f obsreport.Format) error { return obsreport.WriteTimelines(w, b.Finish(), f) },
-			chart:    func() *plot.Chart { return obsreport.TimelineChart(b.Finish()) },
-			diff: func(o *handle) []obsreport.DeltaRow {
-				return obsreport.DiffTimelines(b.Finish(), o.reporter.(*obsreport.TimelineBuilder).Finish())
-			},
-		}
-	},
-	"latency": func() *handle {
-		b := obsreport.NewLatencyBuilder()
-		return &handle{
-			reporter: b,
-			render:   func(w io.Writer, f obsreport.Format) error { return obsreport.WriteLatency(w, b.Finish(), f) },
-			chart:    func() *plot.Chart { return obsreport.LatencyChart(b.Finish()) },
-			diff: func(o *handle) []obsreport.DeltaRow {
-				return obsreport.DiffLatency(b.Finish(), o.reporter.(*obsreport.LatencyBuilder).Finish())
-			},
-		}
-	},
-	"wear": func() *handle {
-		b := obsreport.NewWearBuilder()
-		return &handle{
-			reporter: b,
-			render:   func(w io.Writer, f obsreport.Format) error { return obsreport.WriteWear(w, b.Finish(), f) },
-			chart:    func() *plot.Chart { return obsreport.WearChart(b.Finish()) },
-			diff: func(o *handle) []obsreport.DeltaRow {
-				return obsreport.DiffWear(b.Finish(), o.reporter.(*obsreport.WearBuilder).Finish())
-			},
-		}
-	},
-	"energy": func() *handle {
-		b := obsreport.NewEnergyBuilder()
-		return &handle{
-			reporter: b,
-			render:   func(w io.Writer, f obsreport.Format) error { return obsreport.WriteEnergy(w, b.Finish(), f) },
-			chart:    func() *plot.Chart { return obsreport.EnergyChart(b.Finish()) },
-			diff: func(o *handle) []obsreport.DeltaRow {
-				return obsreport.DiffEnergy(b.Finish(), o.reporter.(*obsreport.EnergyBuilder).Finish())
-			},
-		}
-	},
-	"cleaning": func() *handle {
-		b := obsreport.NewCleaningBuilder()
-		return &handle{
-			reporter: b,
-			render:   func(w io.Writer, f obsreport.Format) error { return obsreport.WriteCleaning(w, b.Finish(), f) },
-			chart:    func() *plot.Chart { return obsreport.CleaningChart(b.Finish()) },
-			diff: func(o *handle) []obsreport.DeltaRow {
-				return obsreport.DiffCleaning(b.Finish(), o.reporter.(*obsreport.CleaningBuilder).Finish())
-			},
-		}
-	},
-	"faults": func() *handle {
-		b := obsreport.NewFaultsBuilder()
-		return &handle{
-			reporter: b,
-			render:   func(w io.Writer, f obsreport.Format) error { return obsreport.WriteFaults(w, b.Finish(), f) },
-			chart:    func() *plot.Chart { return obsreport.FaultsChart(b.Finish()) },
-			diff: func(o *handle) []obsreport.DeltaRow {
-				return obsreport.DiffFaults(b.Finish(), o.reporter.(*obsreport.FaultsBuilder).Finish())
-			},
-		}
-	},
-	"array": func() *handle {
-		b := obsreport.NewArrayBuilder()
-		return &handle{
-			reporter: b,
-			render:   func(w io.Writer, f obsreport.Format) error { return obsreport.WriteArray(w, b.Finish(), f) },
-			chart:    func() *plot.Chart { return obsreport.ArrayChart(b.Finish()) },
-			diff: func(o *handle) []obsreport.DeltaRow {
-				return obsreport.DiffArray(b.Finish(), o.reporter.(*obsreport.ArrayBuilder).Finish())
-			},
-		}
-	},
 }
 
 // inputList collects repeated -in flags.
@@ -170,8 +77,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		return usageError(stderr)
 	}
 	name := args[0]
-	newHandle, ok := reports[name]
-	if !ok {
+	a, err := obsreport.NewReport(name)
+	if err != nil {
 		fmt.Fprintf(stderr, "unknown report %q\n", name)
 		return usageError(stderr)
 	}
@@ -215,8 +122,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	}
 
 	opt := obsreport.StreamOptions{Lenient: *lenient, Workers: *workers, Stdin: stdin}
-	a := newHandle()
-	stats, err := obsreport.StreamFiles(ins, opt, a.reporter)
+	stats, err := obsreport.StreamFiles(ins, opt, a)
 	if err != nil {
 		return err
 	}
@@ -225,10 +131,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	}
 
 	skipped := stats.Skipped
-	render := a.render
+	render := a.Write
 	if *vs != "" {
-		b := newHandle()
-		vsStats, err := obsreport.StreamFiles([]string{*vs}, opt, b.reporter)
+		b, _ := obsreport.NewReport(name) // name is known: a was built from it
+		vsStats, err := obsreport.StreamFiles([]string{*vs}, opt, b)
 		if err != nil {
 			return err
 		}
@@ -239,17 +145,17 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		labelA, labelB := runLabels(ins[0], *vs)
 		render = func(w io.Writer, f obsreport.Format) error {
 			if f == obsreport.SVG {
-				return obsreport.MergeCharts(a.chart(), b.chart(), labelA, labelB).Render(w)
+				return obsreport.MergeCharts(a.Chart(), b.Chart(), labelA, labelB).Render(w)
 			}
-			return obsreport.WriteDelta(w, a.diff(b), f)
+			return obsreport.WriteDelta(w, a.Diff(b), f)
 		}
 	}
 
 	// Corruption is part of the answer, not just a side note: in lenient
 	// mode a skipped line means the report is computed from a subset of the
 	// capture, so the text rendering carries a malformed_lines row. The row
-	// is appended here rather than inside the Write* renderers so streaming
-	// and slice renders of a clean capture stay byte-identical, and the
+	// is appended here rather than inside the Write* renderers so a clean
+	// capture renders the same wherever its events come from, and the
 	// structured formats (csv/json/svg) stay schema-clean.
 	if skipped > 0 {
 		inner := render
@@ -302,6 +208,7 @@ func runLabels(inPath, vsPath string) (string, string) {
 }
 
 func usageError(w io.Writer) error {
-	fmt.Fprintln(w, "usage: obsreport <timeline|latency|wear|energy|cleaning|faults|array> [-in events.ndjson ...] [-vs run2.ndjson] [-format text|csv|json|svg] [-out file] [-lenient] [-strict] [-workers n]")
+	fmt.Fprintf(w, "usage: obsreport <%s> [-in events.ndjson ...] [-vs run2.ndjson] [-format text|csv|json|svg] [-out file] [-lenient] [-strict] [-workers n]\n",
+		strings.Join(obsreport.FigureKinds(), "|"))
 	return fmt.Errorf("missing or unknown report")
 }

@@ -60,11 +60,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	col := obs.NewCollector(obs.Kinds(obs.EvFaultInjected, obs.EvRetryAttempt, obs.EvRemap,
-		obs.EvReclaim, obs.EvPowerFail, obs.EvRecoveryReplayed))
+	figs := obsreport.NewFigureSet()
 	cfg.Faults = plan
 	cfg.FaultSeed = 42
-	cfg.Scope = obs.NewScope(nil, col)
+	cfg.Scope = obs.NewScope(nil, figs)
 	faulted, err := core.Run(cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -89,7 +88,7 @@ func main() {
 	// 4. The same summary the CLI derives from an NDJSON capture:
 	// `obsreport faults -in ev.ndjson`.
 	fmt.Println("--- obsreport faults ---")
-	if err := obsreport.WriteFaults(os.Stdout, obsreport.Faults(col.Events()), obsreport.Text); err != nil {
+	if err := obsreport.WriteFaults(os.Stdout, figs.Faults.Finish(), obsreport.Text); err != nil {
 		log.Fatal(err)
 	}
 

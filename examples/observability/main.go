@@ -3,10 +3,10 @@
 //
 // This wires together the three pieces of the observability stack:
 // a registry + tracer scope on core.Run, the simulated-time sampler
-// (Config.SampleEvery) producing an energy/metric timeline, and the
-// obsreport analyzers deriving cleaning and wear reports from the
-// captured events — the same analysis `cmd/obsreport` runs on an NDJSON
-// file written with `storagesim -events`.
+// (Config.SampleEvery) producing an energy/metric timeline, and an
+// obsreport.FigureSet as the run's tracer, deriving cleaning and wear
+// reports from the events as they happen — the same analysis
+// `cmd/obsreport` runs on an NDJSON file written with `storagesim -events`.
 //
 //	go run ./examples/observability
 package main
@@ -34,10 +34,11 @@ func main() {
 	seg := device.IntelSeries2Datasheet().SegmentSize
 	capacity := units.CeilDiv(units.Bytes(float64(core.Footprint(t))/0.9), seg) * seg
 
-	// 2. Attach a registry (for the sampler) and a collector tracer that
-	// keeps only the cleaning- and wear-related events.
+	// 2. Attach a registry (for the sampler) and a figure set as the
+	// tracer: its report builders read the cleaning and wear events as the
+	// run emits them.
 	reg := obs.NewRegistry()
-	col := obs.NewCollector(obs.Kinds(obs.EvCardClean, obs.EvCardErase, obs.EvCardStall))
+	figs := obsreport.NewFigureSet()
 
 	res, err := core.Run(core.Config{
 		Trace:           t,
@@ -47,7 +48,7 @@ func main() {
 		FlashCapacity:   capacity,
 		StoredData:      units.Bytes(float64(capacity) * 0.9),
 		SampleEvery:     units.FromSeconds(60), // snapshot every simulated minute
-		Scope:           obs.NewScope(reg, col),
+		Scope:           obs.NewScope(reg, figs),
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -63,14 +64,13 @@ func main() {
 	fmt.Printf("final sample: t=%.0f s, energy.total_j=%.1f\n\n",
 		float64(last.TUs)/1e6, last.Gauges["energy.total_j"])
 
-	// 4. Derived reports from the captured events.
-	events := col.Events()
+	// 4. Derived reports from the run's events.
 	fmt.Println("--- cleaning ---")
-	if err := obsreport.WriteCleaning(os.Stdout, obsreport.Cleaning(events), obsreport.Text); err != nil {
+	if err := obsreport.WriteCleaning(os.Stdout, figs.Cleaning.Finish(), obsreport.Text); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\n--- wear ---")
-	if err := obsreport.WriteWear(os.Stdout, obsreport.Wear(events), obsreport.Text); err != nil {
+	if err := obsreport.WriteWear(os.Stdout, figs.Wear.Finish(), obsreport.Text); err != nil {
 		log.Fatal(err)
 	}
 }

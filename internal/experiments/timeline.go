@@ -149,7 +149,7 @@ type CleaningPoint struct {
 
 // CleaningEfficiency sweeps flash-card utilization on the dos trace and
 // derives the cleaner's efficiency from the event stream (an in-process
-// obs.Collector feeding obsreport.Cleaning): as utilization rises, each
+// obsreport.FigureSet as the run's tracer): as utilization rises, each
 // victim segment holds more live data, so the cleaner copies more per
 // erase — the §5.3 overhead curve behind Figure 2.
 func CleaningEfficiency(seed int64) ([]CleaningPoint, error) {
@@ -164,7 +164,7 @@ func CleaningEfficiency(seed int64) ([]CleaningPoint, error) {
 	points := make([]CleaningPoint, len(utils))
 	err = sweep(len(utils), func(i int) error {
 		util := utils[i]
-		col := obs.NewCollector(obs.Kinds(obs.EvCardClean, obs.EvCardStall))
+		figs := obsreport.NewFigureSet()
 		cfg := core.Config{
 			Trace:           t,
 			DRAMBytes:       fleet.DefaultDRAM("dos"),
@@ -172,13 +172,13 @@ func CleaningEfficiency(seed int64) ([]CleaningPoint, error) {
 			FlashCardParams: device.IntelSeries2Datasheet(),
 			FlashCapacity:   capacity,
 			StoredData:      units.Bytes(float64(capacity) * util),
-			Scope:           obs.NewScope(nil, col),
+			Scope:           obs.NewScope(nil, figs),
 		}
 		res, err := core.Run(cfg)
 		if err != nil {
 			return fmt.Errorf("cleaning-efficiency util %.2f: %w", util, err)
 		}
-		rep := obsreport.Cleaning(col.Events())
+		rep := figs.Cleaning.Finish()
 		// Cross-check the derived report against the run's own counters.
 		if rep.CopiedBlocks != res.CopiedBlocks || rep.Stalls != res.WriteStalls {
 			return fmt.Errorf("cleaning-efficiency util %.2f: stream (%d copied, %d stalls) disagrees with result (%d, %d)",

@@ -286,13 +286,14 @@ func hitRate(hits, misses int64) float64 {
 }
 
 // Chart renders one fleet-level figure. The kinds mirror single-run serve
-// mode, re-derived for merged state: timeline is the sleep-duration
-// distribution (individual intervals are not retained across runs), energy
-// is the per-run total-energy distribution (cumulative curves do not merge
-// across independent simulated clocks), and latency overlays the fleet
-// read/write response-time histograms. faults and array draw their time
-// series from per-run timestamps, which their builders' Merge drops, so
-// the merged figures carry no series.
+// mode, and three are re-derived for merged state: timeline is the
+// sleep-duration distribution (individual intervals are not retained across
+// runs), energy is the per-run total-energy distribution (cumulative curves
+// do not merge across independent simulated clocks), and latency overlays
+// the fleet read/write response-time histograms. Every other kind renders
+// from the merged figure set. faults and array draw their time series from
+// per-run timestamps, which their builders' Merge drops, so the merged
+// figures carry no series.
 func (a *Aggregator) Chart(kind string) (*plot.Chart, error) {
 	switch kind {
 	case "timeline":
@@ -311,8 +312,6 @@ func (a *Aggregator) Chart(kind string) (*plot.Chart, error) {
 			c.Series = append(c.Series, plot.Series{Name: "write", Step: true, Points: obsreport.HistPoints(a.writeHist)})
 		}
 		return c, nil
-	case "wear":
-		return obsreport.WearChart(a.figs.Wear.Finish()), nil
 	case "energy":
 		c := &plot.Chart{
 			Title:  "Per-run energy distribution",
@@ -324,13 +323,7 @@ func (a *Aggregator) Chart(kind string) (*plot.Chart, error) {
 			c.Series = append(c.Series, plot.Series{Name: "runs", Step: true, Points: obsreport.HistPoints(a.energyPerRun)})
 		}
 		return c, nil
-	case "cleaning":
-		return obsreport.CleaningChart(a.figs.Cleaning.Finish()), nil
-	case "faults":
-		return obsreport.FaultsChart(a.figs.Faults.Finish()), nil
-	case "array":
-		return obsreport.ArrayChart(a.figs.Array.Finish()), nil
 	default:
-		return nil, obsreport.UnknownKindError(kind)
+		return a.figs.Chart(kind)
 	}
 }

@@ -143,10 +143,10 @@ func (r *Ring) Total() int64 {
 }
 
 // Collector is an unbounded in-memory Tracer: it appends every event of a
-// kept kind to a slice. Unlike Ring it never drops history, so analysis
-// code (internal/obsreport) can consume a complete stream without a file
-// round-trip; bound memory on long runs by keeping only the kinds the
-// analysis reads.
+// kept kind to a slice. Unlike Ring it never drops history, so a caller
+// can inspect a complete stream without a file round-trip; bound memory on
+// long runs by keeping only the kinds it reads. (Reports derived in
+// process need no copy of the stream: an obsreport.FigureSet is a tracer.)
 type Collector struct {
 	mu     sync.Mutex
 	keep   KindSet

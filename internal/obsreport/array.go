@@ -145,7 +145,8 @@ func (b *ArrayBuilder) Observe(e obs.Event) {
 	}
 }
 
-// Finish returns the report with devices in sorted name order.
+// Finish returns the report with devices in sorted name order. The report
+// is zero-valued for runs with no array or recovery activity.
 func (b *ArrayBuilder) Finish() *ArrayReport {
 	devs := make([]string, 0, len(b.byDev))
 	for d := range b.byDev {
@@ -192,14 +193,6 @@ func (b *ArrayBuilder) Merge(o *ArrayBuilder) {
 	b.r.Backlogs += o.r.Backlogs
 	b.r.BacklogBlocks += o.r.BacklogBlocks
 	b.r.DrainUs += o.r.DrainUs
-}
-
-// Array derives the degraded-mode report from the stream. The report is
-// zero-valued for runs with no array or recovery activity.
-func Array(events []obs.Event) *ArrayReport {
-	b := NewArrayBuilder()
-	observeAll(b, events)
-	return b.Finish()
 }
 
 // empty reports whether the run had no degraded-mode activity at all.

@@ -30,7 +30,7 @@ func arrayStream() []obs.Event {
 }
 
 func TestArrayReport(t *testing.T) {
-	r := Array(arrayStream())
+	r := observe(NewArrayBuilder(), arrayStream()).Finish()
 	if r.Deaths != 2 || r.EraseDeaths != 1 || r.Degradations != 1 || r.Rebuilds != 1 {
 		t.Fatalf("totals %+v", r)
 	}
@@ -68,7 +68,7 @@ func TestArrayReport(t *testing.T) {
 }
 
 func TestArrayReportEmptyStream(t *testing.T) {
-	r := Array(syntheticStream())
+	r := observe(NewArrayBuilder(), syntheticStream()).Finish()
 	if r.Deaths != 0 || len(r.Devices) != 0 || r.Backlogs != 0 {
 		t.Fatalf("array-free stream produced %+v", r)
 	}
@@ -82,7 +82,7 @@ func TestArrayReportEmptyStream(t *testing.T) {
 }
 
 func TestWriteArrayFormats(t *testing.T) {
-	r := Array(arrayStream())
+	r := observe(NewArrayBuilder(), arrayStream()).Finish()
 
 	var txt bytes.Buffer
 	if err := WriteArray(&txt, r, Text); err != nil {
@@ -132,7 +132,7 @@ func TestWriteArrayFormats(t *testing.T) {
 }
 
 func TestArrayChartSeries(t *testing.T) {
-	c := ArrayChart(Array(arrayStream()))
+	c := ArrayChart(observe(NewArrayBuilder(), arrayStream()).Finish())
 	// Two devices with latent series + two death markers + one rebuild marker.
 	if len(c.Series) != 5 {
 		t.Fatalf("%d series, want 5", len(c.Series))
@@ -152,13 +152,13 @@ func TestArrayChartSeries(t *testing.T) {
 }
 
 func TestDiffArraySelfIsZero(t *testing.T) {
-	r := Array(arrayStream())
+	r := observe(NewArrayBuilder(), arrayStream()).Finish()
 	for _, d := range DiffArray(r, r) {
 		if d.Delta != 0 {
 			t.Errorf("self-diff %s = %g, want 0", d.Name, d.Delta)
 		}
 	}
-	other := Array(arrayStream()[:4]) // first death + rebuild only
+	other := observe(NewArrayBuilder(), arrayStream()[:4]).Finish() // first death + rebuild only
 	rows := DiffArray(other, r)
 	if rows[0].Delta != 1 { // deaths: 1 → 2
 		t.Errorf("deaths delta %+v", rows[0])
@@ -178,7 +178,7 @@ func TestArrayBuilderMerge(t *testing.T) {
 	}
 	a.Merge(b)
 	r := a.Finish()
-	want := Array(events)
+	want := observe(NewArrayBuilder(), events).Finish()
 	if r.Deaths != want.Deaths || r.Rebuilds != want.Rebuilds ||
 		r.LatentSurfaced != want.LatentSurfaced || r.Backlogs != want.Backlogs ||
 		r.DrainUs != want.DrainUs || len(r.Devices) != len(want.Devices) {

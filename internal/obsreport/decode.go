@@ -1,14 +1,14 @@
 // Package obsreport is the analysis half of the observability stack: it
 // consumes the structured event stream emitted by internal/obs (from an
-// NDJSON file written with storagesim -events, or in-process from an
-// obs.Collector/obs.Ring) and computes the derived reports behind the
-// paper's time-dependent claims — per-device spin state timelines and
+// NDJSON file written with storagesim -events, or in-process with a
+// FigureSet as the run's tracer) and computes the derived reports behind
+// the paper's time-dependent claims — per-device spin state timelines and
 // idle-time histograms (Table 5), energy-over-time series (Figures 2–4),
 // latency quantiles, per-segment wear distributions (§5.2), and cleaning
 // overhead (§5.3/eNVy).
 //
 // Everything here is deterministic: reports are pure functions of the
-// event slice, maps are rendered in sorted order, and quantiles come from
+// event stream, maps are rendered in sorted order, and quantiles come from
 // a reproducible bucket-interpolation estimator.
 package obsreport
 
@@ -122,40 +122,3 @@ func (d *Decoder) Line() int { return d.line }
 // (oversized line, read error) are not counted: past them nothing more can
 // be decoded, so they always surface as a terminal error instead.
 func (d *Decoder) Malformed() int { return d.malformed }
-
-// ReadEvents decodes an entire NDJSON stream strictly: the first malformed
-// line aborts with a *DecodeError naming it.
-func ReadEvents(r io.Reader) ([]obs.Event, error) {
-	var out []obs.Event
-	d := NewDecoder(r)
-	for {
-		e, err := d.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, e)
-	}
-}
-
-// ReadEventsLenient decodes a stream, skipping malformed lines; it returns
-// the good events and how many lines were skipped. A scanner-level error
-// (line too long, read failure) still aborts: past it the framing is gone.
-func ReadEventsLenient(r io.Reader) (events []obs.Event, skipped int, err error) {
-	d := NewDecoder(r)
-	for {
-		e, nerr := d.Next()
-		if nerr == io.EOF {
-			return events, d.Malformed(), nil
-		}
-		if nerr != nil {
-			if d.sc.Err() == nil { // malformed line, framing intact
-				continue
-			}
-			return events, d.Malformed(), nerr
-		}
-		events = append(events, e)
-	}
-}

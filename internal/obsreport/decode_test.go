@@ -11,6 +11,15 @@ import (
 	"mobilestorage/internal/obs"
 )
 
+// readLenient decodes data the way obsreport -lenient does, through
+// StreamFiles, and returns the events it delivers with the skip count.
+func readLenient(data []byte) ([]obs.Event, int64, error) {
+	var events []obs.Event
+	collect := reporterFunc(func(e obs.Event) { events = append(events, e) })
+	stats, err := StreamFiles([]string{"-"}, StreamOptions{Lenient: true, Stdin: bytes.NewReader(data)}, collect)
+	return events, stats.Skipped, err
+}
+
 // Round trip: events emitted by the canonical NDJSON sink decode back to
 // the identical slice.
 func TestDecodeRoundTrip(t *testing.T) {
@@ -29,7 +38,7 @@ func TestDecodeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := ReadEvents(&buf)
+	got, _, err := readAllMode(buf.Bytes(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +55,7 @@ func TestDecodeMalformed(t *testing.T) {
 		`{"t_us":1}` + "\n",                   // missing kind
 	}
 	for _, in := range cases {
-		_, err := ReadEvents(strings.NewReader(in))
+		_, _, err := readAllMode([]byte(in), false)
 		var de *DecodeError
 		if !errors.As(err, &de) {
 			t.Errorf("input %q: error %v, want *DecodeError", in, err)
@@ -60,7 +69,7 @@ func TestDecodeMalformed(t *testing.T) {
 
 func TestDecodeErrorReportsLine(t *testing.T) {
 	in := `{"t_us":1,"kind":"a"}` + "\n" + `{"t_us":2,"kind":"b"}` + "\n" + `broken` + "\n"
-	events, err := ReadEvents(strings.NewReader(in))
+	events, _, err := readAllMode([]byte(in), false)
 	var de *DecodeError
 	if !errors.As(err, &de) || de.Line != 3 {
 		t.Fatalf("err %v, want DecodeError at line 3", err)
@@ -76,7 +85,7 @@ func TestDecodeLenient(t *testing.T) {
 		"\n" + // blank lines are fine, not "skipped"
 		`{"t_us":3,"kind":"unknown.kind","addr":9}` + "\n" +
 		`{"no_kind":true}` + "\n"
-	events, skipped, err := ReadEventsLenient(strings.NewReader(in))
+	events, skipped, err := readLenient([]byte(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,13 +98,13 @@ func TestDecodeLenient(t *testing.T) {
 }
 
 func TestDecodeOversizedLine(t *testing.T) {
-	long := strings.Repeat("x", maxLineBytes+1)
-	_, err := ReadEvents(strings.NewReader(long))
+	long := []byte(strings.Repeat("x", maxLineBytes+1))
+	_, _, err := readAllMode(long, false)
 	if err == nil {
 		t.Fatal("oversized line accepted")
 	}
 	// Lenient mode must also abort (framing is unrecoverable), not loop.
-	_, _, err = ReadEventsLenient(strings.NewReader(long))
+	_, _, err = readLenient(long)
 	if err == nil {
 		t.Fatal("lenient mode accepted an oversized line")
 	}

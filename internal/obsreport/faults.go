@@ -133,7 +133,8 @@ func (b *FaultsBuilder) Observe(e obs.Event) {
 	}
 }
 
-// Finish returns the report with devices in sorted name order.
+// Finish returns the report with devices in sorted name order. The report
+// is zero-valued for fault-free runs (no fault.* events).
 func (b *FaultsBuilder) Finish() *FaultsReport {
 	devs := make([]string, 0, len(b.byDev))
 	for d := range b.byDev {
@@ -145,14 +146,6 @@ func (b *FaultsBuilder) Finish() *FaultsReport {
 		b.r.Devices = append(b.r.Devices, *b.byDev[d])
 	}
 	return b.r
-}
-
-// Faults derives the fault-injection report from the stream. The report is
-// zero-valued for fault-free runs (no fault.* events).
-func Faults(events []obs.Event) *FaultsReport {
-	b := NewFaultsBuilder()
-	observeAll(b, events)
-	return b.Finish()
 }
 
 // WriteFaults renders the faults report.

@@ -34,7 +34,7 @@ func faultStream() []obs.Event {
 }
 
 func TestFaultsReport(t *testing.T) {
-	r := Faults(faultStream())
+	r := observe(NewFaultsBuilder(), faultStream()).Finish()
 	if r.Injected != 4 || r.Retries != 4 || r.BackoffUs != 4_000 {
 		t.Fatalf("totals %+v", r)
 	}
@@ -69,7 +69,7 @@ func TestFaultsReport(t *testing.T) {
 }
 
 func TestFaultsReportEmptyStream(t *testing.T) {
-	r := Faults(syntheticStream())
+	r := observe(NewFaultsBuilder(), syntheticStream()).Finish()
 	if r.Injected != 0 || len(r.Devices) != 0 || len(r.PowerFailUs) != 0 {
 		t.Fatalf("fault-free stream produced %+v", r)
 	}
@@ -83,7 +83,7 @@ func TestFaultsReportEmptyStream(t *testing.T) {
 }
 
 func TestWriteFaultsFormats(t *testing.T) {
-	r := Faults(faultStream())
+	r := observe(NewFaultsBuilder(), faultStream()).Finish()
 
 	var txt bytes.Buffer
 	if err := WriteFaults(&txt, r, Text); err != nil {
@@ -132,7 +132,7 @@ func TestWriteFaultsFormats(t *testing.T) {
 }
 
 func TestFaultsChartSeries(t *testing.T) {
-	c := FaultsChart(Faults(faultStream()))
+	c := FaultsChart(observe(NewFaultsBuilder(), faultStream()).Finish())
 	// Two devices with injections (sram only replays) + one power-fail marker.
 	if len(c.Series) != 3 {
 		t.Fatalf("%d series, want 3", len(c.Series))
@@ -152,35 +152,44 @@ func TestFaultsChartSeries(t *testing.T) {
 }
 
 func TestDiffFaultsSelfIsZero(t *testing.T) {
-	r := Faults(faultStream())
+	r := observe(NewFaultsBuilder(), faultStream()).Finish()
 	for _, d := range DiffFaults(r, r) {
 		if d.Delta != 0 {
 			t.Errorf("self-diff %s = %g, want 0", d.Name, d.Delta)
 		}
 	}
-	other := Faults(faultStream()[:6]) // disk events only
+	other := observe(NewFaultsBuilder(), faultStream()[:6]).Finish() // disk events only
 	rows := DiffFaults(other, r)
 	if rows[0].Delta != 1 { // injected: 3 → 4
 		t.Errorf("injected delta %+v", rows[0])
 	}
 }
 
-// TestFaultsBuilderMatchesSlice pins the streaming builder to the
-// slice-based wrapper on an interleaved stream.
+// TestFaultsBuilderMatchesSlice pins the faults report streamed from an
+// NDJSON capture to the same builder fed the event slice, on an
+// interleaved stream.
 func TestFaultsBuilderMatchesSlice(t *testing.T) {
-	b := NewFaultsBuilder()
 	events := append(faultStream(), syntheticStream()...)
+	var capture bytes.Buffer
+	sink := obs.NewNDJSONSink(&capture)
 	for _, e := range events {
-		b.Observe(e)
+		sink.Emit(e)
 	}
-	var got, want bytes.Buffer
-	if err := WriteFaults(&got, b.Finish(), JSON); err != nil {
+	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFaults(&want, Faults(events), JSON); err != nil {
+	streamed := NewFaultsBuilder()
+	if _, err := StreamFiles([]string{"-"}, StreamOptions{Stdin: &capture}, streamed); err != nil {
+		t.Fatal(err)
+	}
+	var got, want bytes.Buffer
+	if err := WriteFaults(&got, streamed.Finish(), JSON); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFaults(&want, observe(NewFaultsBuilder(), events).Finish(), JSON); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Error("streaming and slice-based faults reports differ")
+		t.Error("streamed and slice-fed faults reports differ")
 	}
 }

@@ -2,23 +2,94 @@ package obsreport
 
 import (
 	"fmt"
+	"io"
 	"strings"
 
 	"mobilestorage/internal/obs"
 	"mobilestorage/internal/plot"
 )
 
-// FigureKinds lists every report kind that renders as a figure, in
-// presentation order. These are the <report> arguments of cmd/obsreport and
-// the /plot/<report> endpoint paths of storagesim's serve mode.
+// Report is one report kind bound to its builder: feed it events, then
+// render it. NewReport hands one out, and FigureSet.Chart renders through
+// one.
+type Report interface {
+	Reporter
+	// Write renders the report in format f.
+	Write(w io.Writer, f Format) error
+	// Chart renders the report as a figure.
+	Chart() *plot.Chart
+	// Diff compares the report, as run A, with o, as run B: the -vs delta
+	// table. o must be a report of the same kind.
+	Diff(o Report) []DeltaRow
+}
+
+// reportKinds declares every report kind once, in presentation order: its
+// name, and its builder in a FigureSet bound to the kind's writer, chart
+// and diff. A new kind is one row here plus its FigureSet field.
+var reportKinds = []struct {
+	name string
+	of   func(*FigureSet) Report
+}{
+	{"timeline", func(s *FigureSet) Report { return bind(s.Timeline, WriteTimelines, TimelineChart, DiffTimelines) }},
+	{"latency", func(s *FigureSet) Report { return bind(s.Latency, WriteLatency, LatencyChart, DiffLatency) }},
+	{"wear", func(s *FigureSet) Report { return bind(s.Wear, WriteWear, WearChart, DiffWear) }},
+	{"energy", func(s *FigureSet) Report { return bind(s.Energy, WriteEnergy, EnergyChart, DiffEnergy) }},
+	{"cleaning", func(s *FigureSet) Report { return bind(s.Cleaning, WriteCleaning, CleaningChart, DiffCleaning) }},
+	{"faults", func(s *FigureSet) Report { return bind(s.Faults, WriteFaults, FaultsChart, DiffFaults) }},
+	{"array", func(s *FigureSet) Report { return bind(s.Array, WriteArray, ArrayChart, DiffArray) }},
+}
+
+// bound adapts a builder whose Finish returns R to Report through its
+// kind's renderers.
+type bound[R any] struct {
+	Reporter
+	finish func() R
+	write  func(io.Writer, R, Format) error
+	chart  func(R) *plot.Chart
+	diff   func(a, b R) []DeltaRow
+}
+
+func bind[R any, B interface {
+	Reporter
+	Finish() R
+}](b B, write func(io.Writer, R, Format) error, chart func(R) *plot.Chart, diff func(a, b R) []DeltaRow) Report {
+	return &bound[R]{b, b.Finish, write, chart, diff}
+}
+
+func (r *bound[R]) Write(w io.Writer, f Format) error { return r.write(w, r.finish(), f) }
+func (r *bound[R]) Chart() *plot.Chart                { return r.chart(r.finish()) }
+func (r *bound[R]) Diff(o Report) []DeltaRow          { return r.diff(r.finish(), o.(*bound[R]).finish()) }
+
+// FigureKinds lists every report kind, in presentation order. These are the
+// <report> arguments of cmd/obsreport and the /plot/<report> endpoint paths
+// of storagesim's serve mode.
 func FigureKinds() []string {
-	return []string{"timeline", "latency", "wear", "energy", "cleaning", "faults", "array"}
+	names := make([]string, len(reportKinds))
+	for i, k := range reportKinds {
+		names[i] = k.name
+	}
+	return names
 }
 
 // UnknownKindError formats the 404/usage message for an unrecognized report
 // kind, listing the valid ones.
 func UnknownKindError(kind string) error {
 	return fmt.Errorf("unknown report %q (valid reports: %s)", kind, strings.Join(FigureKinds(), ", "))
+}
+
+// NewReport returns an empty report of the named kind, or UnknownKindError.
+func NewReport(kind string) (Report, error) {
+	return NewFigureSet().lookup(kind)
+}
+
+// lookup binds the set's builder for the named kind.
+func (s *FigureSet) lookup(kind string) (Report, error) {
+	for _, k := range reportKinds {
+		if k.name == kind {
+			return k.of(s), nil
+		}
+	}
+	return nil, UnknownKindError(kind)
 }
 
 // FigureSet bundles one builder per report kind so a single event stream
@@ -94,24 +165,11 @@ func (s *FigureSet) Merge(o *FigureSet) {
 // kinds return UnknownKindError. Snapshot semantics follow the builders:
 // the set may keep observing afterwards.
 func (s *FigureSet) Chart(kind string) (*plot.Chart, error) {
-	switch kind {
-	case "timeline":
-		return TimelineChart(s.Timeline.Finish()), nil
-	case "latency":
-		return LatencyChart(s.Latency.Finish()), nil
-	case "wear":
-		return WearChart(s.Wear.Finish()), nil
-	case "energy":
-		return EnergyChart(s.Energy.Finish()), nil
-	case "cleaning":
-		return CleaningChart(s.Cleaning.Finish()), nil
-	case "faults":
-		return FaultsChart(s.Faults.Finish()), nil
-	case "array":
-		return ArrayChart(s.Array.Finish()), nil
-	default:
-		return nil, UnknownKindError(kind)
+	r, err := s.lookup(kind)
+	if err != nil {
+		return nil, err
 	}
+	return r.Chart(), nil
 }
 
 // SleepChart renders per-device sleep-duration distributions as step

@@ -33,7 +33,7 @@ func FuzzDecode(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		events, err := ReadEvents(bytes.NewReader(data))
+		events, _, err := readAllMode(data, false)
 		for _, e := range events {
 			if e.Kind == 0 {
 				t.Fatalf("strict mode returned an event with empty kind: %+v", e)
@@ -41,7 +41,7 @@ func FuzzDecode(f *testing.F) {
 		}
 		_ = err
 
-		lenientEvents, skipped, lerr := ReadEventsLenient(bytes.NewReader(data))
+		lenientEvents, skipped, lerr := readLenient(data)
 		if lerr == nil {
 			// Mirror bufio.ScanLines framing: split on \n, strip one
 			// trailing \r, and only zero-length lines are blank.
@@ -52,7 +52,7 @@ func FuzzDecode(f *testing.F) {
 					nonBlank++
 				}
 			}
-			if len(lenientEvents)+skipped != nonBlank {
+			if len(lenientEvents)+int(skipped) != nonBlank {
 				t.Fatalf("lenient mode lost lines: %d events + %d skipped != %d non-blank",
 					len(lenientEvents), skipped, nonBlank)
 			}

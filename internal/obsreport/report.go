@@ -11,20 +11,13 @@ import (
 )
 
 // Reporter is the incremental face of a report: feed it one event at a
-// time. Builders implement it alongside a typed Finish method, so
-// cmd/obsreport can stream a multi-gigabyte NDJSON file (or stdin) through
-// a decoder at constant memory instead of materializing []obs.Event. The
-// slice-based report functions below are thin wrappers over the builders;
-// both paths produce identical results by construction.
+// time. Builders implement it alongside a typed Finish method, and they
+// are the only way into a report, so cmd/obsreport streams a
+// multi-gigabyte NDJSON file (or stdin) through a decoder at constant
+// memory, and an in-process run passes a FigureSet as its tracer, without
+// ever materializing []obs.Event.
 type Reporter interface {
 	Observe(obs.Event)
-}
-
-// observeAll replays a slice through a builder — the slice-based wrappers.
-func observeAll(r Reporter, events []obs.Event) {
-	for _, e := range events {
-		r.Observe(e)
-	}
 }
 
 // ---------------------------------------------------------------- timeline
@@ -60,7 +53,10 @@ type DeviceTimeline struct {
 // sleepBounds covers sleep durations from 10 ms to ~28 h, in seconds.
 func sleepBounds() []float64 { return stats.LogBounds(1e-2, 1e5) }
 
-// TimelineBuilder derives per-device spin timelines incrementally.
+// TimelineBuilder derives per-device spin timelines incrementally. Events
+// with an empty Dev field group under the empty name. Spin-up events carry
+// the sleep duration they ended (Dur), so intervals are exact even if the
+// stream starts mid-sleep.
 type TimelineBuilder struct {
 	byDev map[string]*DeviceTimeline
 }
@@ -111,16 +107,6 @@ func (b *TimelineBuilder) Finish() []*DeviceTimeline {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Dev < out[j].Dev })
 	return out
-}
-
-// StateTimelines derives per-device spin timelines from the event stream.
-// Devices appear in sorted name order; events with an empty Dev field group
-// under the empty name. Spin-up events carry the sleep duration they ended
-// (Dur), so intervals are exact even if the stream starts mid-sleep.
-func StateTimelines(events []obs.Event) []*DeviceTimeline {
-	b := NewTimelineBuilder()
-	observeAll(b, events)
-	return b.Finish()
 }
 
 // ----------------------------------------------------------------- latency
@@ -175,7 +161,8 @@ func (b *LatencyBuilder) Observe(e obs.Event) {
 	h.Add(float64(e.Dur) / 1e3) // µs → ms
 }
 
-// Finish summarizes the distributions, sorted by kind.
+// Finish summarizes the distributions, sorted by kind: p50/p90/p99 are
+// interpolated within buckets, mean and max are exact.
 func (b *LatencyBuilder) Finish() []KindLatency {
 	kinds := make([]obs.Kind, 0, len(b.hists))
 	for k := range b.hists {
@@ -197,15 +184,6 @@ func (b *LatencyBuilder) Finish() []KindLatency {
 		})
 	}
 	return out
-}
-
-// Latency aggregates per-kind duration distributions from the stream and
-// estimates p50/p90/p99 via bucket interpolation; mean and max are exact.
-// Kinds are sorted by name.
-func Latency(events []obs.Event) []KindLatency {
-	b := NewLatencyBuilder()
-	observeAll(b, events)
-	return b.Finish()
 }
 
 // -------------------------------------------------------------------- wear
@@ -257,7 +235,9 @@ func (b *WearBuilder) Observe(e obs.Event) {
 	}
 }
 
-// Finish computes the wear distribution, segments sorted by index.
+// Finish computes the wear distribution, segments sorted by index. The
+// report is zero-valued when the stream has no flashcard.erase events (disk
+// or flash-disk runs).
 func (b *WearBuilder) Finish() *WearReport {
 	counts, total := b.counts, b.total
 	r := &WearReport{TotalErases: total}
@@ -290,15 +270,6 @@ func (b *WearBuilder) Finish() *WearReport {
 		r.Spread = float64(r.MaxErase) / r.MeanErase
 	}
 	return r
-}
-
-// Wear derives the wear distribution. Segments are sorted by index; the
-// report is zero-valued when the stream has no flashcard.erase events
-// (disk or flash-disk runs).
-func Wear(events []obs.Event) *WearReport {
-	b := NewWearBuilder()
-	observeAll(b, events)
-	return b.Finish()
 }
 
 // ------------------------------------------------------------------ energy
@@ -340,7 +311,8 @@ func (b *EnergyBuilder) Observe(e obs.Event) {
 	b.byComp[e.Dev] = append(b.byComp[e.Dev], EnergyPoint{TUs: e.T, Joules: float64(e.Size) / 1e6})
 }
 
-// Finish returns the series in sorted component order.
+// Finish returns the series in sorted component order; it is empty when
+// the run was not sampled (storagesim -sample enables it).
 func (b *EnergyBuilder) Finish() []EnergySeries {
 	comps := make([]string, 0, len(b.byComp))
 	for c := range b.byComp {
@@ -352,16 +324,6 @@ func (b *EnergyBuilder) Finish() []EnergySeries {
 		out = append(out, EnergySeries{Component: c, Points: b.byComp[c]})
 	}
 	return out
-}
-
-// Energy reconstructs per-component energy-over-time curves from the
-// sampler's sample.energy events (cumulative µJ payloads). Components are
-// sorted by name; the result is empty when the run was not sampled
-// (storagesim -sample enables it).
-func Energy(events []obs.Event) []EnergySeries {
-	b := NewEnergyBuilder()
-	observeAll(b, events)
-	return b.Finish()
 }
 
 // ---------------------------------------------------------------- cleaning
@@ -440,11 +402,4 @@ func (b *CleaningBuilder) Finish() *CleaningReport {
 		b.r.IndexAmp = float64(b.r.IndexWrittenBytes) / float64(b.r.IndexLogicalBytes)
 	}
 	return b.r
-}
-
-// Cleaning derives the cleaning report from the stream.
-func Cleaning(events []obs.Event) *CleaningReport {
-	b := NewCleaningBuilder()
-	observeAll(b, events)
-	return b.Finish()
 }

@@ -10,6 +10,15 @@ import (
 	"mobilestorage/internal/obs"
 )
 
+// observe feeds events to r in order and returns r: how a test drives a
+// builder, or a Report, over a hand-built stream.
+func observe[R Reporter](r R, events []obs.Event) R {
+	for _, e := range events {
+		r.Observe(e)
+	}
+	return r
+}
+
 // syntheticStream builds a hand-written event stream exercising every
 // report: a disk that sleeps twice, flash-card cleaning and wear, stalls,
 // and two energy samples.
@@ -40,7 +49,7 @@ func syntheticStream() []obs.Event {
 }
 
 func TestStateTimelines(t *testing.T) {
-	tls := StateTimelines(syntheticStream())
+	tls := observe(NewTimelineBuilder(), syntheticStream()).Finish()
 	if len(tls) != 1 {
 		t.Fatalf("%d devices, want 1", len(tls))
 	}
@@ -66,7 +75,7 @@ func TestStateTimelines(t *testing.T) {
 }
 
 func TestLatencyReport(t *testing.T) {
-	kinds := Latency(syntheticStream())
+	kinds := observe(NewLatencyBuilder(), syntheticStream()).Finish()
 	// Duration-bearing kinds present: flashcard.clean, flashcard.stall,
 	// sram.flush (sorted).
 	want := []string{"flashcard.clean", "flashcard.stall", "sram.flush"}
@@ -97,7 +106,7 @@ func TestLatencyReport(t *testing.T) {
 }
 
 func TestWearReport(t *testing.T) {
-	r := Wear(syntheticStream())
+	r := observe(NewWearBuilder(), syntheticStream()).Finish()
 	if r.TotalErases != 3 {
 		t.Fatalf("total erases %d, want 3", r.TotalErases)
 	}
@@ -116,14 +125,14 @@ func TestWearReport(t *testing.T) {
 		t.Errorf("spread %g", got)
 	}
 
-	empty := Wear(nil)
+	empty := observe(NewWearBuilder(), nil).Finish()
 	if empty.TotalErases != 0 || len(empty.Segments) != 0 {
 		t.Errorf("empty wear %+v", empty)
 	}
 }
 
 func TestEnergyReport(t *testing.T) {
-	series := Energy(syntheticStream())
+	series := observe(NewEnergyBuilder(), syntheticStream()).Finish()
 	if len(series) != 2 {
 		t.Fatalf("%d series, want 2", len(series))
 	}
@@ -137,13 +146,13 @@ func TestEnergyReport(t *testing.T) {
 	if tot.Points[0].TUs != 10_000_000 || tot.Points[0].Joules != 1.5 {
 		t.Errorf("first point %+v", tot.Points[0])
 	}
-	if len(Energy(nil)) != 0 {
+	if len(observe(NewEnergyBuilder(), nil).Finish()) != 0 {
 		t.Error("energy from empty stream")
 	}
 }
 
 func TestCleaningReport(t *testing.T) {
-	r := Cleaning(syntheticStream())
+	r := observe(NewCleaningBuilder(), syntheticStream()).Finish()
 	if r.Cleans != 3 || r.CopiedBlocks != 60 || r.Stalls != 1 {
 		t.Fatalf("cleaning %+v", r)
 	}
@@ -168,7 +177,7 @@ func TestCleaningIndexWriteAmp(t *testing.T) {
 	events := append(syntheticStream(), obs.Event{
 		Kind: obs.EvIndexWriteAmp, Dev: "btree", Addr: 1000, Size: 25000,
 	})
-	r := Cleaning(events)
+	r := observe(NewCleaningBuilder(), events).Finish()
 	if r.IndexEngine != "btree" || r.IndexLogicalBytes != 1000 || r.IndexWrittenBytes != 25000 {
 		t.Fatalf("index fields %+v", r)
 	}
@@ -201,7 +210,7 @@ func TestCleaningIndexWriteAmp(t *testing.T) {
 
 	// A run with index stats but a cleaner-free device (disk) still renders
 	// the index line instead of the "no events" placeholder.
-	only := Cleaning([]obs.Event{{Kind: obs.EvIndexWriteAmp, Dev: "lsm", Addr: 100, Size: 215}})
+	only := observe(NewCleaningBuilder(), []obs.Event{{Kind: obs.EvIndexWriteAmp, Dev: "lsm", Addr: 100, Size: 215}}).Finish()
 	buf.Reset()
 	if err := WriteCleaning(&buf, only, Text); err != nil {
 		t.Fatal(err)
@@ -222,24 +231,15 @@ func TestCleaningIndexWriteAmp(t *testing.T) {
 // deterministic across calls.
 func TestRenderersAllFormats(t *testing.T) {
 	events := syntheticStream()
-	renders := map[string]func(f Format) error{
-		"timeline": func(f Format) error { return WriteTimelines(&bytes.Buffer{}, StateTimelines(events), f) },
-		"latency":  func(f Format) error { return WriteLatency(&bytes.Buffer{}, Latency(events), f) },
-		"wear":     func(f Format) error { return WriteWear(&bytes.Buffer{}, Wear(events), f) },
-		"energy":   func(f Format) error { return WriteEnergy(&bytes.Buffer{}, Energy(events), f) },
-		"cleaning": func(f Format) error { return WriteCleaning(&bytes.Buffer{}, Cleaning(events), f) },
-	}
-	for name, render := range renders {
+	for _, kind := range FigureKinds() {
 		for _, f := range []Format{Text, CSV, JSON} {
-			if err := render(f); err != nil {
-				t.Errorf("%s/%s: %v", name, f, err)
-			}
+			renderReport(t, kind, events, f)
 		}
 	}
 
 	// JSON output must round-trip through the std decoder.
 	var buf bytes.Buffer
-	if err := WriteWear(&buf, Wear(events), JSON); err != nil {
+	if err := WriteWear(&buf, observe(NewWearBuilder(), events).Finish(), JSON); err != nil {
 		t.Fatal(err)
 	}
 	var decoded WearReport
@@ -252,7 +252,7 @@ func TestRenderersAllFormats(t *testing.T) {
 
 	// CSV output must parse with the std reader.
 	buf.Reset()
-	if err := WriteEnergy(&buf, Energy(events), CSV); err != nil {
+	if err := WriteEnergy(&buf, observe(NewEnergyBuilder(), events).Finish(), CSV); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := csv.NewReader(&buf).ReadAll()
@@ -265,12 +265,10 @@ func TestRenderersAllFormats(t *testing.T) {
 
 	// Determinism: identical inputs render byte-identically.
 	render := func() string {
-		var b bytes.Buffer
-		WriteTimelines(&b, StateTimelines(events), Text)
-		WriteLatency(&b, Latency(events), Text)
-		WriteWear(&b, Wear(events), Text)
-		WriteEnergy(&b, Energy(events), Text)
-		WriteCleaning(&b, Cleaning(events), Text)
+		var b strings.Builder
+		for _, kind := range FigureKinds() {
+			b.WriteString(renderReport(t, kind, events, Text))
+		}
 		return b.String()
 	}
 	if render() != render() {

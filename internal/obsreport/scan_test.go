@@ -1,7 +1,6 @@
 package obsreport
 
 import (
-	"bytes"
 	"encoding/json"
 	"math"
 	"strings"
@@ -182,19 +181,13 @@ func TestIntern(t *testing.T) {
 // differential fuzz target.
 func TestDecoderFastMatchesJSON(t *testing.T) {
 	data := benchStream(500)
-	fast, err := ReadEvents(bytes.NewReader(data))
+	fast, _, err := readAllMode(data, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewDecoder(bytes.NewReader(data))
-	d.noFast = true
-	var ref []obs.Event
-	for {
-		e, err := d.Next()
-		if err != nil {
-			break
-		}
-		ref = append(ref, e)
+	ref, _, err := readAllMode(data, true)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(fast) != len(ref) {
 		t.Fatalf("fast %d events, reference %d", len(fast), len(ref))

@@ -11,7 +11,6 @@ package obsreport
 // and decoding serially.
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -36,19 +35,14 @@ type StreamStats struct {
 
 // StreamOptions configures StreamFiles.
 type StreamOptions struct {
-	// Lenient skips malformed lines instead of aborting, mirroring
-	// ReadEventsLenient (scanner-level errors still abort: past an
-	// oversized line the framing is gone).
+	// Lenient skips malformed lines instead of aborting (scanner-level
+	// errors still abort: past an oversized line the framing is gone).
 	Lenient bool
 	// Workers caps decode concurrency; <= 0 means GOMAXPROCS.
 	Workers int
 	// Stdin is the reader consumed for the "-" pseudo-path. It must appear
 	// at most once in the path list.
 	Stdin io.Reader
-	// Context, when non-nil, cancels an in-flight stream: StreamFiles
-	// returns ctx.Err() at the next batch boundary and the decode workers
-	// wind down. Reporters never observe another event after the return.
-	Context context.Context
 }
 
 // fileResult carries one input's decoded batches to the fan-in. err and
@@ -70,10 +64,6 @@ func StreamFiles(paths []string, opt StreamOptions, reporters ...Reporter) (Stre
 	var stats StreamStats
 	if len(paths) == 0 {
 		return stats, errors.New("obsreport: no input streams")
-	}
-	ctx := opt.Context
-	if ctx == nil {
-		ctx = context.Background()
 	}
 	workers := opt.Workers
 	if workers <= 0 {
@@ -114,28 +104,14 @@ func StreamFiles(paths []string, opt StreamOptions, reporters ...Reporter) (Stre
 		}
 	}()
 
-	for i := range paths {
-		fr := results[i]
-		// Cancellation is checked between batches, not between events: a
-		// batch already handed over is delivered whole, so reporters see a
-		// clean prefix of the stream. With a nil Context, ctx.Done() is a
-		// nil channel and the select always takes the batch arm.
-	drain:
-		for {
-			select {
-			case batch, ok := <-fr.batches:
-				if !ok {
-					break drain
+	for _, fr := range results {
+		for batch := range fr.batches {
+			for _, e := range batch {
+				for _, r := range reporters {
+					r.Observe(e)
 				}
-				for _, e := range batch {
-					for _, r := range reporters {
-						r.Observe(e)
-					}
-				}
-				stats.Events += int64(len(batch))
-			case <-ctx.Done():
-				return stats, ctx.Err()
 			}
+			stats.Events += int64(len(batch))
 		}
 		if fr.err != nil {
 			return stats, fr.err

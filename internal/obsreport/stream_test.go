@@ -2,7 +2,6 @@ package obsreport
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"os"
@@ -41,68 +40,57 @@ func writeStream(t *testing.T, data []byte, n int) []string {
 	return paths
 }
 
-// renderAll renders every report from a finished builder set.
-func renderAll(w io.Writer, tb *TimelineBuilder, lb *LatencyBuilder, wb *WearBuilder,
-	eb *EnergyBuilder, cb *CleaningBuilder, f Format) error {
-	if err := WriteTimelines(w, tb.Finish(), f); err != nil {
-		return err
-	}
-	if err := WriteLatency(w, lb.Finish(), f); err != nil {
-		return err
-	}
-	if err := WriteWear(w, wb.Finish(), f); err != nil {
-		return err
-	}
-	if err := WriteEnergy(w, eb.Finish(), f); err != nil {
-		return err
-	}
-	return WriteCleaning(w, cb.Finish(), f)
-}
-
-// The acceptance bar for the streaming refactor: feeding the builders via
-// StreamFiles renders byte-identical output to the slice-based functions,
-// across every report and format, for single and sharded inputs.
+// Every report, rendered in every format, comes out the same whether its
+// builders are fed a decoded event slice or streamed through StreamFiles
+// from one file or from four shards, at any worker count.
 func TestStreamingMatchesSliceRenders(t *testing.T) {
 	data := benchStream(5_000)
-	events, err := ReadEvents(bytes.NewReader(data))
+	events, _, err := readAllMode(data, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	sliceRender := func(f Format) string {
+	render := func(reports []Report, f Format) string {
 		var b bytes.Buffer
-		if err := WriteTimelines(&b, StateTimelines(events), f); err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteLatency(&b, Latency(events), f); err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteWear(&b, Wear(events), f); err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteEnergy(&b, Energy(events), f); err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteCleaning(&b, Cleaning(events), f); err != nil {
-			t.Fatal(err)
+		for _, r := range reports {
+			if err := r.Write(&b, f); err != nil {
+				t.Fatal(err)
+			}
 		}
 		return b.String()
 	}
+	newReports := func() []Report {
+		var reports []Report
+		for _, kind := range FigureKinds() {
+			r, err := NewReport(kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reports = append(reports, r)
+		}
+		return reports
+	}
+	sliceRender := func(f Format) string {
+		reports := newReports()
+		for _, r := range reports {
+			observe(r, events)
+		}
+		return render(reports, f)
+	}
 	streamRender := func(paths []string, workers int, f Format) string {
-		tb, lb, wb, eb, cb := NewTimelineBuilder(), NewLatencyBuilder(), NewWearBuilder(),
-			NewEnergyBuilder(), NewCleaningBuilder()
-		stats, err := StreamFiles(paths, StreamOptions{Workers: workers}, tb, lb, wb, eb, cb)
+		reports := newReports()
+		reporters := make([]Reporter, len(reports))
+		for i, r := range reports {
+			reporters[i] = r
+		}
+		stats, err := StreamFiles(paths, StreamOptions{Workers: workers}, reporters...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if stats.Events != int64(len(events)) {
 			t.Fatalf("streamed %d events, want %d", stats.Events, len(events))
 		}
-		var b bytes.Buffer
-		if err := renderAll(&b, tb, lb, wb, eb, cb, f); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
+		return render(reports, f)
 	}
 
 	one := writeStream(t, data, 1)
@@ -124,7 +112,7 @@ func TestStreamingMatchesSliceRenders(t *testing.T) {
 // worker count or which shard finishes decoding first.
 func TestStreamFilesDeterministicOrder(t *testing.T) {
 	data := benchStream(3_000)
-	want, err := ReadEvents(bytes.NewReader(data))
+	want, _, err := readAllMode(data, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,68 +223,6 @@ func TestStreamFilesErrorPropagation(t *testing.T) {
 				t.Errorf("goroutines grew from %d to %d after an aborted stream", before, g)
 			}
 		})
-	}
-}
-
-// A cancelled Context stops the stream at a batch boundary and returns
-// ctx.Err(), whether cancelled up front or mid-flight.
-func TestStreamFilesContextCancel(t *testing.T) {
-	data := benchStream(5_000)
-	paths := writeStream(t, data, 2)
-
-	// Already cancelled: nothing flows.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var n int64
-	count := reporterFunc(func(obs.Event) { n++ })
-	_, err := StreamFiles(paths, StreamOptions{Context: ctx, Workers: 2}, count)
-	if err != context.Canceled {
-		t.Fatalf("pre-cancelled: err %v, want context.Canceled", err)
-	}
-	if n != 0 {
-		t.Errorf("pre-cancelled context delivered %d events", n)
-	}
-
-	// Cancelled mid-stream: the endless generator would run ~3M events;
-	// cancellation from inside a reporter must cut it short at the next
-	// batch boundary, with no events observed after StreamFiles returns.
-	ctx, cancel = context.WithCancel(context.Background())
-	defer cancel()
-	gen := &eventGen{remaining: 3_000_000}
-	var seen, after int64
-	done := false
-	watch := reporterFunc(func(obs.Event) {
-		if done {
-			after++
-		}
-		if seen++; seen == 10_000 {
-			cancel()
-		}
-	})
-	stats, err := StreamFiles([]string{"-"}, StreamOptions{Stdin: gen, Context: ctx}, watch)
-	done = true
-	if err != context.Canceled {
-		t.Fatalf("mid-stream: err %v, want context.Canceled", err)
-	}
-	if stats.Events >= 3_000_000 || seen >= 3_000_000 {
-		t.Errorf("cancellation did not cut the stream short: %d events", stats.Events)
-	}
-	if stats.Events < 10_000 {
-		t.Errorf("events before cancellation lost: stats %d, want >= 10000", stats.Events)
-	}
-	if after != 0 {
-		t.Errorf("%d events observed after StreamFiles returned", after)
-	}
-
-	// A nil Context stays the zero-cost default.
-	var m int64
-	countAll := reporterFunc(func(obs.Event) { m++ })
-	stats, err = StreamFiles(paths, StreamOptions{}, countAll)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Events != m || m == 0 {
-		t.Errorf("nil-context stream delivered %d events (observed %d)", stats.Events, m)
 	}
 }
 

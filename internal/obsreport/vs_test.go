@@ -13,13 +13,13 @@ import (
 // diffAll aggregates two event slices independently through every report
 // kind and returns the delta tables, keyed by report name.
 func diffAll(a, b []obs.Event) map[string][]DeltaRow {
-	return map[string][]DeltaRow{
-		"timeline": DiffTimelines(StateTimelines(a), StateTimelines(b)),
-		"latency":  DiffLatency(Latency(a), Latency(b)),
-		"wear":     DiffWear(Wear(a), Wear(b)),
-		"energy":   DiffEnergy(Energy(a), Energy(b)),
-		"cleaning": DiffCleaning(Cleaning(a), Cleaning(b)),
+	out := make(map[string][]DeltaRow)
+	for _, kind := range FigureKinds() {
+		ra, _ := NewReport(kind)
+		rb, _ := NewReport(kind)
+		out[kind] = observe(ra, a).Diff(observe(rb, b))
 	}
+	return out
 }
 
 // The -vs self-diff property: comparing a run against itself yields
@@ -54,7 +54,7 @@ func TestDiffUnionAcrossRuns(t *testing.T) {
 		{T: 5_000_000, Kind: obs.EvDiskSpinUp, Dev: "kh", Dur: 4_000_000},
 		{T: 3_000_000, Kind: obs.EvEnergySample, Dev: "storage", Size: 4_000_000},
 	}
-	tl := DiffTimelines(StateTimelines(a), StateTimelines(b))
+	tl := DiffTimelines(observe(NewTimelineBuilder(), a).Finish(), observe(NewTimelineBuilder(), b).Finish())
 	byName := map[string]DeltaRow{}
 	for _, r := range tl {
 		byName[r.Name] = r
@@ -65,7 +65,7 @@ func TestDiffUnionAcrossRuns(t *testing.T) {
 	if r := byName["kh.spin_ups"]; r.A != 0 || r.B != 1 || r.Delta != 1 {
 		t.Errorf("kh.spin_ups: %+v", r)
 	}
-	en := DiffEnergy(Energy(a), Energy(b))
+	en := DiffEnergy(observe(NewEnergyBuilder(), a).Finish(), observe(NewEnergyBuilder(), b).Finish())
 	byName = map[string]DeltaRow{}
 	for _, r := range en {
 		byName[r.Name] = r
@@ -122,7 +122,7 @@ func TestWriteDeltaFormats(t *testing.T) {
 }
 
 func TestMergeCharts(t *testing.T) {
-	a := EnergyChart(Energy(figureEvents()))
+	a := EnergyChart(observe(NewEnergyBuilder(), figureEvents()).Finish())
 	b := EnergyChart(nil)
 	m := MergeCharts(a, b, "base", "candidate")
 	if m.Title != "Cumulative energy — base vs candidate" {
@@ -168,7 +168,7 @@ func FuzzVsAggregation(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		events, _, err := ReadEventsLenient(bytes.NewReader(data))
+		events, _, err := readLenient(data)
 		if err != nil {
 			return // scanner-level failure: nothing aggregated
 		}
@@ -197,7 +197,7 @@ func FuzzVsAggregation(f *testing.F) {
 
 		// The merged side-by-side chart renders well-formed XML whatever the
 		// component names contain.
-		m := MergeCharts(EnergyChart(Energy(events[:half])), EnergyChart(Energy(events)), "A", "B")
+		m := MergeCharts(EnergyChart(observe(NewEnergyBuilder(), events[:half]).Finish()), EnergyChart(observe(NewEnergyBuilder(), events).Finish()), "A", "B")
 		checkWellFormed(t, m.SVG())
 	})
 }
