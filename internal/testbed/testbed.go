@@ -89,8 +89,9 @@ type Testbed struct {
 	cfg   Config
 	clock units.Time
 
-	dsk   *disk.Disk
-	fdsk  *flashdisk.FlashDisk
+	dev device.Device
+	// card is dev when the Intel card is under test, else nil: Prefill,
+	// the delete path and Card reach it directly.
 	card  *flashcard.Card
 	comp  *compress.Model
 	model mffs.Model
@@ -114,13 +115,13 @@ func New(cfg Config) (*Testbed, error) {
 	case CU140:
 		// The disk is continuously accessed during the benchmarks, so it
 		// never spins down (Figure 1 caption).
-		t.dsk, err = disk.New(device.CU140Datasheet(), disk.WithSpinDown(0))
+		t.dev, err = disk.New(device.CU140Datasheet(), disk.WithSpinDown(0))
 		if cfg.Compression {
 			m := compress.DoubleSpace()
 			t.comp = &m
 		}
 	case SDP10:
-		t.fdsk, err = flashdisk.New(device.SDP10Datasheet(), 10*units.MB)
+		t.dev, err = flashdisk.New(device.SDP10Datasheet(), 10*units.MB)
 		if cfg.Compression {
 			m := compress.Stacker()
 			t.comp = &m
@@ -131,6 +132,7 @@ func New(cfg Config) (*Testbed, error) {
 			capacity = 10 * units.MB
 		}
 		t.card, err = flashcard.New(device.IntelSeries2Datasheet(), capacity, 512*units.B)
+		t.dev = t.card
 		if cfg.MFFS != nil {
 			t.model = *cfg.MFFS
 		} else {
@@ -284,14 +286,7 @@ func (t *Testbed) Idle(until units.Time) {
 		return
 	}
 	t.clock = until
-	switch {
-	case t.dsk != nil:
-		t.dsk.Idle(until)
-	case t.fdsk != nil:
-		t.fdsk.Idle(until)
-	case t.card != nil:
-		t.card.Idle(until)
-	}
+	t.dev.Idle(until)
 }
 
 // softwareOverhead charges the DOS per-call cost plus a file switch.
@@ -338,15 +333,6 @@ func (t *Testbed) deviceRead(f *fileState, offset, payload units.Bytes, id uint3
 }
 
 func (t *Testbed) access(req device.Request) units.Time {
-	switch {
-	case t.dsk != nil:
-		t.dsk.Idle(req.Time)
-		return t.dsk.Access(req)
-	case t.fdsk != nil:
-		t.fdsk.Idle(req.Time)
-		return t.fdsk.Access(req)
-	default:
-		t.card.Idle(req.Time)
-		return t.card.Access(req)
-	}
+	t.dev.Idle(req.Time)
+	return t.dev.Access(req)
 }
