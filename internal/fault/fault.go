@@ -228,17 +228,34 @@ func (in *Injector) rate(op Op) float64 {
 // attempt and idle/standby energy for the backoff, so retries surface in
 // latency and energy results. Nil-safe: a nil injector returns (1, 0).
 func (in *Injector) Attempts(op Op, dev string, at units.Time) (attempts int64, backoff units.Time) {
+	return in.retry(op, dev, at, false)
+}
+
+// DeadAttempts charges the full failed retry schedule against a dead
+// device: every attempt fails (no random draw — the device is gone), the
+// op is counted exhausted, and the caller pays the whole exponential
+// backoff. The striped array uses it for a dead member's share of an
+// access. Nil-safe.
+func (in *Injector) DeadAttempts(op Op, dev string, at units.Time) (attempts int64, backoff units.Time) {
+	return in.retry(op, dev, at, true)
+}
+
+// retry runs one operation's bounded retry loop. Each attempt fails on a
+// draw below the op's error rate, or without a draw when dead; a failed
+// attempt is counted and traced, and all but the last pay the next
+// backoff.
+func (in *Injector) retry(op Op, dev string, at units.Time, dead bool) (attempts int64, backoff units.Time) {
 	if in == nil {
 		return 1, 0
 	}
 	rate := in.rate(op)
-	if rate <= 0 {
+	if !dead && rate <= 0 {
 		return 1, 0
 	}
 	limit := in.plan.maxRetries() + 1
 	traceFault, traceRetry := in.sc.Wants(obs.EvFaultInjected), in.sc.Wants(obs.EvRetryAttempt)
 	for a := 1; a <= limit; a++ {
-		if in.float64() >= rate {
+		if !dead && in.float64() >= rate {
 			return int64(a), backoff // attempt a succeeded
 		}
 		in.countFault(op)
@@ -250,41 +267,6 @@ func (in *Injector) Attempts(op Op, dev string, at units.Time) (attempts int64, 
 			// Out of retries: the op is taken as completed so the replay can
 			// continue, but the exhaustion is counted — a real stack would
 			// have returned EIO here.
-			in.rep.Exhausted++
-			in.cExhausted.Inc()
-			break
-		}
-		d := in.plan.backoff(a)
-		backoff += d
-		in.rep.Retries++
-		in.rep.BackoffTime += d
-		in.cRetries.Inc()
-		if traceRetry {
-			in.sc.Emit(obs.Event{T: int64(at), Kind: obs.EvRetryAttempt, Dev: dev,
-				Addr: int64(op), Size: int64(a + 1), Dur: int64(d)})
-		}
-	}
-	return int64(limit), backoff
-}
-
-// DeadAttempts charges the full failed retry schedule against a dead
-// device: every attempt fails (no random draw — the device is gone), the
-// op is counted exhausted, and the caller pays the whole exponential
-// backoff. The striped array uses it for a dead member's share of an
-// access. Nil-safe.
-func (in *Injector) DeadAttempts(op Op, dev string, at units.Time) (attempts int64, backoff units.Time) {
-	if in == nil {
-		return 1, 0
-	}
-	limit := in.plan.maxRetries() + 1
-	traceFault, traceRetry := in.sc.Wants(obs.EvFaultInjected), in.sc.Wants(obs.EvRetryAttempt)
-	for a := 1; a <= limit; a++ {
-		in.countFault(op)
-		if traceFault {
-			in.sc.Emit(obs.Event{T: int64(at), Kind: obs.EvFaultInjected, Dev: dev,
-				Addr: int64(op), Size: int64(a)})
-		}
-		if a == limit {
 			in.rep.Exhausted++
 			in.cExhausted.Inc()
 			break
