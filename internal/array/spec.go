@@ -33,6 +33,7 @@ func ParseSpec(s string) (*Spec, error) {
 		return nil, fmt.Errorf("array: spec %q: want \"mirror:...\" or \"stripe:...\"", s)
 	}
 	spec := &Spec{}
+	members := 0 // members named so far; only the first 16 are built
 	switch mode {
 	case "mirror":
 		spec.Mode = Mirror
@@ -58,19 +59,21 @@ func ParseSpec(s string) (*Spec, error) {
 			return nil, fmt.Errorf("array: spec %q: unknown member kind %q (want one of %s)",
 				s, kind, strings.Join(MemberKinds, ", "))
 		}
-		for i := 0; i < count; i++ {
-			spec.Members = append(spec.Members, kind)
+		if members += count; members <= 16 {
+			for i := 0; i < count; i++ {
+				spec.Members = append(spec.Members, kind)
+			}
 		}
 	}
 	min := 1
 	if spec.Mode == Stripe {
 		min = 2
 	}
-	if len(spec.Members) < min {
+	if members < min {
 		return nil, fmt.Errorf("array: spec %q: %s needs at least %d members", s, spec.Mode, min)
 	}
-	if len(spec.Members) > 16 {
-		return nil, fmt.Errorf("array: spec %q: %d members exceeds the supported 16", s, len(spec.Members))
+	if members > 16 {
+		return nil, fmt.Errorf("array: spec %q: %d members exceeds the supported 16", s, members)
 	}
 	return spec, nil
 }

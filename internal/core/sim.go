@@ -128,19 +128,26 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Reference {
 		return runReference(cfg)
 	}
+	res, _, err := run(cfg)
+	return res, err
+}
+
+// run is Run's replay. It also returns the stack it drove, so tests can
+// read the devices after a run.
+func run(cfg Config) (*Result, *stack, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Trace == nil {
-		return nil, fmt.Errorf("core: no trace configured")
+		return nil, nil, fmt.Errorf("core: no trace configured")
 	}
 	prep := cfg.Prep
 	if prep == nil || prep.trace != cfg.Trace {
 		prep = PrepareTrace(cfg.Trace)
 	}
 	if prep.err != nil {
-		return nil, prep.err
+		return nil, nil, prep.err
 	}
 	if err := cfg.validateNonTrace(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	t := cfg.Trace
 	blockSize := t.BlockSize
@@ -158,7 +165,7 @@ func Run(cfg Config) (*Result, error) {
 
 	st, err := buildStack(cfg, blockSize, footprint, inj)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	crashes := inj.PowerFailSchedule()
 	ci := 0
@@ -170,7 +177,7 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.DRAMBytes > 0 {
 		mem, err := cache.New(*cfg.DRAM, cfg.DRAMBytes, blockSize, cfg.WriteBack, cache.WithScope(cfg.Scope))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		capBlocks := int(cfg.DRAMBytes / blockSize)
 		dram = &dramRun{mem: mem}
@@ -329,7 +336,7 @@ func Run(cfg Config) (*Result, error) {
 	if reg := sc.Registry(); reg != nil {
 		res.Metrics = reg.Counters()
 	}
-	return res, nil
+	return res, st, nil
 }
 
 // crashAndRecover injects one power failure at the given instant and runs
@@ -453,8 +460,8 @@ func fillDeviceStats(res *Result, st *stack, dram dramCache) {
 		res.SRAMFlushes = st.buffer.Flushes()
 		res.SRAMStalledWrites = st.buffer.StalledWrites()
 	}
-	// Erase counts fold per reporter rather than concatenated: a flash
-	// disk's per-sector slice alone runs to hundreds of KB.
+	// Wear sums each reporter's summary and never builds the per-unit
+	// counts, which for a flash disk at MaxCapacity run to 64 MB.
 	var eraseSum, eraseUnits int64
 	for _, p := range parts(st.base) {
 		if s, ok := p.(device.Spinner); ok {
@@ -470,12 +477,10 @@ func fillDeviceStats(res *Result, st *stack, dram dramCache) {
 			res.HostTime += c.HostTime()
 		}
 		if w, ok := p.(device.WearReporter); ok {
-			counts := w.EraseCounts()
-			for _, c := range counts {
-				eraseSum += c
-				res.MaxEraseCount = max(res.MaxEraseCount, c)
-			}
-			eraseUnits += int64(len(counts))
+			wear := w.Wear()
+			eraseSum += wear.Sum
+			res.MaxEraseCount = max(res.MaxEraseCount, wear.Max)
+			eraseUnits += wear.Units
 		}
 	}
 	if eraseUnits > 0 {

@@ -67,8 +67,22 @@ type Crasher interface {
 // WearReporter is implemented by devices with erase-cycle endurance limits
 // (both flash models) so experiments can report §5.2's endurance numbers.
 type WearReporter interface {
+	// Wear summarizes the erasures without building the per-unit counts.
+	// It equals the fold of EraseCounts.
+	Wear() Wear
 	// EraseCounts returns the number of erasures per erase unit.
 	EraseCounts() []int64
+}
+
+// Wear is the summary of a device's per-unit erase counts that §5.2's
+// endurance columns need: the mean per unit is Sum/Units.
+type Wear struct {
+	// Sum is the total erasures over all units.
+	Sum int64
+	// Max is the erase count of the most-erased unit.
+	Max int64
+	// Units is the number of erase units.
+	Units int64
 }
 
 // Composite is implemented by devices assembled from other devices: the

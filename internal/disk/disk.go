@@ -96,6 +96,9 @@ func WithPolicy(p SpinPolicy) Option {
 	}
 }
 
+// sleepMsBounds is the disk.sleep_ms layout: 1 µs to 10^7 ms.
+var sleepMsBounds = stats.LogBounds(1e-3, 1e7)
+
 // WithScope attaches an observability scope: spin-up/spin-down counters and
 // events, and a histogram of sleep durations. A nil scope is free.
 func WithScope(sc *obs.Scope) Option {
@@ -105,7 +108,7 @@ func WithScope(sc *obs.Scope) Option {
 		d.cSpinUps = sc.Counter("disk.spin_ups")
 		d.cSpinDowns = sc.Counter("disk.spin_downs")
 		d.cOps = sc.Counter("disk.ops")
-		d.hSleepMs = sc.Histogram("disk.sleep_ms", stats.LogBounds(1e-3, 1e7))
+		d.hSleepMs = sc.Histogram("disk.sleep_ms", sleepMsBounds)
 	}
 }
 

@@ -16,29 +16,28 @@ import (
 type PlanSet map[string]*Plan
 
 // ParsePlanSet decodes and validates a JSON object of member name → plan.
-// Unknown plan fields are rejected exactly as in ParsePlan, and member
-// plans may not schedule power failures — power loss is a whole-system
-// event and belongs in the top-level plan.
+// Unknown plan fields are rejected exactly as in ParsePlan, a null plan
+// injects nothing, and member plans may not schedule power failures —
+// power loss is a whole-system event and belongs in the top-level plan.
+// One decoder reads every member, so the heap a parse allocates grows
+// with the input, not with a decoder per member.
 func ParsePlanSet(data []byte) (PlanSet, error) {
-	var raw map[string]json.RawMessage
+	var ps PlanSet
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&raw); err != nil {
+	if err := dec.Decode(&ps); err != nil {
 		return nil, fmt.Errorf("fault: parsing plan set: %w", err)
 	}
-	ps := make(PlanSet, len(raw))
-	for name, msg := range raw {
-		if err := validateMemberKey(name); err != nil {
-			return nil, err
+	if ps == nil {
+		ps = PlanSet{}
+	}
+	for name, p := range ps {
+		if p == nil {
+			ps[name] = new(Plan)
 		}
-		p, err := ParsePlan(msg)
-		if err != nil {
-			return nil, fmt.Errorf("fault: member %q: %w", name, err)
-		}
-		if len(p.PowerFailAtUs) > 0 {
-			return nil, fmt.Errorf("fault: member %q: power_fail_at_us is system-wide; schedule it in the top-level plan", name)
-		}
-		ps[name] = p
+	}
+	if err := ps.Validate(); err != nil {
+		return nil, err
 	}
 	return ps, nil
 }

@@ -143,15 +143,14 @@ type Card struct {
 	bgBusyUntil units.Time
 
 	// Counters for experiment reporting.
-	hostWrites    int64 // host blocks written
-	copyWrites    int64 // cleaner blocks copied
-	totalErases   int64
-	stallTime     units.Time // write time spent waiting for erased space
-	stalls        int64
-	victimLiveSum int64      // sum of live counts over all cleaning victims
-	cleanTime     units.Time // cumulative copy+erase time
-	hostTime      units.Time // cumulative host transfer time
-	prefilled     bool
+	hostWrites  int64 // host blocks written
+	copyWrites  int64 // cleaner blocks copied
+	totalErases int64
+	stallTime   units.Time // write time spent waiting for erased space
+	stalls      int64
+	cleanTime   units.Time // cumulative copy+erase time
+	hostTime    units.Time // cumulative host transfer time
+	prefilled   bool
 
 	// Observability (nil-safe no-ops without a scope).
 	sc        *obs.Scope
@@ -228,6 +227,9 @@ func WithFaults(in *fault.Injector) Option {
 	return func(c *Card) { c.inj = in }
 }
 
+// cleanMsBounds is the flashcard.clean_ms layout: 1 µs to 10^7 ms.
+var cleanMsBounds = stats.LogBounds(1e-3, 1e7)
+
 // WithScope attaches an observability scope: erase/clean/copy/stall
 // counters and events. A nil scope is free.
 func WithScope(sc *obs.Scope) Option {
@@ -238,7 +240,7 @@ func WithScope(sc *obs.Scope) Option {
 		c.cCopied = sc.Counter("flashcard.copied_blocks")
 		c.cHostBlks = sc.Counter("flashcard.host_blocks")
 		c.cStalls = sc.Counter("flashcard.stalls")
-		c.hCleanMs = sc.Histogram("flashcard.clean_ms", stats.LogBounds(1e-3, 1e7))
+		c.hCleanMs = sc.Histogram("flashcard.clean_ms", cleanMsBounds)
 	}
 }
 
@@ -386,30 +388,14 @@ func (c *Card) StallTime() units.Time { return c.stallTime }
 // Stalls returns the number of writes that waited for erased space.
 func (c *Card) Stalls() int64 { return c.stalls }
 
-// MeanVictimLive returns the average live-block count of cleaning victims,
-// a direct measure of cleaning cost (0 with no cleans yet).
-func (c *Card) MeanVictimLive() float64 {
-	if c.totalErases == 0 {
-		return 0
+// Wear implements device.WearReporter, folding segErases in place.
+func (c *Card) Wear() device.Wear {
+	w := device.Wear{Units: int64(len(c.segErases))}
+	for _, e := range c.segErases {
+		w.Sum += e
+		w.Max = max(w.Max, e)
 	}
-	return float64(c.victimLiveSum) / float64(c.totalErases)
-}
-
-// LiveHistogram buckets closed segments by live fraction into deciles
-// (index 10 = exactly full). Useful for studying cleaner behavior.
-func (c *Card) LiveHistogram() [11]int {
-	var h [11]int
-	for s := int32(0); s < c.nseg; s++ {
-		if c.segState[s] != segClosed {
-			continue
-		}
-		d := int(float64(c.segLive[s]) / float64(c.blocksPerSeg) * 10)
-		if d > 10 {
-			d = 10
-		}
-		h[d]++
-	}
-	return h
+	return w
 }
 
 // EraseCounts implements device.WearReporter.
@@ -418,9 +404,6 @@ func (c *Card) EraseCounts() []int64 {
 	copy(out, c.segErases)
 	return out
 }
-
-// EnduranceCycles returns the per-segment erase limit.
-func (c *Card) EnduranceCycles() int64 { return c.p.EnduranceCycles }
 
 // Idle implements device.Device: accounts standby energy and advances
 // background cleaning through the idle gap.
@@ -878,7 +861,6 @@ func (c *Card) finishJob(at units.Time) {
 	total := c.job.total
 	pulses := c.job.erasePulses
 	c.job = nil
-	c.victimLiveSum += int64(c.segLive[v])
 	// Relocate the victim's live blocks to the cleaner's log head in chunks
 	// bounded by the head's free space. State-identical to relocating one
 	// block at a time: a victim is always closed (never the cleaner's own

@@ -243,12 +243,17 @@ func TestInvariantsUnderRandomOps(t *testing.T) {
 		if c.LiveBlocks() != wantLive {
 			return false
 		}
-		var eraseSum int64
-		for _, e := range c.EraseCounts() {
+		var eraseSum, eraseMax int64
+		counts := c.EraseCounts()
+		for _, e := range counts {
 			if e < 0 {
 				return false
 			}
 			eraseSum += e
+			eraseMax = max(eraseMax, e)
+		}
+		if c.Wear() != (device.Wear{Sum: eraseSum, Max: eraseMax, Units: int64(len(counts))}) {
+			return false
 		}
 		return eraseSum == c.TotalErases() && c.Utilization() <= 1
 	}
@@ -351,27 +356,6 @@ func TestFIFOWearLevelsBetterThanGreedy(t *testing.T) {
 	}
 }
 
-func TestMeanVictimLiveAndHistogram(t *testing.T) {
-	c := newCard(t, 6)
-	c.Prefill(24 * units.KB)
-	var clock units.Time
-	for i := 0; i < 200; i++ {
-		clock += 300 * units.Millisecond
-		clock = c.Access(wr(clock, units.Bytes(i%24)*units.KB, units.KB))
-	}
-	if c.TotalErases() > 0 && c.MeanVictimLive() < 0 {
-		t.Error("negative mean victim live")
-	}
-	h := c.LiveHistogram()
-	total := 0
-	for _, n := range h {
-		total += n
-	}
-	if total == 0 {
-		t.Error("live histogram empty despite closed segments")
-	}
-}
-
 func TestConstructionErrors(t *testing.T) {
 	p := params()
 	if _, err := New(p, 2*8*units.KB, units.KB); err == nil {
@@ -396,9 +380,6 @@ func TestName(t *testing.T) {
 	}
 	if c.Capacity() != 64*units.KB {
 		t.Errorf("Capacity = %v", c.Capacity())
-	}
-	if c.EnduranceCycles() != 1000 {
-		t.Errorf("EnduranceCycles = %d", c.EnduranceCycles())
 	}
 }
 

@@ -373,6 +373,17 @@ func (f *FlashDisk) advance(now units.Time) {
 	f.lastUpdate = now
 }
 
+// Wear implements device.WearReporter in O(1): the erasures spread
+// uniformly (see EraseCounts), so the most-erased sector holds the total
+// divided by the sector count, rounded up.
+func (f *FlashDisk) Wear() device.Wear {
+	w := device.Wear{Sum: f.totalErases, Max: f.totalErases / f.totalSectors, Units: f.totalSectors}
+	if f.totalErases%f.totalSectors != 0 {
+		w.Max++
+	}
+	return w
+}
+
 // EraseCounts implements device.WearReporter. The SDP controller
 // wear-levels internally, so erasures are reported as uniformly spread
 // across all sectors.
@@ -388,9 +399,6 @@ func (f *FlashDisk) EraseCounts() []int64 {
 	}
 	return counts
 }
-
-// EnduranceCycles returns the per-sector erase limit.
-func (f *FlashDisk) EnduranceCycles() int64 { return f.p.EnduranceCycles }
 
 var (
 	_ device.Device       = (*FlashDisk)(nil)

@@ -154,8 +154,39 @@ func TestWearReporting(t *testing.T) {
 	if mx-mn > 1 {
 		t.Errorf("wear not leveled: min %d max %d", mn, mx)
 	}
-	if f.EnduranceCycles() != 100_000 {
-		t.Errorf("endurance = %d", f.EnduranceCycles())
+}
+
+// foldWear is the fold core read off EraseCounts before Wear existed: the
+// sum, the maximum and the unit count.
+func foldWear(counts []int64) device.Wear {
+	w := device.Wear{Units: int64(len(counts))}
+	for _, c := range counts {
+		w.Sum += c
+		w.Max = max(w.Max, c)
+	}
+	return w
+}
+
+// TestWearMatchesEraseCounts checks the O(1) summary against the fold of
+// the per-sector counts on both sides of every multiple of the sector
+// count, where the uniform spread's remainder wraps.
+func TestWearMatchesEraseCounts(t *testing.T) {
+	const capacity = 64 * units.KB
+	n := int64(capacity / params().SectorSize)
+	for _, erases := range []int64{0, 1, n - 1, n, n + 1, 2 * n, 3*n + 5} {
+		f, err := New(params(), capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if erases > 0 {
+			f.Access(wr(0, units.Bytes(erases)*params().SectorSize))
+		}
+		if got := f.TotalErases(); got != erases {
+			t.Fatalf("drove %d erases, device counts %d", erases, got)
+		}
+		if got, want := f.Wear(), foldWear(f.EraseCounts()); got != want {
+			t.Errorf("%d erases over %d sectors: Wear() = %+v, fold of EraseCounts = %+v", erases, n, got, want)
+		}
 	}
 }
 

@@ -41,17 +41,20 @@ type Aggregator struct {
 	sawFaults                        bool
 }
 
+// energyBounds is the per-run energy layout, in joules: millijoules to a
+// megajoule.
+var energyBounds = stats.LogBounds(1e-3, 1e6)
+
 // NewAggregator returns an empty fleet aggregator. The latency histograms
 // use the core result layout (stats.NewLatencyHistogram) so per-run
-// histograms merge in without rebucketing; the per-run energy histogram
-// spans millijoules to a megajoule.
+// histograms merge in without rebucketing.
 func NewAggregator() *Aggregator {
 	return &Aggregator{
 		figs:         obsreport.NewFigureSet(),
 		readHist:     stats.NewLatencyHistogram(),
 		writeHist:    stats.NewLatencyHistogram(),
 		energyByComp: map[string]float64{},
-		energyPerRun: stats.NewHistogram(stats.LogBounds(1e-3, 1e6)),
+		energyPerRun: stats.NewHistogram(energyBounds),
 	}
 }
 

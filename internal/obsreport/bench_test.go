@@ -136,7 +136,7 @@ func feed(r Reporter, events []obs.Event) {
 }
 
 func BenchmarkQuantile(b *testing.B) {
-	h := stats.NewHistogram(latencyBounds())
+	h := stats.NewHistogram(latencyBounds)
 	for i := 1; i <= 100_000; i++ {
 		h.Add(float64(i % 997))
 	}

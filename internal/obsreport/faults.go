@@ -56,7 +56,7 @@ type FaultsReport struct {
 }
 
 // backoffBounds covers retry backoff delays from 1 µs to 1 s, in ms.
-func backoffBounds() []float64 { return stats.LogBounds(1e-3, 1e3) }
+var backoffBounds = stats.LogBounds(1e-3, 1e3)
 
 // FaultsBuilder accumulates fault-injection activity incrementally.
 type FaultsBuilder struct {
@@ -67,7 +67,7 @@ type FaultsBuilder struct {
 // NewFaultsBuilder returns an empty faults builder.
 func NewFaultsBuilder() *FaultsBuilder {
 	return &FaultsBuilder{
-		r:     &FaultsReport{BackoffHist: stats.NewHistogram(backoffBounds())},
+		r:     &FaultsReport{BackoffHist: stats.NewHistogram(backoffBounds)},
 		byDev: make(map[string]*DeviceFaults),
 	}
 }

@@ -45,7 +45,7 @@ func (b *LatencyBuilder) Merge(o *LatencyBuilder) {
 	for kind, oh := range o.hists {
 		h, ok := b.hists[kind]
 		if !ok {
-			h = stats.NewHistogram(latencyBounds())
+			h = stats.NewHistogram(latencyBounds)
 			b.hists[kind] = h
 		}
 		h.Merge(oh)

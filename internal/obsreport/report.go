@@ -51,7 +51,7 @@ type DeviceTimeline struct {
 }
 
 // sleepBounds covers sleep durations from 10 ms to ~28 h, in seconds.
-func sleepBounds() []float64 { return stats.LogBounds(1e-2, 1e5) }
+var sleepBounds = stats.LogBounds(1e-2, 1e5)
 
 // TimelineBuilder derives per-device spin timelines incrementally. Events
 // with an empty Dev field group under the empty name. Spin-up events carry
@@ -69,7 +69,7 @@ func NewTimelineBuilder() *TimelineBuilder {
 func (b *TimelineBuilder) get(dev string) *DeviceTimeline {
 	tl, ok := b.byDev[dev]
 	if !ok {
-		tl = &DeviceTimeline{Dev: dev, SleepHist: stats.NewHistogram(sleepBounds()), OpenSleepUs: -1}
+		tl = &DeviceTimeline{Dev: dev, SleepHist: stats.NewHistogram(sleepBounds), OpenSleepUs: -1}
 		b.byDev[dev] = tl
 	}
 	return tl
@@ -133,7 +133,7 @@ type KindLatency struct {
 // latencyBounds buckets durations in milliseconds from 1 µs to ≈1000 s: the
 // 46-bound layout beside core's 45-bound result layout (see
 // stats.NewLatencyHistogram).
-func latencyBounds() []float64 { return stats.LogBounds(1e-3, 1e6) }
+var latencyBounds = stats.LogBounds(1e-3, 1e6)
 
 // LatencyBuilder aggregates per-kind duration distributions incrementally.
 type LatencyBuilder struct {
@@ -155,7 +155,7 @@ func (b *LatencyBuilder) Observe(e obs.Event) {
 	}
 	h, ok := b.hists[e.Kind]
 	if !ok {
-		h = stats.NewHistogram(latencyBounds())
+		h = stats.NewHistogram(latencyBounds)
 		b.hists[e.Kind] = h
 	}
 	h.Add(float64(e.Dur) / 1e3) // µs → ms
@@ -357,7 +357,7 @@ type CleaningReport struct {
 }
 
 // liveBounds covers live-blocks-per-clean from 1 to 100k.
-func liveBounds() []float64 { return stats.LogBounds(1, 1e5) }
+var liveBounds = stats.LogBounds(1, 1e5)
 
 // CleaningBuilder accumulates cleaner work incrementally.
 type CleaningBuilder struct {
@@ -366,7 +366,7 @@ type CleaningBuilder struct {
 
 // NewCleaningBuilder returns an empty cleaning builder.
 func NewCleaningBuilder() *CleaningBuilder {
-	return &CleaningBuilder{r: &CleaningReport{LivePerClean: stats.NewHistogram(liveBounds())}}
+	return &CleaningBuilder{r: &CleaningReport{LivePerClean: stats.NewHistogram(liveBounds)}}
 }
 
 // Kinds implements obs.KindFilter: the kinds Observe reads.

@@ -12,7 +12,9 @@ const bucketsPerDecade = 5
 
 // LogBounds returns log-spaced inclusive upper bounds at five per decade,
 // from lo up to the first bound at or above hi. lo and hi must be positive
-// with lo < hi.
+// with lo < hi. The slice is clipped, so an append to it copies: every
+// fixed layout is built once, in a package-level variable, and shared
+// read-only by every histogram over it.
 func LogBounds(lo, hi float64) []float64 {
 	if !(lo > 0 && hi > lo) {
 		panic(fmt.Sprintf("stats: bad bucket range [%g, %g]", lo, hi))
@@ -22,10 +24,13 @@ func LogBounds(lo, hi float64) []float64 {
 		v := math.Pow(10, e)
 		bounds = append(bounds, v)
 		if v >= hi {
-			return bounds
+			return slices.Clip(bounds)
 		}
 	}
 }
+
+// latencyBounds is the result layout NewLatencyHistogram shares.
+var latencyBounds = LogBounds(1e-3, 6e5)
 
 // NewLatencyHistogram returns the response-time layout of core.Result's
 // ReadHist and WriteHist, in milliseconds: LogBounds(1e-3, 6e5), 45 bounds
@@ -38,7 +43,7 @@ func LogBounds(lo, hi float64) []float64 {
 // Both are kept: moving the result layout's top would move storagesim -v's
 // percentiles and the fleet's for every response between 631 s and 1000 s.
 func NewLatencyHistogram() *Histogram {
-	return NewHistogram(LogBounds(1e-3, 6e5))
+	return NewHistogram(latencyBounds)
 }
 
 // Histogram is a fixed-bucket distribution over non-negative float64
@@ -49,7 +54,9 @@ func NewLatencyHistogram() *Histogram {
 // obs.Histogram is the atomic variant, and snapshots into this type.
 type Histogram struct {
 	// Bounds are the inclusive upper edges of the buckets, strictly
-	// ascending; a sample above the last bound lands in Overflow.
+	// ascending; a sample above the last bound lands in Overflow. They are
+	// shared with every histogram built over the same layout, so they are
+	// read-only.
 	Bounds   []float64 `json:"bounds"`
 	Counts   []int64   `json:"counts"`
 	Overflow int64     `json:"overflow"`
@@ -62,14 +69,15 @@ type Histogram struct {
 }
 
 // NewHistogram builds an empty histogram over strictly ascending bucket
-// bounds; it panics on bounds that are not.
+// bounds; it panics on bounds that are not. The histogram keeps bounds
+// without copying them, so the caller must not change them afterwards.
 func NewHistogram(bounds []float64) *Histogram {
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {
 			panic("stats: histogram bounds must be strictly ascending")
 		}
 	}
-	return &Histogram{Bounds: slices.Clone(bounds), Counts: make([]int64, len(bounds))}
+	return &Histogram{Bounds: bounds, Counts: make([]int64, len(bounds))}
 }
 
 // Bucket returns the index of the bucket x falls in: the first bound ≥ x,

@@ -10,6 +10,7 @@ package units
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Time is a simulated instant or duration in microseconds.
@@ -122,56 +123,81 @@ func TransferTime(b Bytes, kbPerSec float64) Time {
 // a heavily repeated set of sizes, and the float divide and round per call
 // was a measurable slice of whole-trace replays. Every generated trace moves
 // whole 512-byte or 1 KB blocks and the flash disk works in 512-byte
-// sectors, so the memo holds a fixed table in 512-byte granules: entry i
-// holds TransferTime(i·512) once computed, up to 256 KB. The table is part of
-// the memo's value, so a device allocates it once, with itself, and a
-// replay's lookups never allocate. Any other size (not a positive multiple of 512, or 256 KB and
-// up) calls TransferTime directly. Each cached value is produced by the same
-// TransferTime call, so results are bit-identical with or without the memo.
-// The zero value (zero bandwidth) is usable and simply forwards.
+// sectors, so the memo reads a table in 512-byte granules: entry i holds
+// TransferTime(i·512), up to 256 KB. Any other size (not a multiple of 512,
+// or 256 KB and up) calls TransferTime directly. Each entry is produced by
+// the same TransferTime call, so results are bit-identical with or without
+// the memo.
+//
+// The table is filled in full when it is built and never written again.
+// NewTransferMemo shares one table per bandwidth across the process (see
+// memoTables), so a device's memos cost no allocation per run and
+// concurrent runs read the same tables. The zero value (zero bandwidth) is
+// usable and simply forwards.
 type TransferMemo struct {
 	kbPerSec float64
-	// table[i] is TransferTime(i·memoGranule), or 0 while not yet computed.
-	table [memoEntries]Time
+	table    *memoTable
 }
 
-// The memo's table covers sizes memoGranule·[1, memoEntries): 512 B up to
-// just under 256 KB, in 4 KB per memo. Both are powers of two, so a size
-// indexes the table exactly when it has no bits outside memoIndexBits.
+// memoTable is a filled transfer-time table: entry i is
+// TransferTime(i·memoGranule) at one bandwidth.
+type memoTable [memoEntries]Time
+
+// The memo's table covers sizes memoGranule·[0, memoEntries): 0 up to just
+// under 256 KB, in 4 KB per table. Both are powers of two, so a size indexes
+// the table exactly when it has no bits outside memoIndexBits.
 const (
 	memoGranule   = 512
 	memoEntries   = 512
 	memoIndexBits = memoGranule*memoEntries - memoGranule
 )
 
+// memoTablesCap bounds the shared tables, and so their memory (4 KB each),
+// whatever bandwidths a process meets. Past it, each memo fills a table of
+// its own.
+const memoTablesCap = 64
+
+// memoTables holds the shared tables, keyed by the bandwidth's bits. A
+// table is filled before it is published under the lock, and never written
+// after, so memos on any goroutine read it without synchronization.
+var memoTables = struct {
+	sync.Mutex
+	byBits map[uint64]*memoTable
+}{byBits: make(map[uint64]*memoTable, memoTablesCap)}
+
 // NewTransferMemo returns a memo for the given bandwidth.
 func NewTransferMemo(kbPerSec float64) TransferMemo {
-	return TransferMemo{kbPerSec: kbPerSec}
-}
-
-// Time returns TransferTime(b, kbPerSec), cached; the miss path computes
-// and stores.
-func (m *TransferMemo) Time(b Bytes) Time {
-	// A zero entry is "not cached yet": TransferTime only returns 0 for a
-	// non-positive bandwidth or size, or a sub-round-off size, which
-	// recompute (cheaply) every call. A negative b has its high bits set,
-	// so it takes the slow path with the sizes past the table. The modulo
-	// is a no-op on an indexable size; it lets the compiler drop the
-	// bounds check.
-	if uint64(b)&^memoIndexBits == 0 {
-		if t := m.table[uint64(b)/memoGranule%memoEntries]; t > 0 {
-			return t
+	key := math.Float64bits(kbPerSec)
+	memoTables.Lock()
+	defer memoTables.Unlock()
+	t, ok := memoTables.byBits[key]
+	if !ok {
+		t = newMemoTable(kbPerSec)
+		if len(memoTables.byBits) < memoTablesCap {
+			memoTables.byBits[key] = t
 		}
 	}
-	return m.slow(b)
+	return TransferMemo{kbPerSec: kbPerSec, table: t}
 }
 
-func (m *TransferMemo) slow(b Bytes) Time {
-	t := TransferTime(b, m.kbPerSec)
-	if uint64(b)&^memoIndexBits == 0 {
-		m.table[uint64(b)/memoGranule%memoEntries] = t
+// newMemoTable fills a table for one bandwidth.
+func newMemoTable(kbPerSec float64) *memoTable {
+	t := new(memoTable)
+	for i := range t {
+		t[i] = TransferTime(Bytes(i)*memoGranule, kbPerSec)
 	}
 	return t
+}
+
+// Time returns TransferTime(b, kbPerSec), read from the table when b
+// indexes it. A negative b has its high bits set, so it forwards with the
+// sizes past the table. The modulo is a no-op on an indexable size; it lets
+// the compiler drop the bounds check.
+func (m *TransferMemo) Time(b Bytes) Time {
+	if uint64(b)&^memoIndexBits == 0 && m.table != nil {
+		return m.table[uint64(b)/memoGranule%memoEntries]
+	}
+	return TransferTime(b, m.kbPerSec)
 }
 
 // BandwidthKBs returns the bandwidth, in KB/s, implied by transferring b

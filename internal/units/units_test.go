@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -184,7 +185,8 @@ var memoSizes = []Bytes{-512, 0, 1, 511, 512, 513, 7168, 32767, 32768, 32769,
 
 // TestTransferMemoMatchesTransferTime: the memo returns exactly what
 // TransferTime returns, whatever order sizes arrive in and however often
-// they repeat, and neither a lookup nor filling the table allocates.
+// they repeat, and neither a lookup nor a new memo over a shared table
+// allocates.
 func TestTransferMemoMatchesTransferTime(t *testing.T) {
 	desc := slices.Clone(memoSizes)
 	slices.Reverse(desc)
@@ -198,7 +200,7 @@ func TestTransferMemoMatchesTransferTime(t *testing.T) {
 				}
 			}
 		}
-		// A fresh memo each pass: filling the table must not allocate.
+		// A fresh memo each pass reads the shared table: no allocation.
 		if allocs := testing.AllocsPerRun(100, func() {
 			m := NewTransferMemo(kb)
 			for _, b := range memoSizes {
@@ -232,6 +234,7 @@ func FuzzTransferMemo(f *testing.F) {
 	f.Add(50000.0, []byte{0x01, 0x00})
 	f.Fuzz(func(t *testing.T, kb float64, data []byte) {
 		m := NewTransferMemo(kb)
+		checkMemoTable(t, m, kb)
 		for len(data) > 0 {
 			var word [4]byte
 			data = data[copy(word[:], data):]
@@ -250,4 +253,96 @@ func FuzzTransferMemo(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkMemoTable checks that m holds a table for kb that is filled in full
+// with TransferTime's values and that it is the shared table whenever kb has
+// one.
+func checkMemoTable(t *testing.T, m TransferMemo, kb float64) {
+	t.Helper()
+	if m.table == nil {
+		t.Fatalf("%g KB/s: memo has no table", kb)
+	}
+	for i, got := range m.table {
+		if want := TransferTime(Bytes(i)*memoGranule, kb); got != want {
+			t.Fatalf("%g KB/s: table[%d] = %d, want TransferTime(%d) = %d", kb, i, got, i*memoGranule, want)
+		}
+	}
+	memoTables.Lock()
+	shared, ok := memoTables.byBits[math.Float64bits(kb)]
+	memoTables.Unlock()
+	if ok && shared != m.table {
+		t.Fatalf("%g KB/s: memo holds a private table beside the shared one", kb)
+	}
+}
+
+// TestTransferMemoTablesCapped feeds 10,000 distinct bandwidths through
+// NewTransferMemo: the shared tables stop growing at memoTablesCap, every
+// memo past the cap still reads a correct table of its own, and a
+// bandwidth registered before the cap keeps its shared table. It runs on an
+// empty registry and restores the process's afterwards.
+func TestTransferMemoTablesCapped(t *testing.T) {
+	memoTables.Lock()
+	saved := memoTables.byBits
+	memoTables.byBits = make(map[uint64]*memoTable)
+	memoTables.Unlock()
+	t.Cleanup(func() {
+		memoTables.Lock()
+		memoTables.byBits = saved
+		memoTables.Unlock()
+	})
+	const n = 10_000
+	first := NewTransferMemo(1)
+	for i := 1; i < n; i++ {
+		kb := 1 + float64(i)/8
+		m := NewTransferMemo(kb)
+		if i%997 == 0 {
+			checkMemoTable(t, m, kb)
+		}
+	}
+	memoTables.Lock()
+	size := len(memoTables.byBits)
+	memoTables.Unlock()
+	if size != memoTablesCap {
+		t.Errorf("%d distinct bandwidths left %d shared tables, want the cap %d", n, size, memoTablesCap)
+	}
+	if again := NewTransferMemo(1); again.table != first.table {
+		t.Error("a bandwidth registered before the cap lost its shared table")
+	}
+	past := NewTransferMemo(n)
+	checkMemoTable(t, past, n)
+	if NewTransferMemo(n).table == past.table {
+		t.Error("a bandwidth past the cap shares a table it was never given")
+	}
+}
+
+// TestTransferMemoConcurrent builds memos for one new bandwidth on several
+// goroutines at once, as fleet workers build devices: all of them must
+// read the one shared table, and read it correctly. Run under -race it also
+// checks that publishing a table races with no reader.
+func TestTransferMemoConcurrent(t *testing.T) {
+	const kb, workers = 123.25, 8
+	tables := make([]*memoTable, workers)
+	var wg sync.WaitGroup
+	for g := range tables {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m := NewTransferMemo(kb)
+			for i := 0; i < memoEntries; i++ {
+				b := Bytes(i) * memoGranule
+				if got, want := m.Time(b), TransferTime(b, kb); got != want {
+					t.Errorf("Time(%d) = %d, want %d", b, got, want)
+					return
+				}
+			}
+			tables[g] = m.table
+		}()
+	}
+	wg.Wait()
+	for g, tb := range tables {
+		if tb != tables[0] {
+			t.Errorf("worker %d reads a different table than worker 0", g)
+		}
+	}
 }
