@@ -162,6 +162,31 @@ func TestFlashSizeFlagsExit(t *testing.T) {
 	}
 }
 
+// TestMemberFaultsBeyondArrayExit: a -member-faults plan for a member the
+// -array topology lacks exits 1 naming the key and the member count,
+// instead of running without the plan.
+func TestMemberFaultsBeyondArrayExit(t *testing.T) {
+	if args := os.Getenv("STORAGESIM_ARGS"); args != "" {
+		os.Args = append([]string{"storagesim"}, strings.Split(args, "\n")...)
+		main()
+		os.Exit(0)
+	}
+	plans := filepath.Join(t.TempDir(), "members.json")
+	if err := os.WriteFile(plans, []byte(`{"m5":{"die_at_us":1000}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestMemberFaultsBeyondArrayExit$")
+	cmd.Env = append(os.Environ(), "STORAGESIM_ARGS=-trace\nsynth\n-array\nmirror:2xflashcard\n-member-faults\n"+plans)
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("exit %v, want status 1; output:\n%s", err, out)
+	}
+	if want := `storagesim: fault: plan-set key "m5" names a member the array does not have: it has 2 (m0 to m1)`; !strings.Contains(string(out), want) {
+		t.Errorf("output %q does not contain %q", out, want)
+	}
+}
+
 // TestPrintResultPrecision: the response-time rows print every number at
 // one precision, so with sub-0.05 ms responses a max never reads below its
 // mean and the percentile bounds never read out of order.

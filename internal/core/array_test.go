@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mobilestorage/internal/array"
@@ -339,4 +340,32 @@ func FuzzArrayRecovery(f *testing.F) {
 			t.Fatalf("%s: lost %d acknowledged writes", spec, res.Faults.LostWrites)
 		}
 	})
+}
+
+// TestMemberFaultsBeyondArrayRejected: a plan keyed to a member the array
+// does not have would never be looked up, so the run would silently go
+// without it. Both replay loops must reject it, naming the key and the
+// member count; a plan for the last member and the "*" default still run.
+func TestMemberFaultsBeyondArrayRejected(t *testing.T) {
+	for _, ref := range []bool{false, true} {
+		for _, c := range []struct {
+			key     string
+			wantErr bool
+		}{{"m1", false}, {"*", false}, {"m2", true}, {"m16", true}} {
+			cfg := arrayConfig(t, "mirror:2xflashcard")
+			cfg.Reference = ref
+			cfg.MemberFaults = fault.PlanSet{"m0": {}, c.key: {DieAtUs: int64(cfg.Trace.Duration()) / 2}}
+			res, err := Run(cfg)
+			switch {
+			case !c.wantErr && err != nil:
+				t.Errorf("%s (reference %v): %v", c.key, ref, err)
+			case !c.wantErr && res.Faults.DeviceDeaths != 1:
+				t.Errorf("%s (reference %v): %d device deaths, want 1", c.key, ref, res.Faults.DeviceDeaths)
+			case c.wantErr && err == nil:
+				t.Errorf("%s (reference %v): accepted on a 2-member mirror", c.key, ref)
+			case c.wantErr && !strings.Contains(err.Error(), `"`+c.key+`"`) || c.wantErr && !strings.Contains(err.Error(), "it has 2 (m0 to m1)"):
+				t.Errorf("%s (reference %v): error %q does not name the key and the member count", c.key, ref, err)
+			}
+		}
+	}
 }

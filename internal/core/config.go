@@ -131,7 +131,8 @@ type Config struct {
 	// "m0", "m1", … with "*" as the default (fault.ParsePlanSet). Member
 	// plans may use die_at_us / die_after_erases / latent_error_rate /
 	// carry_cleaning_backlog in addition to the transient-fault knobs;
-	// power failures stay system-wide in Faults. Requires Array.
+	// power failures stay system-wide in Faults. Requires Array, and each
+	// "m<N>" key must name one of its members.
 	MemberFaults fault.PlanSet
 
 	// Faults, when non-nil and non-empty, enables deterministic fault
@@ -251,6 +252,9 @@ func (c Config) validateNonTrace() error {
 			return fmt.Errorf("core: MemberFaults requires an Array configuration")
 		}
 		if err := c.MemberFaults.Validate(); err != nil {
+			return err
+		}
+		if err := c.MemberFaults.CheckMembers(len(c.Array.Members)); err != nil {
 			return err
 		}
 	}

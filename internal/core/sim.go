@@ -262,7 +262,7 @@ func run(cfg Config) (*Result, *stack, error) {
 			}
 			if i >= warmIdx {
 				res.Read.AddTime(resp)
-				res.ReadHist.Add(resp.Milliseconds())
+				res.ReadHist.AddDuration(stats.LatencyLayout, resp)
 				res.Overall.AddTime(resp)
 				res.MeasuredOps++
 			}
@@ -296,7 +296,7 @@ func run(cfg Config) (*Result, *stack, error) {
 			}
 			if i >= warmIdx {
 				res.Write.AddTime(resp)
-				res.WriteHist.Add(resp.Milliseconds())
+				res.WriteHist.AddDuration(stats.LatencyLayout, resp)
 				res.Overall.AddTime(resp)
 				res.MeasuredOps++
 			}

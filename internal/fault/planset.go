@@ -67,14 +67,32 @@ func (ps PlanSet) Member(i int) *Plan {
 	return ps["*"]
 }
 
-// Validate checks every member plan.
-func (ps PlanSet) Validate() error {
+// sortedNames returns the set's keys in sorted order, so errors name the
+// same key on every run.
+func (ps PlanSet) sortedNames() []string {
 	names := make([]string, 0, len(ps))
 	for name := range ps {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	for _, name := range names {
+	return names
+}
+
+// CheckMembers rejects an "m<N>" key with N ≥ n, a plan for a member an
+// n-member array does not have, which Member would never look up. It
+// assumes Validate has accepted the keys; "*" fits any array.
+func (ps PlanSet) CheckMembers(n int) error {
+	for _, name := range ps.sortedNames() {
+		if i, err := strconv.Atoi(strings.TrimPrefix(name, "m")); err == nil && i >= n {
+			return fmt.Errorf("fault: plan-set key %q names a member the array does not have: it has %d (m0 to m%d)", name, n, n-1)
+		}
+	}
+	return nil
+}
+
+// Validate checks every member plan.
+func (ps PlanSet) Validate() error {
+	for _, name := range ps.sortedNames() {
 		if err := validateMemberKey(name); err != nil {
 			return err
 		}

@@ -260,9 +260,13 @@ func TestSubmitPendingRunCap(t *testing.T) {
 	}
 	// Within the cap it runs; afterwards the reservation is released.
 	runJob(t, svc, Spec{SynthOps: 50, Replicas: 4})
-	if _, err := svc.Submit(Spec{SynthOps: 50, Replicas: 4}); err != nil {
+	j, err := svc.Submit(Spec{SynthOps: 50, Replicas: 4})
+	if err != nil {
 		t.Fatalf("submission after capacity freed: %v", err)
 	}
+	// Wait for it: its runs allocate about 550 KB, and a job left running
+	// past its test lands in the next heap bound (FuzzJobSpec).
+	<-j.Finished()
 }
 
 // Finished jobs drop their expanded grid immediately and are retired past

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"mobilestorage/internal/obs"
-	"mobilestorage/internal/stats"
 )
 
 // benchStream synthesizes an n-event NDJSON stream mixing the kinds the
@@ -136,7 +135,7 @@ func feed(r Reporter, events []obs.Event) {
 }
 
 func BenchmarkQuantile(b *testing.B) {
-	h := stats.NewHistogram(latencyBounds)
+	h := latencyLayout.NewHistogram()
 	for i := 1; i <= 100_000; i++ {
 		h.Add(float64(i % 997))
 	}

@@ -9,6 +9,7 @@ import (
 	"mobilestorage/internal/obs"
 	"mobilestorage/internal/plot"
 	"mobilestorage/internal/stats"
+	"mobilestorage/internal/units"
 )
 
 // DeviceFaults is one device's share of the injected faults.
@@ -55,8 +56,8 @@ type FaultsReport struct {
 	ReplayedBlocks int64   `json:"replayed_blocks"`
 }
 
-// backoffBounds covers retry backoff delays from 1 µs to 1 s, in ms.
-var backoffBounds = stats.LogBounds(1e-3, 1e3)
+// backoffLayout covers retry backoff delays from 1 µs to 1 s, in ms.
+var backoffLayout = stats.NewDurationLayout(stats.LogBounds(1e-3, 1e3), units.Millisecond)
 
 // FaultsBuilder accumulates fault-injection activity incrementally.
 type FaultsBuilder struct {
@@ -67,7 +68,7 @@ type FaultsBuilder struct {
 // NewFaultsBuilder returns an empty faults builder.
 func NewFaultsBuilder() *FaultsBuilder {
 	return &FaultsBuilder{
-		r:     &FaultsReport{BackoffHist: stats.NewHistogram(backoffBounds)},
+		r:     &FaultsReport{BackoffHist: backoffLayout.NewHistogram()},
 		byDev: make(map[string]*DeviceFaults),
 	}
 }
@@ -110,7 +111,7 @@ func (b *FaultsBuilder) Observe(e obs.Event) {
 		d.BackoffUs += e.Dur
 		b.r.Retries++
 		b.r.BackoffUs += e.Dur
-		b.r.BackoffHist.Add(float64(e.Dur) / 1e3)
+		b.r.BackoffHist.AddDuration(backoffLayout, units.Time(e.Dur))
 	case obs.EvRemap:
 		d := b.get(e.Dev)
 		if e.Size < 0 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -12,8 +13,9 @@ import (
 
 // FuzzDecode feeds arbitrary byte streams to both decoder modes. The
 // invariants: no panic, strict mode never returns events past the first
-// error line, and lenient mode accounts for every non-blank line as
-// either an event or a skip (so nothing is silently dropped).
+// error line, lenient mode accounts for every non-blank line as either an
+// event or a skip (so nothing is silently dropped), and neither mode
+// allocates more than 64 bytes per input byte plus 64 KiB.
 func FuzzDecode(f *testing.F) {
 	seeds := [][]byte{
 		[]byte(`{"t_us":1,"kind":"disk.spinup","dev":"cu140","dur_us":1000}` + "\n"),
@@ -28,20 +30,30 @@ func FuzzDecode(f *testing.F) {
 		[]byte("{}"),
 		[]byte("{\"kind\":\"\u0000\"}\n"),
 		{0xff, 0xfe, 0x00, '\n'},
+		// Hostile: one line just under maxLineBytes, many one-member
+		// lines, and nesting deep enough for encoding/json's depth limit
+		// (one stream under it, one over).
+		[]byte(`{"t_us":1,"kind":"disk.spinup","dev":"` + strings.Repeat("d", maxLineBytes-64) + `"}` + "\n"),
+		[]byte(strings.Repeat(`{"kind":"k"}`+"\n", 5000)),
+		[]byte(strings.Repeat(`{"t_us":1}`+"\n", 5000)),
+		[]byte(`{"kind":"k","x":` + strings.Repeat("[", 9000) + strings.Repeat("]", 9000) + "}\n"),
+		[]byte(`{"kind":"k","x":` + strings.Repeat(`{"a":`, 12000) + "1" + strings.Repeat("}", 12000) + "}\n"),
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		events, _, err := readAllMode(data, false)
-		for _, e := range events {
-			if e.Kind == 0 {
-				t.Fatalf("strict mode returned an event with empty kind: %+v", e)
-			}
+		var events, lenientEvents int
+		var skipped int64
+		var lerr error
+		bound := uint64(64*len(data) + 64<<10)
+		if alloc := leastAlloc(3, bound, func() { events = countStrict(t, data) }); alloc > bound {
+			t.Fatalf("strict decode allocated %d bytes for %d input bytes (bound %d)", alloc, len(data), bound)
 		}
-		_ = err
+		if alloc := leastAlloc(3, bound, func() { lenientEvents, skipped, lerr = countLenient(data) }); alloc > bound {
+			t.Fatalf("lenient decode allocated %d bytes for %d input bytes (bound %d)", alloc, len(data), bound)
+		}
 
-		lenientEvents, skipped, lerr := readLenient(data)
 		if lerr == nil {
 			// Mirror bufio.ScanLines framing: split on \n, strip one
 			// trailing \r, and only zero-length lines are blank.
@@ -52,17 +64,61 @@ func FuzzDecode(f *testing.F) {
 					nonBlank++
 				}
 			}
-			if len(lenientEvents)+int(skipped) != nonBlank {
+			if lenientEvents+int(skipped) != nonBlank {
 				t.Fatalf("lenient mode lost lines: %d events + %d skipped != %d non-blank",
-					len(lenientEvents), skipped, nonBlank)
+					lenientEvents, skipped, nonBlank)
 			}
 		}
 		// Lenient mode can only succeed where it recovers at least as many
 		// events as strict mode decoded before erroring.
-		if lerr == nil && len(lenientEvents) < len(events) {
-			t.Fatalf("lenient decoded %d events, strict decoded %d", len(lenientEvents), len(events))
+		if lerr == nil && lenientEvents < events {
+			t.Fatalf("lenient decoded %d events, strict decoded %d", lenientEvents, events)
 		}
 	})
+}
+
+// leastAlloc calls f up to n times and returns the fewest heap bytes one
+// call allocated, stopping early at a call within bound.
+// runtime.MemStats.TotalAlloc is process-wide, so one reading also counts
+// whatever another goroutine allocated meanwhile; the least of several is
+// f's own.
+func leastAlloc(n int, bound uint64, f func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for range n {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		if least = min(least, after.TotalAlloc-before.TotalAlloc); least <= bound {
+			break
+		}
+	}
+	return least
+}
+
+// countStrict decodes data until the first error and counts the events,
+// failing t on an event without a kind.
+func countStrict(t *testing.T, data []byte) int {
+	d := NewDecoder(bytes.NewReader(data))
+	n := 0
+	for {
+		e, err := d.Next()
+		if err != nil {
+			return n
+		}
+		if e.Kind == 0 {
+			t.Fatalf("strict mode returned an event with empty kind: %+v", e)
+		}
+		n++
+	}
+}
+
+// countLenient streams data through StreamFiles in lenient mode and counts
+// the events delivered.
+func countLenient(data []byte) (events int, skipped int64, err error) {
+	count := reporterFunc(func(obs.Event) { events++ })
+	stats, err := StreamFiles([]string{"-"}, StreamOptions{Lenient: true, Stdin: bytes.NewReader(data)}, count)
+	return events, stats.Skipped, err
 }
 
 // readAllMode drains a stream through the decoder with the fast scanner on

@@ -1,7 +1,5 @@
 package obsreport
 
-import "mobilestorage/internal/stats"
-
 // Mergeable builders: every report builder can fold another builder's
 // accumulated state into itself, which is what lets a fleet of simulated
 // devices aggregate at constant memory — each run feeds its own private
@@ -45,7 +43,7 @@ func (b *LatencyBuilder) Merge(o *LatencyBuilder) {
 	for kind, oh := range o.hists {
 		h, ok := b.hists[kind]
 		if !ok {
-			h = stats.NewHistogram(latencyBounds)
+			h = latencyLayout.NewHistogram()
 			b.hists[kind] = h
 		}
 		h.Merge(oh)

@@ -10,8 +10,8 @@ import (
 )
 
 func TestHistMergeCounts(t *testing.T) {
-	a := stats.NewHistogram(latencyBounds)
-	b := stats.NewHistogram(latencyBounds)
+	a := latencyLayout.NewHistogram()
+	b := latencyLayout.NewHistogram()
 	for _, v := range []float64{0.5, 2, 40} {
 		a.Add(v)
 	}
@@ -41,8 +41,8 @@ func TestHistMergeCounts(t *testing.T) {
 }
 
 func TestHistMergeIntoEmptyCopies(t *testing.T) {
-	a := stats.NewHistogram(latencyBounds)
-	b := stats.NewHistogram(latencyBounds)
+	a := latencyLayout.NewHistogram()
+	b := latencyLayout.NewHistogram()
 	b.Add(3)
 	b.Add(7)
 	a.Merge(b)
@@ -51,7 +51,7 @@ func TestHistMergeIntoEmptyCopies(t *testing.T) {
 	}
 	// And the other direction: merging an empty histogram is a no-op.
 	before := *a
-	a.Merge(stats.NewHistogram(latencyBounds))
+	a.Merge(latencyLayout.NewHistogram())
 	if a.N != before.N || a.Sum != before.Sum {
 		t.Error("merging an empty histogram changed state")
 	}
@@ -62,14 +62,14 @@ func TestHistMergeIntoEmptyCopies(t *testing.T) {
 // (regression: Max > 0 once served as the "extremes known" sentinel, so an
 // all-zero side lost them).
 func TestHistMergeAllZeroSamplesKeepsExtremes(t *testing.T) {
-	zero := stats.NewHistogram(latencyBounds)
+	zero := latencyLayout.NewHistogram()
 	zero.Add(0)
 	zero.Add(0)
 	if q := zero.Quantile(0.99); q != 0 {
 		t.Errorf("all-zero p99 = %g, want exactly 0", q)
 	}
 
-	known := stats.NewHistogram(latencyBounds)
+	known := latencyLayout.NewHistogram()
 	known.Add(5)
 	known.Merge(zero)
 	if known.Min != 0 || known.Max != 5 {
@@ -89,7 +89,7 @@ func TestHistMergeLayoutMismatchPanics(t *testing.T) {
 			t.Fatal("merging different bucket layouts did not panic")
 		}
 	}()
-	stats.NewHistogram(latencyBounds).Merge(stats.NewHistogram(sleepBounds))
+	latencyLayout.NewHistogram().Merge(sleepLayout.NewHistogram())
 }
 
 // mergeStream is a deterministic event mix covering every builder: spin
@@ -356,15 +356,15 @@ func BenchmarkFleetAggregate(b *testing.B) {
 	for _, e := range mergeStream(1000) {
 		run.Observe(e)
 	}
-	readH := stats.NewHistogram(latencyBounds)
-	writeH := stats.NewHistogram(latencyBounds)
+	readH := latencyLayout.NewHistogram()
+	writeH := latencyLayout.NewHistogram()
 	for i := 0; i < 200; i++ {
 		readH.Add(float64(i%50) + 0.5)
 		writeH.Add(float64(i%80) + 0.25)
 	}
 	fleet := NewFigureSet()
-	fleetRead := stats.NewHistogram(latencyBounds)
-	fleetWrite := stats.NewHistogram(latencyBounds)
+	fleetRead := latencyLayout.NewHistogram()
+	fleetWrite := latencyLayout.NewHistogram()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -20,7 +20,7 @@ func relErr(got, want float64) float64 {
 // interpolation the estimates must land well inside one bucket ratio
 // (10^0.2 ≈ 1.58×) of the exact answers — we require 10%.
 func TestQuantileUniform(t *testing.T) {
-	h := stats.NewHistogram(latencyBounds)
+	h := latencyLayout.NewHistogram()
 	for i := 1; i <= 1000; i++ {
 		h.Add(float64(i))
 	}
@@ -48,7 +48,7 @@ func TestQuantileUniform(t *testing.T) {
 // A two-sided point-mass distribution has exactly computable quantiles:
 // 90 samples at 1.0 and 10 at 100.0 put p50 at 1 and p99 at 100.
 func TestQuantilePointMasses(t *testing.T) {
-	h := stats.NewHistogram(latencyBounds)
+	h := latencyLayout.NewHistogram()
 	for i := 0; i < 90; i++ {
 		h.Add(1.0)
 	}
@@ -74,7 +74,7 @@ func TestQuantilePointMasses(t *testing.T) {
 // tails), deterministic via inverse CDF sampling on a fixed grid.
 func TestQuantileExponential(t *testing.T) {
 	const mean = 5.0 // ms
-	h := stats.NewHistogram(latencyBounds)
+	h := latencyLayout.NewHistogram()
 	n := 10000
 	for i := 0; i < n; i++ {
 		u := (float64(i) + 0.5) / float64(n)
@@ -126,7 +126,7 @@ func TestQuantileTighterThanStatsBound(t *testing.T) {
 // estimator clamps to them and reports them exactly.
 func TestRegistrySnapshotQuantile(t *testing.T) {
 	reg := obs.NewRegistry()
-	oh := reg.Histogram("x", latencyBounds)
+	oh := reg.Histogram("x", latencyLayout.Bounds)
 	for i := 1; i <= 100; i++ {
 		oh.Observe(float64(i))
 	}

@@ -8,6 +8,7 @@ import (
 
 	"mobilestorage/internal/obs"
 	"mobilestorage/internal/stats"
+	"mobilestorage/internal/units"
 )
 
 // Reporter is the incremental face of a report: feed it one event at a
@@ -50,8 +51,8 @@ type DeviceTimeline struct {
 	OpenSleepUs int64 `json:"open_sleep_us"`
 }
 
-// sleepBounds covers sleep durations from 10 ms to ~28 h, in seconds.
-var sleepBounds = stats.LogBounds(1e-2, 1e5)
+// sleepLayout covers sleep durations from 10 ms to ~28 h, in seconds.
+var sleepLayout = stats.NewDurationLayout(stats.LogBounds(1e-2, 1e5), units.Second)
 
 // TimelineBuilder derives per-device spin timelines incrementally. Events
 // with an empty Dev field group under the empty name. Spin-up events carry
@@ -69,7 +70,7 @@ func NewTimelineBuilder() *TimelineBuilder {
 func (b *TimelineBuilder) get(dev string) *DeviceTimeline {
 	tl, ok := b.byDev[dev]
 	if !ok {
-		tl = &DeviceTimeline{Dev: dev, SleepHist: stats.NewHistogram(sleepBounds), OpenSleepUs: -1}
+		tl = &DeviceTimeline{Dev: dev, SleepHist: sleepLayout.NewHistogram(), OpenSleepUs: -1}
 		b.byDev[dev] = tl
 	}
 	return tl
@@ -92,7 +93,7 @@ func (b *TimelineBuilder) Observe(e obs.Event) {
 		tl.SpinUps++
 		iv := Interval{StartUs: e.T - e.Dur, EndUs: e.T}
 		tl.Sleeps = append(tl.Sleeps, iv)
-		tl.SleepHist.Add(float64(e.Dur) / 1e6)
+		tl.SleepHist.AddDuration(sleepLayout, units.Time(e.Dur))
 		tl.TotalSleepUs += iv.DurationUs()
 		tl.OpenSleepUs = -1
 	}
@@ -130,10 +131,10 @@ type KindLatency struct {
 	Hist *stats.Histogram `json:"hist"`
 }
 
-// latencyBounds buckets durations in milliseconds from 1 µs to ≈1000 s: the
+// latencyLayout buckets durations in milliseconds from 1 µs to ≈1000 s: the
 // 46-bound layout beside core's 45-bound result layout (see
 // stats.NewLatencyHistogram).
-var latencyBounds = stats.LogBounds(1e-3, 1e6)
+var latencyLayout = stats.NewDurationLayout(stats.LogBounds(1e-3, 1e6), units.Millisecond)
 
 // LatencyBuilder aggregates per-kind duration distributions incrementally.
 type LatencyBuilder struct {
@@ -155,10 +156,10 @@ func (b *LatencyBuilder) Observe(e obs.Event) {
 	}
 	h, ok := b.hists[e.Kind]
 	if !ok {
-		h = stats.NewHistogram(latencyBounds)
+		h = latencyLayout.NewHistogram()
 		b.hists[e.Kind] = h
 	}
-	h.Add(float64(e.Dur) / 1e3) // µs → ms
+	h.AddDuration(latencyLayout, units.Time(e.Dur))
 }
 
 // Finish summarizes the distributions, sorted by kind: p50/p90/p99 are

@@ -147,14 +147,19 @@ func decodeInto(path string, opt StreamOptions, fr *fileResult, done <-chan stru
 	}
 
 	d := NewDecoder(r)
-	batch := make([]obs.Event, 0, streamBatch)
+	// The first batch grows by append, so a short stream allocates for the
+	// events it has (FuzzDecode bounds the heap per input byte). Once a
+	// batch has filled, the stream is long, and each later batch is made
+	// whole when its first event arrives.
+	var batch []obs.Event
+	whole := false
 	send := func() bool {
 		if len(batch) == 0 {
 			return true
 		}
 		select {
 		case fr.batches <- batch:
-			batch = make([]obs.Event, 0, streamBatch)
+			batch = nil
 			return true
 		case <-done:
 			return false
@@ -174,9 +179,15 @@ func decodeInto(path string, opt StreamOptions, fr *fileResult, done <-chan stru
 			fr.err = fmt.Errorf("%s: %w", label, err)
 			return
 		}
+		if batch == nil && whole {
+			batch = make([]obs.Event, 0, streamBatch)
+		}
 		batch = append(batch, e)
-		if len(batch) == cap(batch) && !send() {
-			return
+		if len(batch) == streamBatch {
+			whole = true
+			if !send() {
+				return
+			}
 		}
 	}
 }

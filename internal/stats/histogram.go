@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"mobilestorage/internal/units"
 )
 
 // bucketsPerDecade fixes the resolution of every bucket layout: five
@@ -29,21 +31,22 @@ func LogBounds(lo, hi float64) []float64 {
 	}
 }
 
-// latencyBounds is the result layout NewLatencyHistogram shares.
-var latencyBounds = LogBounds(1e-3, 6e5)
+// LatencyLayout is the response-time layout of core.Result's ReadHist and
+// WriteHist, in milliseconds: LogBounds(1e-3, 6e5), 45 bounds from 1 µs to
+// 630,957 ms (≈631 s). Fine resolution where flash operations live, coarse
+// where disk spin-ups live. core.Run adds each response with AddDuration.
+var LatencyLayout = NewDurationLayout(LogBounds(1e-3, 6e5), units.Millisecond)
 
-// NewLatencyHistogram returns the response-time layout of core.Result's
-// ReadHist and WriteHist, in milliseconds: LogBounds(1e-3, 6e5), 45 bounds
-// from 1 µs to 630,957 ms (≈631 s). Fine resolution where flash operations
-// live, coarse where disk spin-ups live.
+// NewLatencyHistogram returns an empty histogram over LatencyLayout.
 //
-// It is one of two latency layouts. The other, LogBounds(1e-3, 1e6), has 46
-// bounds, the same 45 plus a top of 1.0000000000000083e6 ms (≈1000 s); it
-// buckets obsreport's per-kind durations and the fleet's per-run energy.
-// Both are kept: moving the result layout's top would move storagesim -v's
-// percentiles and the fleet's for every response between 631 s and 1000 s.
+// LatencyLayout is one of two latency layouts. The other, LogBounds(1e-3,
+// 1e6), has 46 bounds, the same 45 plus a top of 1.0000000000000083e6 ms
+// (≈1000 s); it buckets obsreport's per-kind durations and the fleet's
+// per-run energy. Both are kept: moving the result layout's top would move
+// storagesim -v's percentiles and the fleet's for every response between
+// 631 s and 1000 s.
 func NewLatencyHistogram() *Histogram {
-	return NewHistogram(latencyBounds)
+	return LatencyLayout.NewHistogram()
 }
 
 // Histogram is a fixed-bucket distribution over non-negative float64
@@ -72,17 +75,24 @@ type Histogram struct {
 // bounds; it panics on bounds that are not. The histogram keeps bounds
 // without copying them, so the caller must not change them afterwards.
 func NewHistogram(bounds []float64) *Histogram {
+	checkBounds(bounds)
+	return &Histogram{Bounds: bounds, Counts: make([]int64, len(bounds))}
+}
+
+// checkBounds panics unless bounds are strictly ascending.
+func checkBounds(bounds []float64) {
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {
 			panic("stats: histogram bounds must be strictly ascending")
 		}
 	}
-	return &Histogram{Bounds: bounds, Counts: make([]int64, len(bounds))}
 }
 
 // Bucket returns the index of the bucket x falls in: the first bound ≥ x,
 // or len(bounds), the overflow bucket, when x is above every bound or NaN.
-// It is the one bucket rule, shared with obs.Histogram.
+// It buckets float samples (Add, and obs.Histogram's atomic registry
+// histograms); durations go through DurationLayout.Bucket, which gives the
+// same index for every converted duration without a float search.
 func Bucket(bounds []float64, x float64) int {
 	lo, hi := 0, len(bounds)
 	for lo < hi {
@@ -96,8 +106,12 @@ func Bucket(bounds []float64, x float64) int {
 	return lo
 }
 
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
+// Add records one float sample. Durations go through AddDuration.
+func (h *Histogram) Add(x float64) { h.add(x, Bucket(h.Bounds, x)) }
+
+// add records sample x in bucket i, the overflow bucket when i is
+// len(h.Bounds).
+func (h *Histogram) add(x float64, i int) {
 	if h.N == 0 || x < h.Min {
 		h.Min = x
 	}
@@ -106,7 +120,7 @@ func (h *Histogram) Add(x float64) {
 	}
 	h.N++
 	h.Sum += x
-	if i := Bucket(h.Bounds, x); i < len(h.Bounds) {
+	if i < len(h.Counts) {
 		h.Counts[i]++
 	} else {
 		h.Overflow++
