@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -11,11 +12,93 @@ import (
 	"testing"
 
 	"mobilestorage/internal/core"
+	"mobilestorage/internal/fleet"
+	"mobilestorage/internal/obs"
 	"mobilestorage/internal/stats"
 	"mobilestorage/internal/trace"
 	"mobilestorage/internal/units"
 	"mobilestorage/internal/workload"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden files under testdata")
+
+// TestMetricsGolden pins the registry's output on the two runs that fill
+// its histograms: disk.sleep_ms on mac on cu140 (159 spin-ups) and
+// flashcard.clean_ms on mac on intel at 95% utilization (4,963 cleans).
+// The -metrics stdout comes from the command, re-executed as
+// TestHostileTraceFileExits does; the /metrics exposition comes from the
+// same configuration run in process, whose registry dump must end the
+// command's stdout.
+func TestMetricsGolden(t *testing.T) {
+	if args := os.Getenv("STORAGESIM_ARGS"); args != "" {
+		os.Args = append([]string{"storagesim"}, strings.Split(args, "\n")...)
+		main()
+		os.Exit(0)
+	}
+	for _, c := range []struct {
+		name, device, util string
+	}{
+		{"cu140", "cu140", "0.8"},
+		{"intel95", "intel", "0.95"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], "-test.run=^TestMetricsGolden$")
+			cmd.Env = append(os.Environ(), "STORAGESIM_ARGS=-device\n"+c.device+"\n-utilization\n"+c.util+"\n-metrics")
+			stdout, err := cmd.Output()
+			if err != nil {
+				t.Fatalf("storagesim -device %s: %v", c.device, err)
+			}
+			checkGolden(t, "metrics_"+c.name+".txt", stdout)
+
+			tr, _, err := buildTrace("", "mac", 1, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			util, _ := strconv.ParseFloat(c.util, 64)
+			cfg := core.Config{Trace: tr, SpinDown: fleet.DefaultSpinDown, CleaningPolicy: "greedy", FlashUtilization: util}
+			if err := fleet.SelectDevice(&cfg, c.device, ""); err != nil {
+				t.Fatal(err)
+			}
+			fleet.SizeBuffers(&cfg, -1, -1)
+			reg := obs.NewRegistry()
+			cfg.Scope = obs.NewScope(reg, nil)
+			if _, err := core.Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.HasSuffix(stdout, []byte(reg.String())) {
+				t.Errorf("in-process registry dump\n%s\ndoes not end the command's stdout\n%s", reg.String(), stdout)
+			}
+			var prom bytes.Buffer
+			if err := obs.WritePrometheus(&prom, reg, promNamespace); err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, "prom_"+c.name+".txt", prom.Bytes())
+		})
+	}
+}
+
+// checkGolden compares got with testdata/name, or rewrites the file under
+// -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s differs from the golden file:\ngot:\n%s\nwant:\n%s", path, got, want)
+	}
+}
 
 // TestReadTraceBothFormats: -tracefile loads a trace written in either the
 // text or the binary format, and a missing file errors.
