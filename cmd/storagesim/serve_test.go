@@ -12,7 +12,7 @@ import (
 	"mobilestorage/internal/fleet"
 	"mobilestorage/internal/obs"
 	"mobilestorage/internal/obsreport"
-	"mobilestorage/internal/stats"
+	"mobilestorage/internal/units"
 )
 
 func getBody(t *testing.T, url string) (int, string) {
@@ -144,9 +144,9 @@ func TestServeMetricsGrammar(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("a.b").Add(1)
 	reg.Gauge("g").Set(-0.25)
-	h := reg.Histogram("lat", stats.LogBounds(1, 100))
-	h.Observe(3)
-	h.Observe(5000)
+	h := reg.Histogram("lat")
+	h.Observe(3 * units.Millisecond)
+	h.Observe(2e10) // past the layout's top: the +Inf bucket
 
 	shutdown, addr, err := startServer("127.0.0.1:0", reg, nil, nil)
 	if err != nil {

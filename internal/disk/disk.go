@@ -11,7 +11,6 @@ import (
 	"mobilestorage/internal/energy"
 	"mobilestorage/internal/fault"
 	"mobilestorage/internal/obs"
-	"mobilestorage/internal/stats"
 	"mobilestorage/internal/trace"
 	"mobilestorage/internal/units"
 )
@@ -96,9 +95,6 @@ func WithPolicy(p SpinPolicy) Option {
 	}
 }
 
-// sleepMsBounds is the disk.sleep_ms layout: 1 µs to 10^7 ms.
-var sleepMsBounds = stats.LogBounds(1e-3, 1e7)
-
 // WithScope attaches an observability scope: spin-up/spin-down counters and
 // events, and a histogram of sleep durations. A nil scope is free.
 func WithScope(sc *obs.Scope) Option {
@@ -108,7 +104,7 @@ func WithScope(sc *obs.Scope) Option {
 		d.cSpinUps = sc.Counter("disk.spin_ups")
 		d.cSpinDowns = sc.Counter("disk.spin_downs")
 		d.cOps = sc.Counter("disk.ops")
-		d.hSleepMs = sc.Histogram("disk.sleep_ms", sleepMsBounds)
+		d.hSleepMs = sc.Histogram("disk.sleep_ms")
 	}
 }
 
@@ -299,7 +295,7 @@ func (d *Disk) wake(at units.Time) {
 		slept = 0
 	}
 	d.cSpinUps.Inc()
-	d.hSleepMs.Observe(slept.Milliseconds())
+	d.hSleepMs.Observe(slept)
 	if d.sc.Wants(obs.EvDiskSpinUp) {
 		d.sc.Emit(obs.Event{T: int64(at), Kind: obs.EvDiskSpinUp, Dev: d.evName, Dur: int64(slept)})
 	}

@@ -29,7 +29,6 @@ import (
 	"mobilestorage/internal/energy"
 	"mobilestorage/internal/fault"
 	"mobilestorage/internal/obs"
-	"mobilestorage/internal/stats"
 	"mobilestorage/internal/trace"
 	"mobilestorage/internal/units"
 )
@@ -119,24 +118,12 @@ type Card struct {
 	job      *cleanJob
 	jobStore cleanJob
 
-	// stateGen counts mutations that could change cleaning-victim selection
-	// (segment closes, closed-segment live counts, the erased pool);
-	// noVictimAtGen caches that startJob's scan came up empty at that
-	// generation, so back-to-back scans over unchanged state are skipped.
-	// The memo is bypassed under wear leveling, whose selection alternates
-	// statefully (startJob mutates lastLevel even when state is unchanged).
-	stateGen      int64
-	noVictimAtGen int64
-
-	// Memoized transfer times for the card's fixed datasheet bandwidths;
-	// results are bit-identical to calling units.TransferTime directly.
-	// copyWorkMemo[n] caches the read+write copy cost of relocating n live
-	// blocks (0 = not yet computed; n=0 is trivially zero work), indexed by
-	// block count because cleaning copies are always whole blocks.
-	readMemo     units.TransferMemo
-	writeMemo    units.TransferMemo
-	copyKBs      float64
-	copyWorkMemo []units.Time
+	// Memoized transfer times for the card's fixed datasheet bandwidths:
+	// host reads, host writes and the cleaner's copy writes. Results are
+	// bit-identical to calling units.TransferTime directly.
+	readMemo  units.TransferMemo
+	writeMemo units.TransferMemo
+	copyMemo  units.TransferMemo
 
 	lastUpdate  units.Time
 	busyUntil   units.Time
@@ -227,9 +214,6 @@ func WithFaults(in *fault.Injector) Option {
 	return func(c *Card) { c.inj = in }
 }
 
-// cleanMsBounds is the flashcard.clean_ms layout: 1 µs to 10^7 ms.
-var cleanMsBounds = stats.LogBounds(1e-3, 1e7)
-
 // WithScope attaches an observability scope: erase/clean/copy/stall
 // counters and events. A nil scope is free.
 func WithScope(sc *obs.Scope) Option {
@@ -240,7 +224,7 @@ func WithScope(sc *obs.Scope) Option {
 		c.cCopied = sc.Counter("flashcard.copied_blocks")
 		c.cHostBlks = sc.Counter("flashcard.host_blocks")
 		c.cStalls = sc.Counter("flashcard.stalls")
-		c.hCleanMs = sc.Histogram("flashcard.clean_ms", cleanMsBounds)
+		c.hCleanMs = sc.Histogram("flashcard.clean_ms")
 	}
 }
 
@@ -288,12 +272,11 @@ func New(p device.FlashCardParams, capacity units.Bytes, blockSize units.Bytes, 
 	}
 	c.readMemo = units.NewTransferMemo(p.ReadKBs)
 	c.writeMemo = units.NewTransferMemo(p.WriteKBs)
-	c.noVictimAtGen = -1
-	c.copyKBs = p.CopyKBs
-	if c.copyKBs == 0 {
-		c.copyKBs = p.WriteKBs
+	copyKBs := p.CopyKBs
+	if copyKBs == 0 {
+		copyKBs = p.WriteKBs
 	}
-	c.copyWorkMemo = make([]units.Time, c.blocksPerSeg+1)
+	c.copyMemo = units.NewTransferMemo(copyKBs)
 	for _, o := range opts {
 		o(c)
 	}
@@ -598,7 +581,6 @@ func (c *Card) reclaimRetired(at units.Time) bool {
 	c.segState[best] = segErased
 	c.erased = append(c.erased, best)
 	c.badSegs--
-	c.stateGen++
 	c.inj.RecordReclaim(c.evName, int64(best), at)
 	return true
 }
@@ -618,7 +600,6 @@ func (c *Card) openSegment(h logHead) {
 	c.fillSeq++
 	c.segFillSeq[s] = c.fillSeq
 	c.segFill[s] = 0
-	c.stateGen++ // the smaller erased pool can change what relocation fits
 }
 
 // appendHostRun appends logical blocks [first, last] to the host log,
@@ -643,12 +624,10 @@ func (c *Card) appendHostRun(first, last int64, start units.Time) units.Time {
 			n = free
 		}
 		base := int64(s)*bps + int64(c.segFill[s])
-		invalidated := false
 		for i := int64(0); i < n; i++ {
 			blk := int32(b + i)
 			if old := c.blockSeg[blk] - 1; old != noSegment {
 				c.segLive[old]--
-				invalidated = true
 			}
 			c.blockSeg[blk] = s + 1
 			c.segArena[base+i] = blk
@@ -656,13 +635,9 @@ func (c *Card) appendHostRun(first, last int64, start units.Time) units.Time {
 		c.segLive[s] += int32(n)
 		c.segFill[s] += int32(n)
 		c.activeFree[hostHead] -= int32(n)
-		closed := c.activeFree[hostHead] == 0
-		if closed {
+		if c.activeFree[hostHead] == 0 {
 			c.segState[s] = segClosed
 			c.active[hostHead] = noSegment
-		}
-		if invalidated || closed {
-			c.stateGen++
 		}
 		c.hostWrites += n
 		b += n
@@ -683,16 +658,11 @@ func (c *Card) invalidate(addr, size units.Bytes) {
 		return
 	}
 	first, last := c.blockRange(addr, size)
-	changed := false
 	for b := first; b <= last; b++ {
 		if s := c.blockSeg[b] - 1; s != noSegment {
 			c.segLive[s]--
 			c.blockSeg[b] = 0
-			changed = true
 		}
-	}
-	if changed {
-		c.stateGen++
 	}
 }
 
@@ -741,9 +711,6 @@ func (c *Card) runCleaner(start, budget units.Time) units.Time {
 // when no victim qualifies. at timestamps any fault events the job's erase
 // schedule draws.
 func (c *Card) startJob(at units.Time) {
-	if c.wearLevel == 0 && c.noVictimAtGen == c.stateGen {
-		return // same state as the last fruitless scan: still nothing cleanable
-	}
 	victim := c.policy.SelectVictim(c)
 	// A leveling move relocates a (often fully live) cold segment, which
 	// frees no net space, so it must alternate with ordinary cleans —
@@ -764,9 +731,6 @@ func (c *Card) startJob(at units.Time) {
 		}
 	}
 	if victim == noSegment {
-		if c.wearLevel == 0 {
-			c.noVictimAtGen = c.stateGen
-		}
 		return
 	}
 	c.startJobFor(victim, at)
@@ -778,13 +742,8 @@ func (c *Card) startJob(at units.Time) {
 func (c *Card) startJobFor(victim int32, at units.Time) {
 	// Copying is a flash read plus a flash write per live byte, followed by
 	// the fixed-cost erase.
-	live := c.segLive[victim]
-	copyWork := c.copyWorkMemo[live]
-	if copyWork == 0 && live > 0 {
-		copyBytes := units.Bytes(live) * c.blockSize
-		copyWork = units.TransferTime(copyBytes, c.p.ReadKBs) + units.TransferTime(copyBytes, c.copyKBs)
-		c.copyWorkMemo[live] = copyWork
-	}
+	copyBytes := units.Bytes(c.segLive[victim]) * c.blockSize
+	copyWork := c.readMemo.Time(copyBytes) + c.copyMemo.Time(copyBytes)
 	pulses, backoff := int64(1), units.Time(0)
 	if c.inj != nil {
 		pulses, backoff = c.inj.Attempts(fault.OpErase, c.evName, at)
@@ -922,10 +881,9 @@ func (c *Card) finishJob(at units.Time) {
 	c.totalErases += pulses
 	c.cErases.Add(pulses)
 	c.retireIfWorn(v, at)
-	c.stateGen++
 	c.cCleans.Inc()
 	c.cCopied.Add(copied)
-	c.hCleanMs.Observe(total.Milliseconds())
+	c.hCleanMs.Observe(total)
 	if c.sc.Wants(obs.EvCardClean) {
 		c.sc.Emit(obs.Event{T: int64(at), Kind: obs.EvCardClean, Dev: c.evName,
 			Addr: int64(v), Size: copied, Dur: int64(total)})
@@ -1003,7 +961,6 @@ func (c *Card) Crash(at units.Time) {
 		c.carried = c.job
 	}
 	c.job = nil
-	c.stateGen++ // defensive: recovery re-derives state; never trust the memo across it
 	if c.busyUntil > at {
 		c.busyUntil = at
 	}

@@ -4,6 +4,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"mobilestorage/internal/units"
 )
 
 func TestWritePrometheus(t *testing.T) {
@@ -11,11 +13,11 @@ func TestWritePrometheus(t *testing.T) {
 	reg.Counter("disk.spin_ups").Add(3)
 	reg.Counter("cache.hits").Add(41)
 	reg.Gauge("energy.total_j").Set(12.5)
-	h := reg.Histogram("flashcard.clean_ms", []float64{1, 10, 100})
-	h.Observe(0.5)
-	h.Observe(5)
-	h.Observe(5000)                                  // overflow
-	reg.Histogram("idle.empty_ms", []float64{1, 10}) // never observed
+	h := reg.Histogram("flashcard.clean_ms")
+	h.Observe(500)
+	h.Observe(5 * units.Millisecond)
+	h.Observe(2e10)                // 2·10^7 ms: overflow
+	reg.Histogram("idle.empty_ms") // never observed
 
 	var b strings.Builder
 	if err := WritePrometheus(&b, reg, "storagesim"); err != nil {
@@ -28,16 +30,17 @@ func TestWritePrometheus(t *testing.T) {
 		"# TYPE storagesim_disk_spin_ups_total counter\nstoragesim_disk_spin_ups_total 3\n",
 		"# TYPE storagesim_energy_total_j gauge\nstoragesim_energy_total_j 12.5\n",
 		"# TYPE storagesim_flashcard_clean_ms histogram\n",
-		`storagesim_flashcard_clean_ms_bucket{le="1"} 1`,
-		`storagesim_flashcard_clean_ms_bucket{le="10"} 2`,
-		`storagesim_flashcard_clean_ms_bucket{le="100"} 2`,
+		`storagesim_flashcard_clean_ms_bucket{le="0.39810717055349754"} 0` + "\n" +
+			`storagesim_flashcard_clean_ms_bucket{le="0.6309573444801937"} 1` + "\n",
+		`storagesim_flashcard_clean_ms_bucket{le="3.981071705534976"} 1` + "\n" +
+			`storagesim_flashcard_clean_ms_bucket{le="6.30957344480194"} 2` + "\n",
 		`storagesim_flashcard_clean_ms_bucket{le="+Inf"} 3`,
-		"storagesim_flashcard_clean_ms_sum 5005.5",
+		"storagesim_flashcard_clean_ms_sum 2.00000055e+07",
 		"storagesim_flashcard_clean_ms_count 3",
-		// Exact extremes ride along as gauges: 5000 lives in the overflow
-		// bucket, where le edges alone could only say "> 100".
+		// Exact extremes ride along as gauges: 2·10^7 lives in the overflow
+		// bucket, where le edges alone could only say "> 10^7".
 		"# TYPE storagesim_flashcard_clean_ms_min gauge\nstoragesim_flashcard_clean_ms_min 0.5\n",
-		"# TYPE storagesim_flashcard_clean_ms_max gauge\nstoragesim_flashcard_clean_ms_max 5000\n",
+		"# TYPE storagesim_flashcard_clean_ms_max gauge\nstoragesim_flashcard_clean_ms_max 2e+07\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)

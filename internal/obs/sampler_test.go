@@ -3,6 +3,8 @@ package obs
 import (
 	"reflect"
 	"testing"
+
+	"mobilestorage/internal/units"
 )
 
 func TestSamplerBoundaries(t *testing.T) {
@@ -127,11 +129,13 @@ func TestCollector(t *testing.T) {
 }
 
 func TestHistogramSum(t *testing.T) {
-	h := newHistogram([]float64{1, 10, 100})
-	for _, v := range []float64{0.5, 5, 50, 500} { // last lands in overflow
-		h.Observe(v)
+	r := NewRegistry()
+	h := r.Histogram("h")
+	// The last, 2·10^7 ms, lands in the overflow bucket.
+	for _, d := range []units.Time{500, 5 * units.Millisecond, 50 * units.Millisecond, 2e10} {
+		h.Observe(d)
 	}
-	if s := h.snapshot(); s.Sum != 555.5 || s.N != 4 {
-		t.Fatalf("snapshot sum %g over %d samples, want 555.5 over 4", s.Sum, s.N)
+	if s := r.Histograms()["h"]; s.Sum != 20000055.5 || s.N != 4 || s.Overflow != 1 {
+		t.Fatalf("snapshot sum %g over %d samples (%d overflow), want 20000055.5 over 4 (1)", s.Sum, s.N, s.Overflow)
 	}
 }

@@ -300,11 +300,11 @@ func (s *Scope) Gauge(name string) *Gauge {
 }
 
 // Histogram resolves a named histogram; nil-safe.
-func (s *Scope) Histogram(name string, bounds []float64) *Histogram {
+func (s *Scope) Histogram(name string) *Histogram {
 	if s == nil {
 		return nil
 	}
-	return s.reg.Histogram(name, bounds)
+	return s.reg.Histogram(name)
 }
 
 // Wants reports whether the tracer reads events of kind k. Emit sites ask

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"mobilestorage/internal/obs"
 	"mobilestorage/internal/stats"
 	"mobilestorage/internal/stats/statstest"
 	"mobilestorage/internal/units"
@@ -22,12 +23,13 @@ var durationLayouts = []struct {
 	{"obsreport latency (ms)", latencyLayout, func(d units.Time) float64 { return float64(d) / 1e3 }},
 	{"obsreport backoff (ms)", backoffLayout, func(d units.Time) float64 { return float64(d) / 1e3 }},
 	{"obsreport sleep (s)", sleepLayout, func(d units.Time) float64 { return float64(d) / 1e6 }},
+	{"obs registry (ms)", obs.HistogramLayout, units.Time.Milliseconds},
 }
 
 // TestDurationLayouts checks obsreport's three duration layouts against the
-// float rule; stats checks the core result layout.
+// float rule; stats checks the core result layout and obs the registry's.
 func TestDurationLayouts(t *testing.T) {
-	for _, c := range durationLayouts[1:] {
+	for _, c := range durationLayouts[1:4] {
 		t.Run(c.name, func(t *testing.T) { statstest.CheckLayout(t, c.layout, c.conv) })
 	}
 }
@@ -48,6 +50,7 @@ func FuzzDurationLayouts(f *testing.F) {
 	seed(1, 1, 1584, 1585, 1000000008, 1000000009, math.MaxInt64)
 	seed(2, -1, 999999, 1000000, 1000001, math.MinInt64)
 	seed(3, 9999, 10000, 10001, 100000000000, 100000000001, 1<<53+1)
+	seed(4, 0, 999, 1000, 10000000000, 10000000001, 1<<62)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

@@ -6,6 +6,7 @@ import (
 
 	"mobilestorage/internal/obs"
 	"mobilestorage/internal/stats"
+	"mobilestorage/internal/units"
 )
 
 // relErr returns |got-want|/want.
@@ -126,9 +127,9 @@ func TestQuantileTighterThanStatsBound(t *testing.T) {
 // estimator clamps to them and reports them exactly.
 func TestRegistrySnapshotQuantile(t *testing.T) {
 	reg := obs.NewRegistry()
-	oh := reg.Histogram("x", latencyLayout.Bounds)
+	oh := reg.Histogram("x")
 	for i := 1; i <= 100; i++ {
-		oh.Observe(float64(i))
+		oh.Observe(units.Time(i) * units.Millisecond)
 	}
 	h := reg.Histograms()["x"]
 	if h.N != 100 {
