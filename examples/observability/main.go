@@ -62,7 +62,7 @@ func main() {
 	// equal when Config.WarmFraction disables warm-up).
 	last := res.Timeline.Points[len(res.Timeline.Points)-1]
 	fmt.Printf("final sample: t=%.0f s, energy.total_j=%.1f\n\n",
-		float64(last.TUs)/1e6, last.Gauges["energy.total_j"])
+		float64(last.TUs)/1e6, last.Gauges[core.GaugeEnergyTotal])
 
 	// 4. Derived reports from the run's events.
 	fmt.Println("--- cleaning ---")

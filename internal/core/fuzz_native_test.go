@@ -3,8 +3,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	"os"
-	"os/exec"
 	"testing"
 
 	"mobilestorage/internal/device"
@@ -83,20 +81,4 @@ func FuzzRun(f *testing.F) {
 			t.Fatalf("negative end time %v", res.EndTime)
 		}
 	})
-}
-
-// TestFuzzSmoke runs the fuzzer for a short burst when explicitly requested
-// via MOBILESTORAGE_FUZZ_SMOKE=1 (CI's scheduled job sets it; normal test
-// runs skip). A regression found by fuzzing lands in testdata/fuzz and
-// reproduces forever after via the seed corpus.
-func TestFuzzSmoke(t *testing.T) {
-	if os.Getenv("MOBILESTORAGE_FUZZ_SMOKE") == "" {
-		t.Skip("set MOBILESTORAGE_FUZZ_SMOKE=1 to run the fuzz smoke test")
-	}
-	cmd := exec.Command("go", "test", "-run=^$", "-fuzz=FuzzRun", "-fuzztime=10s", ".")
-	cmd.Env = append(os.Environ(), "MOBILESTORAGE_FUZZ_SMOKE=") // no recursion
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("fuzz smoke failed: %v\n%s", err, out)
-	}
 }

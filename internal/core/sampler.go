@@ -8,9 +8,10 @@ import (
 
 // Sampler gauge names: cumulative energy since the start of the run (not
 // warm-start adjusted — samples before the warm boundary are meaningful
-// too), refreshed at every sampling boundary.
+// too), refreshed at every sampling boundary. GaugeEnergyTotal is the one
+// readers of Result.Timeline look up.
 const (
-	gaugeEnergyTotal   = "energy.total_j"
+	GaugeEnergyTotal   = "energy.total_j"
 	gaugeEnergyStorage = "energy.storage_j"
 	gaugeEnergyDRAM    = "energy.dram_j"
 	gaugeEnergySRAM    = "energy.sram_j"
@@ -31,7 +32,7 @@ func newSampler(cfg Config, sc *obs.Scope, st *stack, dram dramCache) *obs.Sampl
 	if cfg.SampleEvery <= 0 || reg == nil {
 		return nil
 	}
-	total := sc.Gauge(gaugeEnergyTotal)
+	total := sc.Gauge(GaugeEnergyTotal)
 	storage := sc.Gauge(gaugeEnergyStorage)
 	dramG := sc.Gauge(gaugeEnergyDRAM)
 	sramG := sc.Gauge(gaugeEnergySRAM)

@@ -72,7 +72,7 @@ func TestSamplerEnergyMatchesResult(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			total := res.Timeline.Gauge(gaugeEnergyTotal)
+			total := res.Timeline.Gauge(GaugeEnergyTotal)
 			if len(total) == 0 {
 				t.Fatal("no energy series")
 			}
@@ -89,8 +89,8 @@ func TestSamplerEnergyMatchesResult(t *testing.T) {
 				t.Errorf("final storage gauge %g J, want Result storage energy %g J", got, want)
 			}
 			sum := last.Gauges[gaugeEnergyStorage] + last.Gauges[gaugeEnergySRAM] + last.Gauges[gaugeEnergyDRAM]
-			if sum != last.Gauges[gaugeEnergyTotal] {
-				t.Errorf("component gauges sum to %g, total gauge %g", sum, last.Gauges[gaugeEnergyTotal])
+			if sum != last.Gauges[GaugeEnergyTotal] {
+				t.Errorf("component gauges sum to %g, total gauge %g", sum, last.Gauges[GaugeEnergyTotal])
 			}
 		})
 	}
@@ -166,7 +166,7 @@ func TestSamplerEmitsEnergyEvents(t *testing.T) {
 		t.Errorf("%d total-energy events, want one per timeline point (%d)", totals, len(res.Timeline.Points))
 	}
 	// Final event agrees with the final gauge to within µJ rounding.
-	wantUJ := microjoules(res.Timeline.Points[len(res.Timeline.Points)-1].Gauges[gaugeEnergyTotal])
+	wantUJ := microjoules(res.Timeline.Points[len(res.Timeline.Points)-1].Gauges[GaugeEnergyTotal])
 	if lastTotal != wantUJ {
 		t.Errorf("final event %d µJ, want %d", lastTotal, wantUJ)
 	}

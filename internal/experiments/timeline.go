@@ -94,7 +94,7 @@ func EnergyOverTime(seed int64) ([]EnergyCurve, error) {
 		c := EnergyCurve{Label: specs[i].label}
 		for _, p := range tl.Points {
 			c.TimesS = append(c.TimesS, float64(p.TUs)/1e6)
-			c.Joules = append(c.Joules, p.Gauges["energy.total_j"])
+			c.Joules = append(c.Joules, p.Gauges[core.GaugeEnergyTotal])
 		}
 		curves[i] = c
 		return nil

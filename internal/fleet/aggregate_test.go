@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"mobilestorage/internal/obs"
@@ -50,6 +51,43 @@ func TestFleetQuantilesWithinRange(t *testing.T) {
 		}
 		if !(l.P50Ms <= l.P90Ms && l.P90Ms <= l.P99Ms && l.P99Ms <= l.MaxMs) {
 			t.Errorf("%s: p50/p90/p99/max %g/%g/%g/%g, want non-decreasing", name, l.P50Ms, l.P90Ms, l.P99Ms, l.MaxMs)
+		}
+	}
+}
+
+// A job under a fault plan draws its faults and array figures as per-run
+// distributions: injected faults, and member deaths and mirror rebuilds
+// (none here, since fleet runs are single devices). Every series counts
+// every run. A job without a fault plan draws neither.
+func TestFaultJobFigures(t *testing.T) {
+	svc := NewService(obs.NewRegistry())
+	j := runJob(t, svc, Spec{Traces: []string{"synth"}, SynthOps: 2000, Devices: []string{"intel"}, Replicas: 2,
+		FaultPlans: []json.RawMessage{json.RawMessage(`{"write_error_rate":0.01,"power_fail_at_us":[5000000]}`)}})
+	if f := j.Status().Report.Faults; f == nil || f.WriteFaults == 0 || f.PowerFailures == 0 {
+		t.Fatalf("fault totals %+v, want write faults and power failures", f)
+	}
+	plain := runJob(t, svc, Spec{Traces: []string{"synth"}, SynthOps: 2000, Devices: []string{"intel"}})
+	for kind, want := range map[string][]string{"faults": {"faults"}, "array": {"member deaths", "mirror rebuilds"}} {
+		c, err := j.Chart(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, s := range c.Series {
+			names = append(names, s.Name)
+			var runs float64
+			for _, p := range s.Points {
+				runs += p.Y
+			}
+			if runs != 2 {
+				t.Errorf("%s/%s: %g runs, want 2", kind, s.Name, runs)
+			}
+		}
+		if !slices.Equal(names, want) {
+			t.Errorf("%s: series %q, want %q", kind, names, want)
+		}
+		if c, err := plain.Chart(kind); err != nil || len(c.Series) != 0 {
+			t.Errorf("%s without a fault plan: %v series, err %v", kind, len(c.Series), err)
 		}
 	}
 }

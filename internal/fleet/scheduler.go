@@ -327,7 +327,7 @@ func (s *Service) mergeOne(j *Job, idx int, o runOut, doneC, failedC *obs.Counte
 		rs := j.ej.runs[idx]
 		se := sampleEvent{Job: j.ID, Run: idx, Trace: rs.Trace, Device: rs.Device}
 		for _, p := range o.res.Timeline.Points {
-			se.Points = append(se.Points, samplePoint{TUs: p.TUs, EnergyJ: p.Gauges["energy.total_j"]})
+			se.Points = append(se.Points, samplePoint{TUs: p.TUs, EnergyJ: p.Gauges[core.GaugeEnergyTotal]})
 		}
 		j.broadcast.Send("sample", mustJSON(se))
 	}

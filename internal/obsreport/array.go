@@ -160,41 +160,6 @@ func (b *ArrayBuilder) Finish() *ArrayReport {
 	return b.r
 }
 
-// Merge folds o's degraded-mode activity into b: totals and per-device
-// counters. The raw death, rebuild, and latent timestamp series are
-// per-run detail and are not merged; the merged counts still reflect
-// every event.
-func (b *ArrayBuilder) Merge(o *ArrayBuilder) {
-	if o == nil || b == o {
-		return
-	}
-	for dev, od := range o.byDev {
-		d := b.get(dev)
-		d.Deaths += od.Deaths
-		d.EraseDeaths += od.EraseDeaths
-		d.Degradations += od.Degradations
-		d.Rebuilds += od.Rebuilds
-		d.RebuildBlocks += od.RebuildBlocks
-		d.RebuildUs += od.RebuildUs
-		d.LatentSurfaced += od.LatentSurfaced
-		d.ScrubUs += od.ScrubUs
-		d.Backlogs += od.Backlogs
-		d.BacklogBlocks += od.BacklogBlocks
-		d.DrainUs += od.DrainUs
-	}
-	b.r.Deaths += o.r.Deaths
-	b.r.EraseDeaths += o.r.EraseDeaths
-	b.r.Degradations += o.r.Degradations
-	b.r.Rebuilds += o.r.Rebuilds
-	b.r.RebuildBlocks += o.r.RebuildBlocks
-	b.r.RebuildUs += o.r.RebuildUs
-	b.r.LatentSurfaced += o.r.LatentSurfaced
-	b.r.ScrubUs += o.r.ScrubUs
-	b.r.Backlogs += o.r.Backlogs
-	b.r.BacklogBlocks += o.r.BacklogBlocks
-	b.r.DrainUs += o.r.DrainUs
-}
-
 // empty reports whether the run had no degraded-mode activity at all.
 func (r *ArrayReport) empty() bool {
 	return r.Deaths == 0 && r.Degradations == 0 && r.Rebuilds == 0 &&

@@ -164,24 +164,3 @@ func TestDiffArraySelfIsZero(t *testing.T) {
 		t.Errorf("deaths delta %+v", rows[0])
 	}
 }
-
-// TestArrayBuilderMerge pins Merge against observing the concatenated
-// stream directly (timestamp series excepted — Merge drops them).
-func TestArrayBuilderMerge(t *testing.T) {
-	a, b := NewArrayBuilder(), NewArrayBuilder()
-	events := arrayStream()
-	for _, e := range events[:4] {
-		a.Observe(e)
-	}
-	for _, e := range events[4:] {
-		b.Observe(e)
-	}
-	a.Merge(b)
-	r := a.Finish()
-	want := observe(NewArrayBuilder(), events).Finish()
-	if r.Deaths != want.Deaths || r.Rebuilds != want.Rebuilds ||
-		r.LatentSurfaced != want.LatentSurfaced || r.Backlogs != want.Backlogs ||
-		r.DrainUs != want.DrainUs || len(r.Devices) != len(want.Devices) {
-		t.Errorf("merged %+v, want %+v", r, want)
-	}
-}

@@ -145,10 +145,11 @@ func (s *FigureSet) Observe(e obs.Event) {
 }
 
 // Merge folds another set's accumulated state into s, builder by builder.
-// The energy builder is the exception: per-run energy series are cumulative
-// curves over each run's own simulated clock, so merging them across runs
-// is meaningless (and unbounded) — fleet aggregation summarizes energy as a
-// per-run distribution instead (see internal/fleet).
+// The energy, faults and array builders are the exceptions: their figures
+// plot series over each run's own simulated clock (cumulative energy,
+// fault injections, member deaths and rebuilds), so merging them across
+// runs is meaningless (and unbounded). Fleet aggregation summarizes each as
+// a per-run distribution instead (see internal/fleet).
 func (s *FigureSet) Merge(o *FigureSet) {
 	if o == nil || s == o {
 		return
@@ -157,8 +158,6 @@ func (s *FigureSet) Merge(o *FigureSet) {
 	s.Latency.Merge(o.Latency)
 	s.Wear.Merge(o.Wear)
 	s.Cleaning.Merge(o.Cleaning)
-	s.Faults.Merge(o.Faults)
-	s.Array.Merge(o.Array)
 }
 
 // Chart renders the named report kind from the current state. Unknown

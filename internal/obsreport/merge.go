@@ -11,11 +11,12 @@ package obsreport
 // requires a deterministic merge order; internal/fleet merges shards in run
 // index order regardless of worker count for exactly this reason.
 //
-// Unbounded per-run detail (timeline sleep intervals, fault injection
-// timestamps, energy sample series) is deliberately NOT merged: a merged
-// builder carries distributions and totals only, so fleet memory stays
-// constant in the number of runs. The per-run builders keep that detail for
-// single-run reports.
+// Unbounded per-run detail (timeline sleep intervals) is deliberately NOT
+// merged: a merged builder carries distributions and totals only, so fleet
+// memory stays constant in the number of runs. The per-run builders keep
+// that detail for single-run reports. The energy, faults and array
+// builders do not merge at all: their figures plot per-run series, and the
+// fleet re-derives them from each run's result instead.
 
 // Merge folds o's per-device spin history into b: spin counts, completed
 // sleep totals, and the sleep-duration distributions. The per-interval
@@ -73,35 +74,4 @@ func (b *CleaningBuilder) Merge(o *CleaningBuilder) {
 	b.r.Stalls += o.r.Stalls
 	b.r.TotalCleanUs += o.r.TotalCleanUs
 	b.r.LivePerClean.Merge(o.r.LivePerClean)
-}
-
-// Merge folds o's fault activity into b: totals, per-device counters, and
-// the backoff distribution. The raw injection and power-fail timestamp
-// series are per-run detail and are not merged; the merged PowerFailures
-// count still reflects every failure.
-func (b *FaultsBuilder) Merge(o *FaultsBuilder) {
-	if o == nil || b == o {
-		return
-	}
-	for dev, od := range o.byDev {
-		d := b.get(dev)
-		d.ReadFaults += od.ReadFaults
-		d.WriteFaults += od.WriteFaults
-		d.EraseFaults += od.EraseFaults
-		d.Retries += od.Retries
-		d.BackoffUs += od.BackoffUs
-		d.Remaps += od.Remaps
-		d.SparesExhausted += od.SparesExhausted
-		d.Reclaims += od.Reclaims
-		d.ReplayedBlocks += od.ReplayedBlocks
-	}
-	b.r.Injected += o.r.Injected
-	b.r.Retries += o.r.Retries
-	b.r.BackoffUs += o.r.BackoffUs
-	b.r.BackoffHist.Merge(o.r.BackoffHist)
-	b.r.Remaps += o.r.Remaps
-	b.r.SparesExhausted += o.r.SparesExhausted
-	b.r.Reclaims += o.r.Reclaims
-	b.r.PowerFailures += o.r.PowerFailures
-	b.r.ReplayedBlocks += o.r.ReplayedBlocks
 }

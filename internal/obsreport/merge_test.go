@@ -191,29 +191,12 @@ func TestFigureSetMergeMatchesSequential(t *testing.T) {
 		t.Errorf("cleaning reports differ:\nwhole  %+v\nmerged %+v", w, m)
 	}
 
-	wF, mF := whole.Faults.Finish(), merged.Faults.Finish()
-	if wF.Injected != mF.Injected || wF.Retries != mF.Retries || wF.BackoffUs != mF.BackoffUs ||
-		wF.PowerFailures != mF.PowerFailures {
-		t.Errorf("fault totals differ:\nwhole  %+v\nmerged %+v", wF, mF)
+	// Faults do not merge: the fleet re-derives that figure per run.
+	if whole.Faults.Finish().Injected == 0 {
+		t.Fatal("stream injects no faults")
 	}
-	if !reflect.DeepEqual(wF.BackoffHist, mF.BackoffHist) {
-		t.Error("backoff hist differs")
-	}
-	if len(wF.Devices) != len(mF.Devices) {
-		t.Fatalf("fault device counts differ: %d vs %d", len(wF.Devices), len(mF.Devices))
-	}
-	for i := range wF.Devices {
-		w, m := wF.Devices[i], mF.Devices[i]
-		// Injection timestamps are per-run detail a merge drops; blank them
-		// before comparing the counters.
-		w.InjectionTimesUs = nil
-		if len(m.InjectionTimesUs) != 0 {
-			t.Errorf("merged builder retained %d injection timestamps for %s", len(m.InjectionTimesUs), m.Dev)
-		}
-		m.InjectionTimesUs = nil
-		if !reflect.DeepEqual(w, m) {
-			t.Errorf("fault device %s: merged %+v != whole %+v", w.Dev, m, w)
-		}
+	if f := merged.Faults.Finish(); f.Injected != 0 || len(f.Devices) != 0 {
+		t.Errorf("merged set kept fault state %+v", f)
 	}
 }
 

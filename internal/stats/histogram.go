@@ -50,11 +50,11 @@ func NewLatencyHistogram() *Histogram {
 }
 
 // Histogram is a fixed-bucket distribution over non-negative float64
-// samples: response times for storagesim -v and the fleet, and every
-// distribution obsreport builds. Beside the bucket counts it keeps the exact
-// sample count, sum and extremes, so Quantile can interpolate inside a
-// bucket and clamp to the observed range. It is not safe for concurrent use;
-// obs.Histogram is the atomic variant, and snapshots into this type.
+// samples: response times for storagesim -v and the fleet, every
+// distribution obsreport builds, and the metrics registry's. Beside the
+// bucket counts it keeps the exact sample count, sum and extremes, so
+// Quantile can interpolate inside a bucket and clamp to the observed range.
+// It is not safe for concurrent use; obs.Histogram puts one behind a mutex.
 type Histogram struct {
 	// Bounds are the inclusive upper edges of the buckets, strictly
 	// ascending; a sample above the last bound lands in Overflow. They are
@@ -90,9 +90,9 @@ func checkBounds(bounds []float64) {
 
 // Bucket returns the index of the bucket x falls in: the first bound ≥ x,
 // or len(bounds), the overflow bucket, when x is above every bound or NaN.
-// It buckets float samples (Add, and obs.Histogram's atomic registry
-// histograms); durations go through DurationLayout.Bucket, which gives the
-// same index for every converted duration without a float search.
+// It buckets float samples (Add); durations go through
+// DurationLayout.Bucket, which gives the same index for every converted
+// duration without a float search.
 func Bucket(bounds []float64, x float64) int {
 	lo, hi := 0, len(bounds)
 	for lo < hi {
