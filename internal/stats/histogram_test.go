@@ -36,6 +36,16 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
+// Add sends a NaN sample to the overflow bucket, as a first-bound-≥-x scan
+// does.
+func TestHistogramNaNOverflow(t *testing.T) {
+	h := NewHistogram(LogBounds(1, 100))
+	h.Add(math.NaN())
+	if h.Overflow != 1 || h.N != 1 || slices.Max(h.Counts) != 0 {
+		t.Errorf("Add(NaN): counts %v overflow %d, want overflow 1", h.Counts, h.Overflow)
+	}
+}
+
 func TestHistogramEmptyQuantile(t *testing.T) {
 	h := NewHistogram([]float64{1})
 	if q := h.QuantileBound(0.9); q != 0 {
