@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmt-check test test-diff race bench bench-smoke bench-gate bench-gate-faults bench-gate-array bench-gate-update profile-fig2 profile-fig4 profile-fleet profile-events fuzz-smoke golden-update serve-smoke check
+.PHONY: build vet fmt-check test test-diff race bench bench-smoke bench-gate bench-gate-faults bench-gate-array bench-gate-update profile-fig2 profile-fig4 profile-table4 profile-fleet profile-events fuzz-smoke golden-update serve-smoke check
 
 build:
 	$(GO) build ./...
@@ -101,6 +101,15 @@ profile-fig4:
 	$(GO) test -run='^$$' -bench='^BenchmarkFig4$$' -benchtime=10x \
 		-cpuprofile cpu-fig4.pprof -memprofile mem-fig4.pprof .
 
+# The same profiles of Table 4 (BenchmarkTable4Mac, Dos and HP on one
+# thread): 21 runs, each of which prepares its own trace (validation,
+# per-file extents, placement), so a trace-prep cost shows here and not in
+# the memoized figure sweeps. Check the validation loop's code with
+# `go tool pprof -disasm 'trace.\(\*Trace\).Validate' mobilestorage.test cpu-table4.pprof`.
+profile-table4:
+	$(GO) test -run='^$$' -bench='^BenchmarkTable4(Mac|Dos|HP)$$' -benchtime=10x -cpu 1 \
+		-cpuprofile cpu-table4.pprof -memprofile mem-table4.pprof .
+
 # The same profiles of the fleet-grid job (BenchmarkFleetGrid): nine runs
 # whose events feed the fleet's figure builders through their kind masks.
 profile-fleet:
@@ -121,7 +130,7 @@ serve-smoke:
 	sh scripts/serve_smoke.sh
 
 # Coverage-guided fuzz burst: every Fuzz* target in the module, 30 s each,
-# stopping at the first failure (22 targets, about 12 minutes on 2 vCPUs).
+# stopping at the first failure (23 targets, about 12 minutes on 2 vCPUs).
 fuzz-smoke:
 	bash scripts/fuzz_smoke.sh
 

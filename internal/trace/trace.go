@@ -138,17 +138,36 @@ func (t *Trace) Validate() error {
 	// so an end above this limit would overflow during placement.
 	maxEnd := math.MaxInt64 - (t.BlockSize - 1)
 	var prev units.Time
-	for i, r := range t.Records {
-		if err := r.Validate(); err != nil {
-			return fmt.Errorf("trace %q record %d: %w", t.Name, i, err)
-		}
-		if end := r.End(); end > maxEnd {
-			return fmt.Errorf("trace %q record %d: end %d overflows when rounded up to %d-byte blocks", t.Name, i, end, t.BlockSize)
-		}
-		if r.Time < prev {
-			return fmt.Errorf("trace %q record %d: time goes backwards (%d < %d)", t.Name, i, r.Time, prev)
+	recs := t.Records
+	for i := range recs {
+		r := &recs[i]
+		// One test per record, indexed in place: it passes every valid
+		// record except a zero-size delete, and flags every record that
+		// recordError would reject. Offset is known non-negative before
+		// maxEnd-Offset is taken, so the subtraction cannot overflow.
+		if r.Time < prev || r.Time < 0 || r.Offset < 0 || r.Size <= 0 || r.Size > maxEnd-r.Offset {
+			if err := t.recordError(i, prev, maxEnd); err != nil {
+				return err
+			}
 		}
 		prev = r.Time
+	}
+	return nil
+}
+
+// recordError is Validate's full check of record i, run only on the
+// records its fast test flags; it returns nil for a record that passes
+// after all (a zero-size delete).
+func (t *Trace) recordError(i int, prev units.Time, maxEnd units.Bytes) error {
+	r := t.Records[i]
+	if err := r.Validate(); err != nil {
+		return fmt.Errorf("trace %q record %d: %w", t.Name, i, err)
+	}
+	if end := r.End(); end > maxEnd {
+		return fmt.Errorf("trace %q record %d: end %d overflows when rounded up to %d-byte blocks", t.Name, i, end, t.BlockSize)
+	}
+	if r.Time < prev {
+		return fmt.Errorf("trace %q record %d: time goes backwards (%d < %d)", t.Name, i, r.Time, prev)
 	}
 	return nil
 }
@@ -204,8 +223,12 @@ func (s *FileSizes) Get(file uint32) units.Bytes {
 // allocation-light equivalent of MaxFileSizes.
 func (t *Trace) MaxFileExtents() *FileSizes {
 	s := &FileSizes{}
-	for _, r := range t.Records {
-		end := r.End()
+	recs := t.Records
+	for i := range recs {
+		// In place, and End's sum spelled out: a range copy, or End on *r,
+		// copies the 32-byte record to the stack first.
+		r := &recs[i]
+		end := r.Offset + r.Size
 		if r.File < denseFileLimit {
 			if int(r.File) >= len(s.dense) {
 				if int(r.File) < cap(s.dense) {
