@@ -5,6 +5,9 @@
 //	experiments -all           # run the full suite in paper order
 //	experiments -csv out/      # write the figures as CSVs for plotting
 //	experiments -svg out/      # render SVG figures (index small multiples)
+//
+// The five modes exclude each other: setting more than one is a usage
+// error (exit status 2).
 package main
 
 import (
@@ -12,6 +15,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"mobilestorage/internal/experiments"
 )
@@ -26,6 +30,12 @@ func main() {
 		seed = flag.Int64("seed", experiments.DefaultSeed, "workload generation seed")
 	)
 	flag.Parse()
+	if set := modeFlags(*list, *run, *all, *csv, *svg); len(set) > 1 {
+		last := len(set) - 1
+		fmt.Fprintf(os.Stderr, "experiments: %s and %s cannot be combined; choose one of -list, -run, -all, -csv and -svg\n",
+			strings.Join(set[:last], ", "), set[last])
+		os.Exit(2)
+	}
 
 	reg := experiments.Registry()
 	switch {
@@ -67,6 +77,21 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+}
+
+// modeFlags names the mode flags that are set, in flag order. Each selects
+// what the command does, so more than one is a usage error.
+func modeFlags(list bool, run string, all bool, csv, svg string) []string {
+	var set []string
+	for _, m := range []struct {
+		name string
+		on   bool
+	}{{"-list", list}, {"-run", run != ""}, {"-all", all}, {"-csv", csv != ""}, {"-svg", svg != ""}} {
+		if m.on {
+			set = append(set, m.name)
+		}
+	}
+	return set
 }
 
 // writeSVGs renders the figure-shaped experiments as SVG documents.
