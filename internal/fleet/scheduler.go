@@ -416,8 +416,9 @@ func mustJSON(v any) []byte {
 }
 
 // runOne executes one grid cell: trace from the cache, config from the
-// spec, a private FigureSet observing the run's event stream, and — when
-// sampling is on — a private registry for the simulated-time sampler.
+// spec, a private FigureSet observing the run's event stream through
+// mergedFigures, and — when sampling is on — a private registry for the
+// simulated-time sampler.
 func (ej *expandedJob) runOne(rs RunSpec, cache *traceCache) (*core.Result, *obsreport.FigureSet, error) {
 	t, prep, err := cache.get(ej, rs)
 	if err != nil {
@@ -432,12 +433,32 @@ func (ej *expandedJob) runOne(rs RunSpec, cache *traceCache) (*core.Result, *obs
 	if ej.spec.SampleEveryS > 0 {
 		reg = obs.NewRegistry()
 	}
-	cfg.Scope = obs.NewScope(reg, figs)
+	cfg.Scope = obs.NewScope(reg, mergedFigures{figs})
 	res, err := core.Run(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
 	return res, figs, nil
+}
+
+// mergedFigures is a run's tracer: it feeds only the builders
+// FigureSet.Merge folds into the job's aggregate (timeline, latency, wear
+// and cleaning) and declares only their kinds. The energy, faults and array
+// figures are per-run distributions the aggregator takes from each Result,
+// so a run's scope never builds their events.
+type mergedFigures struct{ s *obsreport.FigureSet }
+
+// Kinds implements obs.KindFilter.
+func (m mergedFigures) Kinds() obs.KindSet {
+	return m.s.Timeline.Kinds() | m.s.Latency.Kinds() | m.s.Wear.Kinds() | m.s.Cleaning.Kinds()
+}
+
+// Emit implements obs.Tracer.
+func (m mergedFigures) Emit(e obs.Event) {
+	m.s.Timeline.Observe(e)
+	m.s.Latency.Observe(e)
+	m.s.Wear.Observe(e)
+	m.s.Cleaning.Observe(e)
 }
 
 // traceCache memoizes generated traces and their preps. Replica-outermost

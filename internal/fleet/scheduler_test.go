@@ -1,13 +1,16 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"testing"
 	"time"
 
+	"mobilestorage/internal/core"
 	"mobilestorage/internal/obs"
+	"mobilestorage/internal/obsreport"
 )
 
 // smallSpec is a fast multi-device grid for scheduler tests.
@@ -334,4 +337,79 @@ func indexOf(s, sub string) int {
 		}
 	}
 	return -1
+}
+
+// A run's tracer declares and feeds only the builders FigureSet.Merge folds
+// into the job (timeline, latency, wear, cleaning). Under a fault plan and
+// energy sampling, no fault, retry, power-fail or sample.energy event
+// reaches a per-run set, while a full FigureSet on the same run receives
+// them; and the job's report and every figure are byte-identical to an
+// aggregate of full sets, one per run in run order.
+func TestRunTracerReadsOnlyMergedKinds(t *testing.T) {
+	spec := Spec{Traces: []string{"synth"}, SynthOps: 2000, Devices: []string{"cu140", "intel"}, Replicas: 2,
+		Seed: 3, SampleEveryS: 1,
+		FaultPlans: []json.RawMessage{json.RawMessage(`{"write_error_rate":0.01,"power_fail_at_us":[5000000]}`)}}
+	ej, err := expand(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropped := obs.Kinds(obs.EvFaultInjected, obs.EvRetryAttempt, obs.EvPowerFail, obs.EvEnergySample)
+	cache := newTraceCache(2)
+	want := NewAggregator()
+	saw := obs.NewCollector(dropped)
+	for i, rs := range ej.runs {
+		_, figs, err := ej.runOne(rs, cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e, f := figs.Energy.Finish(), figs.Faults.Finish(); len(e) != 0 || len(f.Devices) != 0 {
+			t.Errorf("run %d: per-run set built %d energy series and %d fault devices, want none", i, len(e), len(f.Devices))
+		}
+
+		// The same run under a full FigureSet, which reads every kind.
+		tr, prep, err := cache.get(ej, rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := ej.buildConfig(rs, tr, prep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := obsreport.NewFigureSet()
+		cfg.Scope = obs.NewScope(obs.NewRegistry(), obs.Tee(full, saw))
+		res, err := core.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Add(res, full)
+	}
+	var fullSaw obs.KindSet
+	for _, e := range saw.Events() {
+		fullSaw |= obs.Kinds(e.Kind)
+	}
+	if fullSaw != dropped {
+		t.Fatalf("full sets saw kinds %b of %b: the job does not exercise the dropped builders", fullSaw, dropped)
+	}
+
+	j := runJob(t, NewService(obs.NewRegistry()), spec)
+	st := j.Status()
+	if st.State != StateDone || st.Failed != 0 {
+		t.Fatalf("state %q with %d failed runs: %v", st.State, st.Failed, st.Errors)
+	}
+	if got, ref := mustJSON(st.Report), mustJSON(want.Report()); !bytes.Equal(got, ref) {
+		t.Errorf("report differs from the full-set aggregate:\n got %s\nwant %s", got, ref)
+	}
+	for _, kind := range obsreport.FigureKinds() {
+		got, err := j.Chart(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := want.Chart(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.SVG() != ref.SVG() {
+			t.Errorf("%s figure differs from the full-set aggregate", kind)
+		}
+	}
 }

@@ -149,7 +149,8 @@ func (s *FigureSet) Observe(e obs.Event) {
 // plot series over each run's own simulated clock (cumulative energy,
 // fault injections, member deaths and rebuilds), so merging them across
 // runs is meaningless (and unbounded). Fleet aggregation summarizes each as
-// a per-run distribution instead (see internal/fleet).
+// a per-run distribution instead (see internal/fleet), whose per-run
+// tracer feeds only the four builders merged here.
 func (s *FigureSet) Merge(o *FigureSet) {
 	if o == nil || s == o {
 		return
