@@ -2,8 +2,10 @@ package fleet
 
 import (
 	"context"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestSweepOrder: for any worker count, do runs exactly once per index and
@@ -71,4 +73,37 @@ func TestSweepCancel(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSweepBoundsRunAhead: while index 0 is slow, no index starts past the
+// window of the merged prefix. Index 0 waits until some index would start
+// past it, or 200 ms.
+func TestSweepBoundsRunAhead(t *testing.T) {
+	const n, workers = 200, 2
+	window := sweepWindow * workers
+	var mu sync.Mutex
+	merged := 0
+	overrun := make(chan struct{})
+	var once sync.Once
+	Sweep(context.Background(), n, workers, func(i int) struct{} {
+		if i == 0 {
+			select {
+			case <-overrun:
+			case <-time.After(200 * time.Millisecond):
+			}
+			return struct{}{}
+		}
+		mu.Lock()
+		m := merged
+		mu.Unlock()
+		if i >= m+window {
+			t.Errorf("index %d started with %d merged, window %d", i, m, window)
+			once.Do(func() { close(overrun) })
+		}
+		return struct{}{}
+	}, func(int, struct{}) {
+		mu.Lock()
+		merged++
+		mu.Unlock()
+	})
 }
