@@ -241,16 +241,6 @@ func (a *Array) FaultReport() *fault.Report {
 	return rep
 }
 
-// Degraded reports whether any member is currently dead.
-func (a *Array) Degraded() bool {
-	for i := range a.members {
-		if a.members[i].dead {
-			return true
-		}
-	}
-	return false
-}
-
 // liveCount counts members currently serving.
 func (a *Array) liveCount() int {
 	n := 0

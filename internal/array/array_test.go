@@ -169,7 +169,7 @@ func TestMirrorDeathAndRebuild(t *testing.T) {
 	if len(rep.Violations) != 0 {
 		t.Fatalf("violations: %v", rep.Violations)
 	}
-	if arr.Degraded() {
+	if arr.liveCount() < len(arr.members) {
 		t.Error("rebuilt mirror still reports degraded")
 	}
 }
@@ -226,7 +226,7 @@ func TestStripeDeadShareBackoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	arr.Idle(units.Second)
-	if !arr.Degraded() {
+	if arr.liveCount() == len(arr.members) {
 		t.Fatal("stripe member did not die on schedule")
 	}
 	before := m1.reads

@@ -147,18 +147,12 @@ func New(params device.MemoryParams, size, blockSize units.Bytes, writeBack bool
 	return c, nil
 }
 
-// Size returns the configured capacity in bytes.
-func (c *Cache) Size() units.Bytes { return c.size }
-
 // Meter exposes the cache's energy accounting.
 func (c *Cache) Meter() *energy.Meter { return c.meter }
 
 // Hits and Misses report lookup outcomes.
 func (c *Cache) Hits() int64   { return c.hits }
 func (c *Cache) Misses() int64 { return c.misses }
-
-// Len returns the number of cached blocks.
-func (c *Cache) Len() int { return c.used }
 
 // AccessTime returns the DRAM transfer time for size bytes and charges the
 // active energy for it.

@@ -50,8 +50,8 @@ func TestLRUEviction(t *testing.T) {
 	if c.Contains(units.KB, units.KB) {
 		t.Error("LRU block not evicted")
 	}
-	if c.Len() != 4 {
-		t.Errorf("Len = %d, want 4", c.Len())
+	if c.used != 4 {
+		t.Errorf("%d cached blocks, want 4", c.used)
 	}
 }
 
@@ -172,7 +172,7 @@ func TestCacheNeverExceedsCapacity(t *testing.T) {
 					return false // hit on a block never inserted / invalidated
 				}
 			}
-			if c.Len() > capBlocks {
+			if c.used > capBlocks {
 				return false
 			}
 		}

@@ -130,9 +130,9 @@ func runDifferential(data []byte) error {
 				return fmt.Errorf("%s step %d: %s = %d, reference %d", geometry, step, call, got, want)
 			}
 		}
-		if c.Len() != ref.Len() || c.Hits() != ref.Hits() || c.Misses() != ref.Misses() {
+		if c.used != ref.Len() || c.Hits() != ref.Hits() || c.Misses() != ref.Misses() {
 			return fmt.Errorf("%s step %d: after %s len/hits/misses %d/%d/%d, reference %d/%d/%d", geometry, step, call,
-				c.Len(), c.Hits(), c.Misses(), ref.Len(), ref.Hits(), ref.Misses())
+				c.used, c.Hits(), c.Misses(), ref.Len(), ref.Hits(), ref.Misses())
 		}
 	}
 	return nil

@@ -122,7 +122,7 @@ func TestSamplerDoesNotChangeResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampled, err := Run(sampledConfig(t, obs.NewScope(obs.NewRegistry(), obs.NewRing(1024))))
+	sampled, err := Run(sampledConfig(t, obs.NewScope(obs.NewRegistry(), obs.NewCollector(obs.AllKinds))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestSamplerEmitsEnergyEvents(t *testing.T) {
 
 // Sampling without a registry (tracer-only scope) is a configured no-op.
 func TestSamplerNeedsRegistry(t *testing.T) {
-	cfg := sampledConfig(t, obs.NewScope(nil, obs.NewRing(16)))
+	cfg := sampledConfig(t, obs.NewScope(nil, obs.NewCollector(obs.AllKinds)))
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -145,17 +145,11 @@ func New(p device.DiskParams, opts ...Option) (*Disk, error) {
 	return d, nil
 }
 
-// Policy returns the installed spin-down policy.
-func (d *Disk) Policy() SpinPolicy { return d.policy }
-
 // Name implements device.Device.
 func (d *Disk) Name() string { return fmt.Sprintf("%s-%s", d.p.Name, d.p.Source) }
 
 // Meter implements device.Device.
 func (d *Disk) Meter() *energy.Meter { return d.meter }
-
-// Params returns the device parameters.
-func (d *Disk) Params() device.DiskParams { return d.p }
 
 // SpinUps returns the number of spin-ups performed.
 func (d *Disk) SpinUps() int64 { return d.spinUps }

@@ -86,7 +86,7 @@ func TestDiskSpinDownAndUp(t *testing.T) {
 	}
 	done2 := d.Access(read(wake, 2, units.KB))
 	service := done2 - wake
-	if service < d.Params().SpinUpTime {
+	if service < d.p.SpinUpTime {
 		t.Errorf("access to sleeping disk took %v, less than spin-up", service)
 	}
 	if d.SpinUps() != 1 {
@@ -258,7 +258,7 @@ func TestImmediatePolicy(t *testing.T) {
 	d, _ := New(testParams(), WithPolicy(Immediate{}))
 	d.Access(read(0, 1, units.KB))
 	// Any idle instant later the disk is asleep.
-	if d.Spinning(d.Params().AccessLatency + 10*units.Second) {
+	if d.Spinning(d.p.AccessLatency + 10*units.Second) {
 		t.Error("immediate policy left the disk spinning")
 	}
 }

@@ -131,16 +131,6 @@ func compareMeters(t testing.TB, step int, got *Meter, want *refMeter) {
 			t.Fatalf("step %d: StateJ(%s) %v, reference %v", step, st.name, g, w)
 		}
 	}
-	gb, wb := got.ByState(), want.ByState()
-	if len(gb) != len(wb) {
-		t.Fatalf("step %d: ByState %v, reference %v", step, gb, wb)
-	}
-	for s, g := range gb {
-		w, ok := wb[refState(s.String())]
-		if !ok || math.Float64bits(g) != math.Float64bits(w) {
-			t.Fatalf("step %d: ByState %v, reference %v", step, gb, wb)
-		}
-	}
 	if g, w := got.String(), want.String(); g != w {
 		t.Fatalf("step %d: String %q, reference %q", step, g, w)
 	}

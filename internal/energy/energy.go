@@ -54,8 +54,8 @@ func (s State) String() string {
 // idle time) however their model requires.
 type Meter struct {
 	joules [numStates]float64
-	// present[i] records that state i was ever accrued, so ByState and
-	// String tell an absent state from one at zero joules.
+	// present[i] records that state i was ever accrued, so String tells an
+	// absent state from one at zero joules.
 	present [numStates]bool
 	total   float64
 }
@@ -83,17 +83,6 @@ func (m *Meter) Accrue(state State, watts float64, d units.Time) {
 
 // TotalJ returns total accumulated energy in joules.
 func (m *Meter) TotalJ() float64 { return m.total }
-
-// ByState returns a copy of the per-state attribution map.
-func (m *Meter) ByState() map[State]float64 {
-	out := make(map[State]float64, numStates)
-	for s := range numStates {
-		if m.present[s] {
-			out[s] = m.joules[s]
-		}
-	}
-	return out
-}
 
 // StateJ returns the energy attributed to one state.
 func (m *Meter) StateJ(s State) float64 { return m.joules[s] }

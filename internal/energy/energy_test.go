@@ -77,8 +77,8 @@ func TestMeterTotalIsSum(t *testing.T) {
 			m.Accrue(states[i%len(states)], 0.5, units.Time(d))
 		}
 		var sum float64
-		for _, j := range m.ByState() {
-			sum += j
+		for s := range numStates {
+			sum += m.StateJ(s)
 		}
 		return math.Abs(sum-m.TotalJ()) < 1e-9
 	}

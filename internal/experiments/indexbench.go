@@ -120,14 +120,10 @@ func indexBenchConfig(dev string, util float64, t *trace.Trace, prep *core.Trace
 	return cfg, nil
 }
 
-// IndexBenchEngine replays one index engine's trace over every storage
-// alternative at 40–95% utilization. The trace is generated once (memoized)
-// and the device × utilization grid is swept in parallel.
-func IndexBenchEngine(engine index.EngineKind, seed int64) ([]IndexBenchPoint, error) {
-	return IndexBenchEngineMix(engine, seed, "default")
-}
-
-// IndexBenchEngineMix is IndexBenchEngine under a named op mix.
+// IndexBenchEngineMix replays one index engine's trace, under a named op
+// mix, over every storage alternative at 40–95% utilization. The trace is
+// generated once (memoized) and the device × utilization grid is swept in
+// parallel.
 func IndexBenchEngineMix(engine index.EngineKind, seed int64, mixName string) ([]IndexBenchPoint, error) {
 	t, st, err := IndexWorkloadMix(engine, seed, mixName)
 	if err != nil {

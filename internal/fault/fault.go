@@ -207,9 +207,6 @@ func (in *Injector) float64() float64 {
 	return float64(in.next()>>11) / (1 << 53)
 }
 
-// Enabled reports whether this injector injects anything (false for nil).
-func (in *Injector) Enabled() bool { return in != nil }
-
 // rate returns the transient error rate for the op class.
 func (in *Injector) rate(op Op) float64 {
 	switch op {

@@ -116,9 +116,6 @@ func TestNewInjectorNilForDisabledPlans(t *testing.T) {
 
 func TestNilInjectorSafe(t *testing.T) {
 	var in *Injector
-	if in.Enabled() {
-		t.Error("nil injector enabled")
-	}
 	if att, backoff := in.Attempts(OpWrite, "dev", 0); att != 1 || backoff != 0 {
 		t.Errorf("nil Attempts = (%d, %v), want (1, 0)", att, backoff)
 	}

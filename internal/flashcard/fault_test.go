@@ -96,22 +96,22 @@ func TestWearOutRetiresSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	churn(c, 60)
-	if c.BadSegments() == 0 {
+	if int64(c.badSegs) == 0 {
 		t.Fatal("churn never retired a segment")
 	}
 	rep := in.Report()
 	if rep.Remaps == 0 {
 		t.Error("no remaps recorded")
 	}
-	if rep.Remaps+rep.SparesExhausted < c.BadSegments() {
+	if rep.Remaps+rep.SparesExhausted < int64(c.badSegs) {
 		t.Errorf("remaps (%d) + exhausted (%d) below retirements (%d)",
-			rep.Remaps, rep.SparesExhausted, c.BadSegments())
+			rep.Remaps, rep.SparesExhausted, int64(c.badSegs))
 	}
 	if rep.Remaps > 2 {
 		t.Errorf("%d remaps from only 2 spares", rep.Remaps)
 	}
-	if c.SpareSegmentsLeft() != 2-rep.Remaps {
-		t.Errorf("spares left = %d, want %d", c.SpareSegmentsLeft(), 2-rep.Remaps)
+	if c.sparesLeft != 2-rep.Remaps {
+		t.Errorf("spares left = %d, want %d", c.sparesLeft, 2-rep.Remaps)
 	}
 	if err := c.CheckConsistency(); err != nil {
 		t.Errorf("card inconsistent after wear-out: %v", err)
@@ -136,7 +136,7 @@ func TestRetirementNeverStrandsLiveData(t *testing.T) {
 			at = c.Access(wr(at, b*units.KB, units.KB)) + units.Minute
 		}
 	}
-	usable := int64(c.nseg) - c.BadSegments()
+	usable := int64(c.nseg) - int64(c.badSegs)
 	if usable < reserveSegments+2 {
 		t.Errorf("retirement broke the structural floor: %d usable segments", usable)
 	}
@@ -168,7 +168,7 @@ func TestReclaimUnderCapacityPressure(t *testing.T) {
 			at = c.Access(wr(at, b*units.KB, units.KB)) + units.Minute
 		}
 	}
-	retired := c.BadSegments()
+	retired := int64(c.badSegs)
 	if retired == 0 {
 		t.Fatal("phase 1 never retired a segment")
 	}
@@ -191,8 +191,8 @@ func TestReclaimUnderCapacityPressure(t *testing.T) {
 	if rep.Reclaims == 0 {
 		t.Error("overcommitted card never reclaimed a retired segment")
 	}
-	if c.BadSegments() >= retired {
-		t.Errorf("bad segments %d → %d: reclaim did not return capacity", retired, c.BadSegments())
+	if int64(c.badSegs) >= retired {
+		t.Errorf("bad segments %d → %d: reclaim did not return capacity", retired, int64(c.badSegs))
 	}
 	if got := c.LiveBlocks(); got != 42 {
 		t.Errorf("live blocks = %d, want 42", got)

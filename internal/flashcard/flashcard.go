@@ -133,7 +133,6 @@ type Card struct {
 	hostWrites  int64 // host blocks written
 	copyWrites  int64 // cleaner blocks copied
 	totalErases int64
-	stallTime   units.Time // write time spent waiting for erased space
 	stalls      int64
 	cleanTime   units.Time // cumulative copy+erase time
 	hostTime    units.Time // cumulative host transfer time
@@ -338,9 +337,6 @@ func (c *Card) Meter() *energy.Meter { return c.meter }
 // Params returns the device parameters.
 func (c *Card) Params() device.FlashCardParams { return c.p }
 
-// Capacity returns the usable capacity (whole segments).
-func (c *Card) Capacity() units.Bytes { return c.capacity }
-
 // LiveBlocks returns the number of live logical blocks on the card.
 func (c *Card) LiveBlocks() int64 {
 	var live int64
@@ -364,9 +360,6 @@ func (c *Card) CopiedBlocks() int64 { return c.copyWrites }
 
 // HostBlocks returns the number of blocks written by the host.
 func (c *Card) HostBlocks() int64 { return c.hostWrites }
-
-// StallTime returns cumulative write time spent waiting for erased space.
-func (c *Card) StallTime() units.Time { return c.stallTime }
 
 // Stalls returns the number of writes that waited for erased space.
 func (c *Card) Stalls() int64 { return c.stalls }
@@ -465,7 +458,6 @@ func (c *Card) write(addr, size units.Bytes, start units.Time) units.Time {
 		c.inj.SeedLatent(first, last)
 	}
 	if stall > 0 {
-		c.stallTime += stall
 		c.stalls++
 		c.cStalls.Inc()
 		if c.sc.Wants(obs.EvCardStall) {
@@ -942,12 +934,6 @@ func (c *Card) canRetire() bool {
 	}
 	return c.LiveBlocks() <= (usable-reserveSegments)*int64(c.blocksPerSeg)
 }
-
-// BadSegments returns the number of segments retired by injected wear-out.
-func (c *Card) BadSegments() int64 { return int64(c.badSegs) }
-
-// SpareSegmentsLeft returns the plan's spare segments not yet consumed.
-func (c *Card) SpareSegmentsLeft() int64 { return c.sparesLeft }
 
 // Crash implements device.Crasher: power failure drops the in-flight
 // cleaning job. The job's copies and erase had not been applied — state

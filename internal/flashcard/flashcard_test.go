@@ -8,6 +8,7 @@ import (
 
 	"mobilestorage/internal/device"
 	"mobilestorage/internal/energy"
+	"mobilestorage/internal/obs"
 	"mobilestorage/internal/trace"
 	"mobilestorage/internal/units"
 )
@@ -156,7 +157,8 @@ func TestBackgroundCleaningDuringIdle(t *testing.T) {
 }
 
 func TestSynchronousStallWhenNoSpace(t *testing.T) {
-	c := newCard(t, 4, WithOnDemandCleaning())
+	stalls := obs.NewCollector(obs.Kinds(obs.EvCardStall))
+	c := newCard(t, 4, WithOnDemandCleaning(), WithScope(obs.NewScope(nil, stalls)))
 	// Rewrite the same 8 KB until the erased pool is exhausted; the write
 	// that finds no erased segment must wait for an on-demand clean.
 	var clock units.Time
@@ -166,8 +168,12 @@ func TestSynchronousStallWhenNoSpace(t *testing.T) {
 	if c.Stalls() == 0 {
 		t.Fatalf("no stall despite exhausted space (last completion %v)", clock)
 	}
-	if c.StallTime() < c.Params().EraseTime {
-		t.Errorf("stall %v shorter than one erase", c.StallTime())
+	var stall units.Time
+	for _, e := range stalls.Events() {
+		stall += units.Time(e.Dur)
+	}
+	if stall < c.Params().EraseTime {
+		t.Errorf("stall %v shorter than one erase", stall)
 	}
 	if c.TotalErases() == 0 {
 		t.Error("on-demand cleaning did not erase")
@@ -378,8 +384,8 @@ func TestName(t *testing.T) {
 	if c.Name() != "toy-datasheet" {
 		t.Errorf("Name = %q", c.Name())
 	}
-	if c.Capacity() != 64*units.KB {
-		t.Errorf("Capacity = %v", c.Capacity())
+	if c.capacity != 64*units.KB {
+		t.Errorf("capacity = %v", c.capacity)
 	}
 }
 

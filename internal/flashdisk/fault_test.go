@@ -63,10 +63,10 @@ func TestWearOutShrinksSparePool(t *testing.T) {
 		at = f.Access(wr(at, 2*units.KB)) + units.Second
 		f.Idle(at) // background eraser refills the pool, adding erasures
 	}
-	if f.DeadSectors() != f.TotalErases()/4 {
-		t.Errorf("dead sectors = %d, want totalErases/4 = %d", f.DeadSectors(), f.TotalErases()/4)
+	if f.deadSectors != f.TotalErases()/4 {
+		t.Errorf("dead sectors = %d, want totalErases/4 = %d", f.deadSectors, f.TotalErases()/4)
 	}
-	if f.DeadSectors() == 0 {
+	if f.deadSectors == 0 {
 		t.Fatal("workload never crossed the wear-out threshold")
 	}
 	if f.spareTotal >= pool {
@@ -80,9 +80,9 @@ func TestWearOutShrinksSparePool(t *testing.T) {
 	if rep.Remaps == 0 {
 		t.Error("no remaps recorded")
 	}
-	if rep.Remaps+rep.SparesExhausted != f.DeadSectors() {
+	if rep.Remaps+rep.SparesExhausted != f.deadSectors {
 		t.Errorf("remaps (%d) + spares exhausted (%d) != dead sectors (%d)",
-			rep.Remaps, rep.SparesExhausted, f.DeadSectors())
+			rep.Remaps, rep.SparesExhausted, f.deadSectors)
 	}
 }
 

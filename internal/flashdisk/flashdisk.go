@@ -162,12 +162,6 @@ func (f *FlashDisk) Name() string {
 // Meter implements device.Device.
 func (f *FlashDisk) Meter() *energy.Meter { return f.meter }
 
-// Params returns the device parameters.
-func (f *FlashDisk) Params() device.FlashDiskParams { return f.p }
-
-// PreErased returns the current pre-erased sector count (async mode).
-func (f *FlashDisk) PreErased() int64 { return f.preErased }
-
 // TotalErases returns the total number of sector erasures performed.
 func (f *FlashDisk) TotalErases() int64 { return f.totalErases }
 
@@ -315,9 +309,6 @@ func (f *FlashDisk) checkWear(at units.Time) {
 		}
 	}
 }
-
-// DeadSectors returns the number of sectors retired by injected wear-out.
-func (f *FlashDisk) DeadSectors() int64 { return f.deadSectors }
 
 // Crash implements device.Crasher: a power failure drops the controller's
 // in-flight background-erase progress; flash contents and the remapping

@@ -48,7 +48,7 @@ func TestAsyncFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.PreErased() == 0 {
+	if f.preErased == 0 {
 		t.Fatal("async disk shipped with no pre-erased spares")
 	}
 	// A small write into pre-erased sectors runs at 400 KB/s.
@@ -61,7 +61,7 @@ func TestAsyncFastPath(t *testing.T) {
 
 func TestAsyncPoolDepletion(t *testing.T) {
 	f, _ := New(params(), 10*units.MB, WithAsyncErase())
-	pool := f.PreErased()
+	pool := f.preErased
 	// One write bigger than the pool: the shortfall pays erase+write.
 	size := units.Bytes(pool+100) * 512
 	done := f.Access(wr(0, size))
@@ -69,24 +69,24 @@ func TestAsyncPoolDepletion(t *testing.T) {
 	if done <= fastOnly {
 		t.Errorf("oversized write (%v) did not pay synchronous erasure", done)
 	}
-	if f.PreErased() != 0 {
-		t.Errorf("pool not depleted: %d", f.PreErased())
+	if f.preErased != 0 {
+		t.Errorf("pool not depleted: %d", f.preErased)
 	}
 }
 
 func TestAsyncBackgroundReplenish(t *testing.T) {
 	f, _ := New(params(), 10*units.MB, WithAsyncErase())
-	pool := f.PreErased()
+	pool := f.preErased
 	size := units.Bytes(pool) * 512
 	done := f.Access(wr(0, size)) // exactly drains the pool
-	if f.PreErased() != 0 {
-		t.Fatalf("pool = %d after draining write", f.PreErased())
+	if f.preErased != 0 {
+		t.Fatalf("pool = %d after draining write", f.preErased)
 	}
 	// Idle long enough to erase everything stale: pool*512B at 150 KB/s.
 	need := units.TransferTime(size, 150)
 	f.Idle(done + need + units.Second)
-	if f.PreErased() != pool {
-		t.Errorf("pool = %d after idle, want %d", f.PreErased(), pool)
+	if f.preErased != pool {
+		t.Errorf("pool = %d after idle, want %d", f.preErased, pool)
 	}
 	if j := f.Meter().StateJ(energy.StateErase); j <= 0 {
 		t.Error("background erasure charged no energy")
@@ -95,12 +95,12 @@ func TestAsyncBackgroundReplenish(t *testing.T) {
 
 func TestAsyncPartialIdleProgress(t *testing.T) {
 	f, _ := New(params(), 10*units.MB, WithAsyncErase())
-	pool := f.PreErased()
+	pool := f.preErased
 	done := f.Access(wr(0, units.Bytes(pool)*512))
 	// Give the eraser only enough time for half the sectors.
 	half := units.TransferTime(units.Bytes(pool)*512, 150) / 2
 	f.Idle(done + half)
-	got := f.PreErased()
+	got := f.preErased
 	if got < pool/2-2 || got > pool/2+2 {
 		t.Errorf("pool = %d after half the erase time, want ≈%d", got, pool/2)
 	}

@@ -57,9 +57,7 @@ type Cache struct {
 	destageDoneAt units.Time
 
 	// Counters.
-	hits, misses  int64
 	destageWrites int64
-	destages      int64
 
 	// Observability (nil-safe no-ops without a scope).
 	sc        *obs.Scope
@@ -147,23 +145,6 @@ func (c *Cache) Meter() *energy.Meter {
 // Parts implements device.Composite: the disk, then the flash cache.
 func (c *Cache) Parts() []device.Device { return []device.Device{c.dsk, c.card} }
 
-// Disk exposes the underlying disk (spin-up statistics).
-func (c *Cache) Disk() *disk.Disk { return c.dsk }
-
-// Card exposes the flash cache substrate (wear statistics).
-func (c *Cache) Card() *flashcard.Card { return c.card }
-
-// HitRate returns the flash-cache hit rate over reads.
-func (c *Cache) HitRate() float64 {
-	if c.hits+c.misses == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(c.hits+c.misses)
-}
-
-// Destages returns the number of destage batches written to the disk.
-func (c *Cache) Destages() int64 { return c.destages }
-
 // Idle implements device.Device.
 func (c *Cache) Idle(now units.Time) {
 	c.dsk.Idle(now)
@@ -205,7 +186,6 @@ func (c *Cache) read(req device.Request) units.Time {
 		}
 	}
 	if allCached {
-		c.hits++
 		c.cHits.Inc()
 		var completion units.Time
 		for b := first; b <= last; b++ {
@@ -218,7 +198,6 @@ func (c *Cache) read(req device.Request) units.Time {
 		}
 		return completion
 	}
-	c.misses++
 	c.cMisses.Inc()
 	completion := c.dsk.Access(req)
 	// Install the blocks into flash at disk-read completion: flash writes
@@ -337,7 +316,6 @@ func (c *Cache) destage(at units.Time) {
 	for _, b := range blocks {
 		c.slots[b].dirty = false
 	}
-	c.destages++
 	c.cDestages.Inc()
 	if c.sc.Wants(obs.EvHybridDestage) {
 		c.sc.Emit(obs.Event{T: int64(at), Kind: obs.EvHybridDestage, Dev: c.evName,

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"mobilestorage/internal/device"
+	"mobilestorage/internal/obs"
 	"mobilestorage/internal/trace"
 	"mobilestorage/internal/units"
 )
@@ -28,11 +29,20 @@ func wr(at units.Time, addr, size units.Bytes) device.Request {
 	return device.Request{Time: at, Op: trace.Write, File: 1, Addr: addr, Size: size}
 }
 
-func TestReadMissGoesToDiskThenHits(t *testing.T) {
-	c, err := New(cfg())
+// newCounted builds a cache whose counters land in the returned registry.
+func newCounted(t *testing.T, conf Config) (*Cache, *obs.Registry) {
+	t.Helper()
+	reg := obs.NewRegistry()
+	conf.Scope = obs.NewScope(reg, nil)
+	c, err := New(conf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return c, reg
+}
+
+func TestReadMissGoesToDiskThenHits(t *testing.T) {
+	c, reg := newCounted(t, cfg())
 	// First read: disk speed (tens of ms).
 	miss := c.Access(rd(0, 0, units.KB))
 	if miss < 20*units.Millisecond {
@@ -44,8 +54,8 @@ func TestReadMissGoesToDiskThenHits(t *testing.T) {
 	if hit > units.Millisecond {
 		t.Errorf("hit took %v, want flash speed", hit)
 	}
-	if c.HitRate() != 0.5 {
-		t.Errorf("hit rate = %g, want 0.5", c.HitRate())
+	if hits, misses := reg.Counter("hybrid.hits").Value(), reg.Counter("hybrid.misses").Value(); hits != 1 || misses != 1 {
+		t.Errorf("%d hits, %d misses, want one each", hits, misses)
 	}
 }
 
@@ -60,7 +70,7 @@ func TestWritesDoNotWakeTheDisk(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		clock = c.Access(wr(clock+units.Second, units.Bytes(i)*units.KB, units.KB))
 	}
-	if got := c.Disk().SpinUps(); got != 0 {
+	if got := c.dsk.SpinUps(); got != 0 {
 		t.Errorf("writes below high water spun the disk up %d times", got)
 	}
 	// Write service is flash-fast.
@@ -73,39 +83,34 @@ func TestWritesDoNotWakeTheDisk(t *testing.T) {
 }
 
 func TestDestageAtHighWater(t *testing.T) {
-	c, err := New(cfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, reg := newCounted(t, cfg())
 	// Dirty more than 25% of the 512-block cache.
 	var clock units.Time
 	for i := 0; i < 140; i++ {
 		clock = c.Access(wr(clock+100*units.Millisecond, units.Bytes(i)*units.KB, units.KB))
 	}
-	if c.Destages() == 0 {
+	destages := reg.Counter("hybrid.destages").Value()
+	if destages == 0 {
 		t.Error("no destage despite crossing the high-water mark")
 	}
 	// Destaged data woke the disk (once per batch, not per block).
-	if ups := c.Disk().SpinUps(); ups == 0 || ups > c.Destages()+1 {
-		t.Errorf("spinUps = %d for %d destages", ups, c.Destages())
+	if ups := c.dsk.SpinUps(); ups == 0 || ups > destages+1 {
+		t.Errorf("spinUps = %d for %d destages", ups, destages)
 	}
 }
 
 func TestEvictionPrefersClean(t *testing.T) {
 	small := cfg()
 	small.CacheSize = 16 * units.KB // 16 blocks
-	c, err := New(small)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, reg := newCounted(t, small)
 	var clock units.Time
 	// Fill with clean blocks (reads), then stream more reads through:
 	// evictions must not touch the disk beyond the misses themselves.
 	for i := 0; i < 64; i++ {
 		clock = c.Access(rd(clock+units.Second, units.Bytes(i)*units.KB, units.KB))
 	}
-	if c.HitRate() != 0 {
-		t.Errorf("hit rate %g on a pure-miss stream", c.HitRate())
+	if hits := reg.Counter("hybrid.hits").Value(); hits != 0 {
+		t.Errorf("%d hits on a pure-miss stream", hits)
 	}
 }
 
@@ -134,7 +139,7 @@ func TestEnergyCombinesComponents(t *testing.T) {
 	if total <= 0 {
 		t.Fatal("no energy")
 	}
-	sum := c.Disk().Meter().TotalJ() + c.Card().Meter().TotalJ()
+	sum := c.dsk.Meter().TotalJ() + c.card.Meter().TotalJ()
 	if total != sum {
 		t.Errorf("combined meter %g ≠ disk+card %g", total, sum)
 	}
@@ -154,8 +159,8 @@ func TestConstructionErrors(t *testing.T) {
 }
 
 // TestHybridInvariants: random traffic never loses cache-state consistency:
-// hit rate stays in [0,1], destage count is monotone, the underlying card
-// never exceeds utilization 1, and the LRU map matches the list.
+// the underlying card never exceeds utilization 1, and the LRU map matches
+// the list.
 func TestHybridInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -179,10 +184,7 @@ func TestHybridInvariants(t *testing.T) {
 				clock = c.Access(wr(clock, addr, n))
 			}
 		}
-		if hr := c.HitRate(); hr < 0 || hr > 1 {
-			return false
-		}
-		if u := c.Card().Utilization(); u > 1 {
+		if u := c.card.Utilization(); u > 1 {
 			return false
 		}
 		// LRU list length equals map size.

@@ -56,9 +56,6 @@ func NewBTree(pg *Pager) *BTree {
 // Name implements Engine.
 func (t *BTree) Name() string { return "btree" }
 
-// Len returns the number of live keys.
-func (t *BTree) Len() int { return t.n }
-
 func (t *BTree) node(pg *Page) *bnode { return pg.Data().(*bnode) }
 
 // Insert adds or overwrites key.

@@ -111,8 +111,8 @@ func TestBTreeProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkAgainstModel(t, tree, model, rng)
-			if tree.Len() != len(model) {
-				t.Fatalf("Len = %d, model has %d", tree.Len(), len(model))
+			if tree.n != len(model) {
+				t.Fatalf("%d keys, model has %d", tree.n, len(model))
 			}
 			tree.Flush()
 			if err := pg.Trace("btree").Validate(); err != nil {
@@ -162,8 +162,8 @@ func TestBTreeDrainToEmpty(t *testing.T) {
 			t.Fatalf("Delete(%d) missed", k)
 		}
 	}
-	if tree.Len() != 0 {
-		t.Fatalf("Len = %d after drain", tree.Len())
+	if tree.n != 0 {
+		t.Fatalf("%d keys after drain", tree.n)
 	}
 	if err := tree.checkInvariants(); err != nil {
 		t.Fatal(err)
@@ -190,8 +190,8 @@ func TestBTreeSequentialInsert(t *testing.T) {
 	if err := tree.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if tree.Len() != n {
-		t.Fatalf("Len = %d, want %d", tree.Len(), n)
+	if tree.n != n {
+		t.Fatalf("%d keys, want %d", tree.n, n)
 	}
 	// Bounded scan from the middle.
 	want := uint64(n / 2)

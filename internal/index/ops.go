@@ -230,15 +230,6 @@ func (g *OpGen) gap() units.Time {
 	return dt
 }
 
-// Ops generates the full op sequence for cfg.
-func (g *OpGen) Ops() []Op {
-	ops := make([]Op, g.cfg.Ops)
-	for i := range ops {
-		ops[i] = g.Next()
-	}
-	return ops
-}
-
 // Apply drives engine through one op, advancing the pager clock first so
 // the records each op emits carry its arrival time.
 func Apply(pg *Pager, e Engine, g *OpGen, op Op) {

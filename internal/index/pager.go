@@ -94,9 +94,6 @@ func NewPager(pageSize units.Bytes, poolPages int) (*Pager, error) {
 // PageSize returns the fixed page size.
 func (p *Pager) PageSize() units.Bytes { return p.pageSize }
 
-// Now returns the pager's logical clock.
-func (p *Pager) Now() units.Time { return p.clock }
-
 // Advance moves the logical clock forward; every record emitted afterwards
 // carries the new time. The op generator calls this once per operation.
 func (p *Pager) Advance(dt units.Time) {
@@ -259,9 +256,6 @@ func (p *Pager) FlushAll() {
 func (p *Pager) Trace(name string) *trace.Trace {
 	return &trace.Trace{Name: name, BlockSize: p.pageSize, Records: p.recs}
 }
-
-// Records returns how many trace records have been emitted so far.
-func (p *Pager) Records() int { return len(p.recs) }
 
 // PageReads / PageWrites / ReadBytes / WriteBytes report physical I/O.
 func (p *Pager) PageReads() int64        { return p.pageReads }

@@ -36,7 +36,7 @@ func TestPagerEvictionWritesBack(t *testing.T) {
 		p := pg.AllocPin(f, i)
 		p.Unpin(true)
 	}
-	if got := pg.Records(); got != 0 {
+	if got := len(pg.recs); got != 0 {
 		t.Fatalf("allocations alone emitted %d records", got)
 	}
 	// One more allocation evicts page 0 (LRU), which is dirty → 1 write.
@@ -102,7 +102,7 @@ func TestPagerFreeFileEmitsDelete(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		pg.WriteThrough(f, i)
 	}
-	before := pg.Records()
+	before := len(pg.recs)
 	pg.FreeFile(f)
 	recs := pg.Trace("t").Records
 	if got := len(recs) - before; got != 1 {

@@ -69,9 +69,6 @@ type File struct {
 // Reset empties the file (truncation or deletion).
 func (f *File) Reset() { f.written = 0 }
 
-// Written returns the compressed bytes the file holds.
-func (f *File) Written() units.Bytes { return f.written }
-
 // WriteCost returns the device bytes and software time for appending size
 // logical bytes of the given payload to the file, updating file state.
 //

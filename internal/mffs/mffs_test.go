@@ -24,7 +24,7 @@ func TestWriteCostGrowsWithFileSize(t *testing.T) {
 		prev = deviceBytes
 	}
 	// The growth is linear: byte cost at 512 KB written ≈ base + 10% of it.
-	want := 2*units.KB + units.Bytes(float64(f.Written())*m.RewriteFraction)
+	want := 2*units.KB + units.Bytes(float64(f.written)*m.RewriteFraction)
 	deviceBytes, _ := m.WriteCost(&f, 4*units.KB, compress.MobyDick)
 	if diff := deviceBytes - want; diff < -units.KB || diff > units.KB {
 		t.Errorf("device bytes %v, want ≈%v", deviceBytes, want)
@@ -66,11 +66,11 @@ func TestFileReset(t *testing.T) {
 	m := New()
 	var f File
 	m.WriteCost(&f, 32*units.KB, compress.MobyDick)
-	if f.Written() == 0 {
+	if f.written == 0 {
 		t.Fatal("file state not updated")
 	}
 	f.Reset()
-	if f.Written() != 0 {
+	if f.written != 0 {
 		t.Error("reset did not clear state")
 	}
 }

@@ -52,16 +52,6 @@ func BenchmarkScopeEmitNil(b *testing.B) {
 	}
 }
 
-func BenchmarkScopeEmitRing(b *testing.B) {
-	sc := NewScope(nil, NewRing(1<<12))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if sc.Wants(EvDiskSpinUp) {
-			sc.Emit(Event{T: int64(i), Kind: EvDiskSpinUp, Dev: "disk"})
-		}
-	}
-}
-
 // BenchmarkScopeEmitUnread is an emit site whose kind the tracer does not
 // read: the guard is one bit test and the event is never built.
 func BenchmarkScopeEmitUnread(b *testing.B) {

@@ -50,29 +50,36 @@ func TestKindSet(t *testing.T) {
 	}
 }
 
-// maskedRing is a Ring that declares a kind mask.
-type maskedRing struct {
-	*Ring
+// eventLog is a tracer that keeps every event it is handed and declares no
+// kind mask.
+type eventLog struct{ events []Event }
+
+func (l *eventLog) Emit(e Event) { l.events = append(l.events, e) }
+
+// maskedLog is an eventLog that declares a kind mask but does not filter
+// by it, so it sees whatever its scope or tee delivers.
+type maskedLog struct {
+	*eventLog
 	kinds KindSet
 }
 
-func (m maskedRing) Kinds() KindSet { return m.kinds }
+func (m maskedLog) Kinds() KindSet { return m.kinds }
 
 // TestScopeKindMask: a scope caches its tracer's mask (every kind for a
 // tracer without one), and Emit never delivers a kind outside it.
 func TestScopeKindMask(t *testing.T) {
-	all := NewRing(8)
+	all := &eventLog{}
 	if sc := NewScope(nil, all); !sc.Wants(EvCacheHit) || !sc.Wants(KindOther) {
 		t.Error("a tracer without a mask must read every kind")
 	}
-	masked := maskedRing{NewRing(8), Kinds(EvCardErase)}
+	masked := maskedLog{&eventLog{}, Kinds(EvCardErase)}
 	sc := NewScope(nil, masked)
 	if sc.Wants(EvCacheHit) || !sc.Wants(EvCardErase) {
 		t.Error("scope does not follow the tracer's mask")
 	}
 	sc.Emit(Event{T: 1, Kind: EvCacheHit})
 	sc.Emit(Event{T: 2, Kind: EvCardErase})
-	if ev := masked.Events(); len(ev) != 1 || ev[0].Kind != EvCardErase {
+	if ev := masked.events; len(ev) != 1 || ev[0].Kind != EvCardErase {
 		t.Errorf("masked tracer saw %+v", ev)
 	}
 	if NewScope(NewRegistry(), nil).Wants(EvCardErase) {
@@ -84,7 +91,7 @@ func TestScopeKindMask(t *testing.T) {
 // each member only the kinds it declared.
 func TestTeeKindMask(t *testing.T) {
 	clean := NewCollector(Kinds(EvCardClean))
-	erase := maskedRing{NewRing(8), Kinds(EvCardErase)}
+	erase := maskedLog{&eventLog{}, Kinds(EvCardErase)}
 	tr := Tee(clean, erase)
 	if got, want := tr.(KindFilter).Kinds(), Kinds(EvCardClean, EvCardErase); got != want {
 		t.Errorf("tee kinds %b, want %b", got, want)
@@ -96,10 +103,10 @@ func TestTeeKindMask(t *testing.T) {
 	if ev := clean.Events(); len(ev) != 1 || ev[0].Kind != EvCardClean {
 		t.Errorf("clean collector saw %+v", ev)
 	}
-	if ev := erase.Events(); len(ev) != 1 || ev[0].Kind != EvCardErase {
-		t.Errorf("erase ring saw %+v", ev)
+	if ev := erase.events; len(ev) != 1 || ev[0].Kind != EvCardErase {
+		t.Errorf("erase log saw %+v", ev)
 	}
-	if _, ok := Tee(clean, NewRing(1)).(KindFilter); !ok || !NewScope(nil, Tee(clean, NewRing(1))).Wants(EvCacheHit) {
+	if _, ok := Tee(clean, &eventLog{}).(KindFilter); !ok || !NewScope(nil, Tee(clean, &eventLog{})).Wants(EvCacheHit) {
 		t.Error("a tee with an unmasked member must read every kind")
 	}
 }

@@ -166,25 +166,6 @@ func TestHistogramMinMaxConcurrent(t *testing.T) {
 	}
 }
 
-func TestRingOrderAndWrap(t *testing.T) {
-	r := NewRing(4)
-	for i := 0; i < 6; i++ {
-		r.Emit(Event{T: int64(i)})
-	}
-	ev := r.Events()
-	if len(ev) != 4 {
-		t.Fatalf("len = %d", len(ev))
-	}
-	for i, e := range ev {
-		if e.T != int64(i+2) {
-			t.Errorf("event %d has T=%d, want %d (oldest-first order)", i, e.T, i+2)
-		}
-	}
-	if r.Total() != 6 {
-		t.Errorf("total = %d, want 6", r.Total())
-	}
-}
-
 func TestTee(t *testing.T) {
 	a := NewCollector(AllKinds)
 	b := NewCollector(AllKinds)
@@ -244,8 +225,8 @@ func TestConcurrentUse(t *testing.T) {
 	// Metric handles and tracers must be safe under concurrent emitters
 	// (parallel experiment sweeps share a scope). Run with -race.
 	reg := NewRegistry()
-	ring := NewRing(128)
-	sc := NewScope(reg, ring)
+	col := NewCollector(AllKinds)
+	sc := NewScope(reg, col)
 	c := sc.Counter("shared")
 	h := sc.Histogram("h")
 	var wg sync.WaitGroup
@@ -265,8 +246,8 @@ func TestConcurrentUse(t *testing.T) {
 	if got := c.Value(); got != 8000 {
 		t.Errorf("counter = %d, want 8000", got)
 	}
-	if ring.Total() != 8000 {
-		t.Errorf("ring total = %d", ring.Total())
+	if n := len(col.Events()); n != 8000 {
+		t.Errorf("collector saw %d events, want 8000", n)
 	}
 }
 

@@ -89,63 +89,10 @@ func kindsOf(tr Tracer) KindSet {
 	return AllKinds
 }
 
-// Ring is a fixed-capacity ring-buffer Tracer that keeps the most recent
-// events. It is the cheap default for interactive debugging: attach a ring,
-// run, then inspect the tail.
-type Ring struct {
-	mu      sync.Mutex
-	buf     []Event
-	next    int
-	wrapped bool
-	total   int64
-}
-
-// NewRing returns a ring buffer holding up to n events.
-func NewRing(n int) *Ring {
-	if n < 1 {
-		n = 1
-	}
-	return &Ring{buf: make([]Event, n)}
-}
-
-// Emit implements Tracer.
-func (r *Ring) Emit(e Event) {
-	r.mu.Lock()
-	r.buf[r.next] = e
-	r.next++
-	r.total++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.wrapped = true
-	}
-	r.mu.Unlock()
-}
-
-// Events returns the buffered events in emission order (oldest first).
-func (r *Ring) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.wrapped {
-		return append([]Event(nil), r.buf[:r.next]...)
-	}
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
-}
-
-// Total returns how many events were emitted over the ring's lifetime,
-// including ones the ring has since overwritten.
-func (r *Ring) Total() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
 // Collector is an unbounded in-memory Tracer: it appends every event of a
-// kept kind to a slice. Unlike Ring it never drops history, so a caller
-// can inspect a complete stream without a file round-trip; bound memory on
-// long runs by keeping only the kinds it reads. (Reports derived in
+// kept kind to a slice, so a caller can inspect a complete stream without a
+// file round-trip; bound memory on long runs by keeping only the kinds it
+// reads. (Reports derived in
 // process need no copy of the stream: an obsreport.FigureSet is a tracer.)
 type Collector struct {
 	mu     sync.Mutex

@@ -114,9 +114,6 @@ func (d *Decoder) Next() (obs.Event, error) {
 	return obs.Event{}, io.EOF
 }
 
-// Line returns the number of lines consumed so far.
-func (d *Decoder) Line() int { return d.line }
-
 // Malformed returns how many lines so far failed to decode with the framing
 // intact — exactly the lines a lenient caller skips. Scanner-level failures
 // (oversized line, read error) are not counted: past them nothing more can

@@ -94,7 +94,8 @@ func (s *FigureSet) lookup(kind string) (Report, error) {
 
 // FigureSet bundles one builder per report kind so a single event stream
 // populates every figure at once — the live aggregation behind storagesim's
-// /plot/<report> endpoints and the per-run shard state of a fleet job.
+// /plot/<report> endpoints. A fleet run fills only the timeline, wear and
+// cleaning builders, the ones its job merges (see internal/fleet).
 //
 // A FigureSet is not safe for concurrent use; callers that feed it from one
 // goroutine and render from another (the serve-mode live figures) wrap it
@@ -142,23 +143,6 @@ func (s *FigureSet) Observe(e obs.Event) {
 	s.Cleaning.Observe(e)
 	s.Faults.Observe(e)
 	s.Array.Observe(e)
-}
-
-// Merge folds another set's accumulated state into s, builder by builder.
-// The energy, faults and array builders are the exceptions: their figures
-// plot series over each run's own simulated clock (cumulative energy,
-// fault injections, member deaths and rebuilds), so merging them across
-// runs is meaningless (and unbounded). Fleet aggregation summarizes each as
-// a per-run distribution instead (see internal/fleet), whose per-run
-// tracer feeds only the four builders merged here.
-func (s *FigureSet) Merge(o *FigureSet) {
-	if o == nil || s == o {
-		return
-	}
-	s.Timeline.Merge(o.Timeline)
-	s.Latency.Merge(o.Latency)
-	s.Wear.Merge(o.Wear)
-	s.Cleaning.Merge(o.Cleaning)
 }
 
 // Chart renders the named report kind from the current state. Unknown

@@ -1,10 +1,11 @@
 package obsreport
 
-// Mergeable builders: every report builder can fold another builder's
-// accumulated state into itself, which is what lets a fleet of simulated
-// devices aggregate at constant memory — each run feeds its own private
-// builder set, and finished shards merge into one fleet-level set as they
-// complete, in run order, without retaining any per-run event data.
+// Mergeable builders: the timeline, wear and cleaning builders can fold
+// another builder's accumulated state into themselves, which is what lets a
+// fleet of simulated devices aggregate at constant memory — each run feeds
+// its own private builders, and internal/fleet merges finished runs into
+// one fleet-level builder per figure, in run order, without retaining any
+// per-run event data.
 //
 // Merging is exact for counts, histogram buckets, and extremes. Float sums
 // are added shard-by-shard, so a deterministic merged result additionally
@@ -14,9 +15,10 @@ package obsreport
 // Unbounded per-run detail (timeline sleep intervals) is deliberately NOT
 // merged: a merged builder carries distributions and totals only, so fleet
 // memory stays constant in the number of runs. The per-run builders keep
-// that detail for single-run reports. The energy, faults and array
-// builders do not merge at all: their figures plot per-run series, and the
-// fleet re-derives them from each run's result instead.
+// that detail for single-run reports. The other builders do not merge: the
+// fleet draws its latency figure from each run's result histograms, and its
+// energy, faults and array figures as per-run distributions of each run's
+// result.
 
 // Merge folds o's per-device spin history into b: spin counts, completed
 // sleep totals, and the sleep-duration distributions. The per-interval
@@ -33,21 +35,6 @@ func (b *TimelineBuilder) Merge(o *TimelineBuilder) {
 		tl.SpinDowns += otl.SpinDowns
 		tl.TotalSleepUs += otl.TotalSleepUs
 		tl.SleepHist.Merge(otl.SleepHist)
-	}
-}
-
-// Merge folds o's per-kind duration distributions into b.
-func (b *LatencyBuilder) Merge(o *LatencyBuilder) {
-	if o == nil || b == o {
-		return
-	}
-	for kind, oh := range o.hists {
-		h, ok := b.hists[kind]
-		if !ok {
-			h = latencyLayout.NewHistogram()
-			b.hists[kind] = h
-		}
-		h.Merge(oh)
 	}
 }
 

@@ -2,7 +2,6 @@ package plot
 
 import (
 	"fmt"
-	"io"
 	"strings"
 )
 
@@ -37,15 +36,7 @@ const (
 // gridTitleBand is the height reserved for a non-empty grid title.
 const gridTitleBand = 28
 
-// Render writes the grid as a standalone SVG document.
-func (g *Grid) Render(w io.Writer) error {
-	b := &strings.Builder{}
-	g.render(b)
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// SVG returns the rendered document as a string.
+// SVG returns the grid as a standalone SVG document.
 func (g *Grid) SVG() string {
 	b := &strings.Builder{}
 	g.render(b)

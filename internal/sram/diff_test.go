@@ -234,8 +234,14 @@ func runDifferential(t testing.TB, data []byte) {
 		}
 		t.Fatalf("%s: inner saw %d requests, reference %d", config, len(got.inner.log), len(want.inner.log))
 	}
-	if g, w := got.buf.Meter().ByState(), want.buf.Meter().ByState(); !reflect.DeepEqual(g, w) {
-		t.Errorf("%s: SRAM energy %v, reference %v", config, g, w)
+	gm, wm := got.buf.Meter(), want.buf.Meter()
+	for s := energy.StateActive; s <= energy.StateStandby; s++ {
+		if g, w := gm.StateJ(s), wm.StateJ(s); g != w {
+			t.Errorf("%s: SRAM %s energy %v J, reference %v J", config, s, g, w)
+		}
+	}
+	if g, w := gm.String(), wm.String(); g != w {
+		t.Errorf("%s: SRAM energy %s, reference %s", config, g, w)
 	}
 	if g, w := got.inner.meter.TotalJ(), want.inner.meter.TotalJ(); g != w {
 		t.Errorf("%s: inner energy %v J, reference %v J", config, g, w)

@@ -143,9 +143,6 @@ func (b *Buffer) Name() string {
 // wrapped device keeps its own accounting.
 func (b *Buffer) Meter() *energy.Meter { return b.meter }
 
-// Inner returns the wrapped device.
-func (b *Buffer) Inner() device.Device { return b.inner }
-
 // Flushes returns how many drains were performed.
 func (b *Buffer) Flushes() int64 { return b.flushes }
 

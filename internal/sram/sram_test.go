@@ -264,7 +264,7 @@ func TestName(t *testing.T) {
 	if b.Name() != "fake+sram32KB" {
 		t.Errorf("Name = %q", b.Name())
 	}
-	if b.Inner().Name() != "fake" {
-		t.Error("Inner broken")
+	if b.inner.Name() != "fake" {
+		t.Error("inner device broken")
 	}
 }

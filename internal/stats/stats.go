@@ -27,7 +27,6 @@ type Summary struct {
 	m2   float64 // sum of squared deviations from the running mean
 	max  float64
 	min  float64
-	sum  float64
 }
 
 // Add records one sample.
@@ -45,7 +44,6 @@ func (s *Summary) Add(x float64) {
 			s.min = x
 		}
 	}
-	s.sum += x
 	delta := x - s.mean
 	s.mean += delta / s.fn
 	s.m2 += delta * (x - s.mean)
@@ -65,9 +63,6 @@ func (s *Summary) Mean() float64 {
 	}
 	return s.mean
 }
-
-// Sum returns the total of all samples.
-func (s *Summary) Sum() float64 { return s.sum }
 
 // Max returns the largest sample, or 0 with no samples.
 func (s *Summary) Max() float64 {
@@ -110,7 +105,6 @@ func (s *Summary) Merge(other Summary) {
 	s.m2 += other.m2 + delta*delta*n1*n2/tot
 	s.n += other.n
 	s.fn += other.fn
-	s.sum += other.sum
 	if other.max > s.max {
 		s.max = other.max
 	}

@@ -150,10 +150,6 @@ func New(cfg Config) (*Testbed, error) {
 // Clock returns the current virtual time.
 func (t *Testbed) Clock() units.Time { return t.clock }
 
-// Card exposes the Intel card under test (nil for other devices), so
-// experiments can inspect cleaning state.
-func (t *Testbed) Card() *flashcard.Card { return t.card }
-
 // Preload materializes files on the device without charging time or
 // energy, modeling a dataset that exists before a trace replay begins (the
 // paper preloads the 6 MB synth dataset before running it, §5.1). sizes

@@ -108,18 +108,6 @@ func (l *Layout) Delete(file uint32) {
 // device capacity needed to replay the trace.
 func (l *Layout) HighWater() units.Bytes { return l.next }
 
-// LiveBytes returns the total bytes currently allocated to files.
-func (l *Layout) LiveBytes() units.Bytes {
-	var total units.Bytes
-	for _, e := range l.dense {
-		total += e.size
-	}
-	for _, e := range l.sparse {
-		total += e.size
-	}
-	return total
-}
-
 func (l *Layout) lookup(file uint32) (extent, bool) {
 	if file < denseFileLimit {
 		if uint64(file) < uint64(len(l.dense)) {

@@ -99,19 +99,6 @@ func TestLayoutCoalesce(t *testing.T) {
 	}
 }
 
-func TestLayoutLiveBytes(t *testing.T) {
-	l := NewLayout(512)
-	l.Place(1, 0, 1024)
-	l.Place(2, 0, 512)
-	if got := l.LiveBytes(); got != 1536 {
-		t.Errorf("LiveBytes = %d, want 1536", got)
-	}
-	l.Delete(1)
-	if got := l.LiveBytes(); got != 512 {
-		t.Errorf("LiveBytes after delete = %d, want 512", got)
-	}
-}
-
 func TestLayoutPanicsBeyondHint(t *testing.T) {
 	l := NewLayout(512)
 	l.Place(1, 0, 512)

@@ -13,7 +13,6 @@ package trace
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"mobilestorage/internal/units"
 )
@@ -112,21 +111,6 @@ func (t *Trace) Duration() units.Time {
 		return 0
 	}
 	return t.Records[len(t.Records)-1].Time
-}
-
-// Sorted reports whether records are in non-decreasing time order.
-func (t *Trace) Sorted() bool {
-	return sort.SliceIsSorted(t.Records, func(i, j int) bool {
-		return t.Records[i].Time < t.Records[j].Time
-	})
-}
-
-// Sort orders records by time, stably so same-instant operations keep their
-// generation order.
-func (t *Trace) Sort() {
-	sort.SliceStable(t.Records, func(i, j int) bool {
-		return t.Records[i].Time < t.Records[j].Time
-	})
 }
 
 // Validate checks every record and the global ordering invariant.
@@ -259,17 +243,4 @@ func (t *Trace) MaxFileExtents() *FileSizes {
 		}
 	}
 	return s
-}
-
-// TotalBytes returns the bytes moved by reads and writes (deletes excluded).
-func (t *Trace) TotalBytes() (read, written units.Bytes) {
-	for _, r := range t.Records {
-		switch r.Op {
-		case Read:
-			read += r.Size
-		case Write:
-			written += r.Size
-		}
-	}
-	return read, written
 }

@@ -82,19 +82,9 @@ func TestTraceValidateAndSort(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("valid trace rejected: %v", err)
 	}
-	if !tr.Sorted() {
-		t.Error("sorted trace reported unsorted")
-	}
 	tr.Records[0], tr.Records[3] = tr.Records[3], tr.Records[0]
-	if tr.Sorted() {
-		t.Error("unsorted trace reported sorted")
-	}
 	if err := tr.Validate(); err == nil {
 		t.Error("out-of-order trace accepted")
-	}
-	tr.Sort()
-	if !tr.Sorted() {
-		t.Error("Sort did not sort")
 	}
 	tr.BlockSize = 0
 	if err := tr.Validate(); err == nil {
@@ -146,14 +136,6 @@ func TestMaxFileSizes(t *testing.T) {
 	sizes := tr.MaxFileSizes()
 	if sizes[1] != 1024 || sizes[2] != 2048 {
 		t.Errorf("sizes = %v", sizes)
-	}
-}
-
-func TestTotalBytes(t *testing.T) {
-	tr := testTrace()
-	r, w := tr.TotalBytes()
-	if r != 512 || w != 3072 {
-		t.Errorf("TotalBytes = %d, %d; want 512, 3072", r, w)
 	}
 }
 

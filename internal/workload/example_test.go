@@ -56,7 +56,7 @@ func ExampleGenerate() {
 		fmt.Println(err)
 		return
 	}
-	fmt.Println("valid:", t.Validate() == nil, "sorted:", t.Sorted())
+	fmt.Println("valid:", t.Validate() == nil)
 	// Output:
-	// valid: true sorted: true
+	// valid: true
 }
