@@ -140,5 +140,6 @@ golden-update:
 	$(GO) test ./internal/core -run TestGolden -update
 	$(GO) test ./internal/plot ./internal/obsreport -run 'TestGolden|TestGridGolden' -update
 	$(GO) test ./internal/index -run TestTraceGolden -update
+	$(GO) test ./internal/fleet -run TestJobGolden -update
 
 check: fmt-check vet test race
