@@ -116,10 +116,12 @@ profile-fleet:
 	$(GO) test -run='^$$' -bench='^BenchmarkFleetGrid$$' -benchtime=10x \
 		-cpuprofile cpu-fleet.pprof -memprofile mem-fleet.pprof .
 
-# The same profiles of the events pipeline (BenchmarkEventsPipeline): two
-# mac replays streamed as NDJSON, decoded and rendered as text reports.
+# The same profiles of the events pipeline (BenchmarkEventsPipeline on one
+# thread, as the benchmark's timed passes run): two mac replays streamed as
+# NDJSON, decoded and rendered as text reports. An iteration takes 70 ms
+# or more, so 40 of them give pprof's 100 Hz sampler at least 280 samples.
 profile-events:
-	$(GO) test -run='^$$' -bench='^BenchmarkEventsPipeline$$' -benchtime=10x \
+	$(GO) test -run='^$$' -bench='^BenchmarkEventsPipeline$$' -benchtime=40x -cpu 1 \
 		-cpuprofile cpu-events.pprof -memprofile mem-events.pprof .
 
 # End-to-end fleet-service smoke: boot `storagesim -service`, submit a

@@ -56,9 +56,6 @@ type Cache struct {
 
 	destageDoneAt units.Time
 
-	// Counters.
-	destageWrites int64
-
 	// Observability (nil-safe no-ops without a scope).
 	sc        *obs.Scope
 	evName    string
@@ -302,7 +299,6 @@ func (c *Cache) destage(at units.Time) {
 			Time: completion, Op: trace.Write, File: ^uint32(0),
 			Addr: units.Bytes(runStart) * c.blockSize, Size: units.Bytes(runLen) * c.blockSize,
 		})
-		c.destageWrites++
 	}
 	for _, b := range blocks[1:] {
 		if b == runStart+runLen {

@@ -147,13 +147,17 @@ var kindNames = [numKinds]string{
 	KindOther:          "other",
 }
 
-// kindByName inverts kindNames for ParseKind.
-var kindByName = func() map[string]Kind {
-	m := make(map[string]Kind, numKinds)
-	for k := Kind(1); k < numKinds; k++ {
-		m[kindNames[k]] = k
+// kindsByLen inverts kindNames for ParseKind: entry n lists the kinds
+// whose wire name is n bytes long, the zero Kind under 0.
+var kindsByLen = func() (t [][]Kind) {
+	for k := Kind(0); k < numKinds; k++ {
+		n := len(kindNames[k])
+		for len(t) <= n {
+			t = append(t, nil)
+		}
+		t[n] = append(t[n], k)
 	}
-	return m
+	return t
 }()
 
 // String returns the kind's wire name ("" for the zero Kind).
@@ -165,14 +169,16 @@ func (k Kind) String() string {
 }
 
 // ParseKind maps a wire name to its Kind: the zero Kind for "" and
-// KindOther for a name this build does not know. It does not allocate, so
-// the NDJSON decoder's fast path calls it on every line.
+// KindOther for a name this build does not know. It compares name only
+// with the wire names of its length and does not allocate, so the NDJSON
+// decoder's fast path calls it on every line.
 func ParseKind(name string) Kind {
-	if k, ok := kindByName[name]; ok {
-		return k
-	}
-	if name == "" {
-		return 0
+	if len(name) < len(kindsByLen) {
+		for _, k := range kindsByLen[len(name)] {
+			if kindNames[k] == name {
+				return k
+			}
+		}
 	}
 	return KindOther
 }

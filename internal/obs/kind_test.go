@@ -1,6 +1,9 @@
 package obs
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestKindRoundTrip maps every Kind through String and back, and pins the
 // edges: the zero Kind is the empty name, an unknown name is KindOther,
@@ -20,8 +23,17 @@ func TestKindRoundTrip(t *testing.T) {
 	if Kind(0).String() != "" || ParseKind("") != 0 {
 		t.Error("the zero Kind is not the empty name")
 	}
-	if got := ParseKind("no.such.kind"); got != KindOther {
-		t.Errorf("unknown name parsed as %v, want KindOther", got)
+	// Unknown names: one of no wire name's length, one a byte past the
+	// longest wire name and one far past it (both past the length table),
+	// and one of a known length that matches no name of that length.
+	longest := 0
+	for _, name := range kindNames {
+		longest = max(longest, len(name))
+	}
+	for _, name := range []string{"no.such.kind", strings.Repeat("k", longest+1), strings.Repeat("k", 100), "cache.hiT"} {
+		if got := ParseKind(name); got != KindOther {
+			t.Errorf("unknown name %q parsed as %v, want KindOther", name, got)
+		}
 	}
 	if got := Kind(200).String(); got != "Kind(200)" {
 		t.Errorf("Kind(200).String() = %q", got)

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -118,13 +120,76 @@ func FuzzNDJSONSinkBytes(f *testing.F) {
 	})
 }
 
-// TestNDJSONSinkNoAlloc: once its line buffer has grown, the sink writes an
-// event of a named kind with every field set without allocating.
+// TestNDJSONSinkNoAlloc: the sink writes an event of a named kind with
+// every field set without allocating.
 func TestNDJSONSinkNoAlloc(t *testing.T) {
 	s := NewNDJSONSink(io.Discard)
 	e := Event{T: math.MaxInt64, Kind: EvCardClean, Dev: "intel-datasheet",
 		Addr: math.MinInt64, Size: -98, Dur: 1742318}
 	if allocs := testing.AllocsPerRun(1000, func() { s.Emit(e) }); allocs != 0 {
 		t.Errorf("NDJSONSink.Emit allocates %.1f times per event, want 0", allocs)
+	}
+}
+
+// TestNDJSONSinkLongLine: a line longer than the room Emit keeps free,
+// written between ordinary lines, comes out as refEmit writes it.
+func TestNDJSONSinkLongLine(t *testing.T) {
+	long := Event{T: math.MaxInt64, Kind: EvCardClean, Dev: strings.Repeat("d", 300),
+		Addr: math.MinInt64, Size: -98, Dur: 1742318}
+	if len(long.Dev) <= emitRoom {
+		t.Fatalf("a %d-byte device name fits the %d-byte room", len(long.Dev), emitRoom)
+	}
+	var got, want bytes.Buffer
+	sink := NewNDJSONSink(&got)
+	ref := bufio.NewWriter(&want)
+	for i := 0; want.Len()+ref.Buffered() < 3*4096; i++ {
+		e := Event{T: int64(i), Kind: EvDiskSpinUp, Dev: "cu140", Dur: 5000}
+		if i%7 == 3 {
+			e = long
+		}
+		sink.Emit(e)
+		refEmit(ref, e)
+	}
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("sink wrote %d bytes, reference %d, and they differ", got.Len(), want.Len())
+	}
+}
+
+// errWriteFailed is failAfterFirst's error.
+var errWriteFailed = errors.New("write failed")
+
+// failAfterFirst accepts its first write and fails every later one.
+type failAfterFirst struct{ writes int }
+
+func (w *failAfterFirst) Write(p []byte) (int, error) {
+	w.writes++
+	if w.writes > 1 {
+		return 0, errWriteFailed
+	}
+	return len(p), nil
+}
+
+// TestNDJSONSinkFlushReportsWriteError: the flush inside Emit drops its
+// error, so the writer must keep it for Flush to return, however many
+// lines are emitted after it.
+func TestNDJSONSinkFlushReportsWriteError(t *testing.T) {
+	w := &failAfterFirst{}
+	sink := NewNDJSONSink(w)
+	// 220 lines of 75 bytes fill the 4,096-byte buffer four times.
+	e := Event{T: 1742318, Kind: EvCardErase, Dev: "intel", Addr: 17, Size: 3}
+	for i := 0; i < 220; i++ {
+		sink.Emit(e)
+	}
+	if w.writes < 2 {
+		t.Fatalf("the writer saw %d writes, want the buffer flushed at least twice", w.writes)
+	}
+	if err := sink.Flush(); !errors.Is(err, errWriteFailed) {
+		t.Errorf("Flush = %v, want %v", err, errWriteFailed)
 	}
 }

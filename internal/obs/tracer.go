@@ -131,12 +131,18 @@ func (c *Collector) Events() []Event {
 // Serialization is hand-rolled (no reflection) and zero-value fields are
 // omitted, so the format stays byte-deterministic for a deterministic
 // simulation — the property the determinism tests pin. Each line is built
-// in a buffer the sink reuses, so emitting an event does not allocate.
+// in the free space of the sink's bufio.Writer, so emitting an event
+// neither allocates nor copies the line a second time.
 type NDJSONSink struct {
-	mu   sync.Mutex
-	w    *bufio.Writer
-	line []byte
+	mu sync.Mutex
+	w  *bufio.Writer
 }
+
+// emitRoom is the free buffer space Emit makes before it builds a line.
+// A line without its device name takes at most 152 bytes, so one whose
+// name is at most 104 bytes is built in place; a longer line still comes
+// out right, through a buffer that append allocates.
+const emitRoom = 256
 
 // NewNDJSONSink wraps w in a buffered NDJSON event writer. Call Flush when
 // the run completes.
@@ -148,7 +154,12 @@ func NewNDJSONSink(w io.Writer) *NDJSONSink {
 func (s *NDJSONSink) Emit(e Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	b := append(s.line[:0], `{"t_us":`...)
+	// A failed flush leaves its error in the writer, which discards every
+	// later write and hands the error to Flush; the line would be dropped.
+	if s.w.Available() < emitRoom && s.w.Flush() != nil {
+		return
+	}
+	b := append(s.w.AvailableBuffer(), `{"t_us":`...)
 	b = strconv.AppendInt(b, e.T, 10)
 	b = append(b, kindMember(e.Kind)...)
 	if e.Dev != "" {
@@ -170,7 +181,6 @@ func (s *NDJSONSink) Emit(e Event) {
 	}
 	b = append(b, "}\n"...)
 	s.w.Write(b)
-	s.line = b
 }
 
 // kindMembers holds each named Kind's NDJSON member, pre-rendered; wire

@@ -76,14 +76,22 @@ func (d *Decoder) scanEvent(b []byte) (obs.Event, bool) {
 		}
 		ev.Dev = d.intern(dev)
 	}
-	if i, ok = scanIntMember(b, i, `,"addr":`, &ev.Addr); !ok {
-		return obs.Event{}, false
+	// The integer members are optional: a line without one leaves its
+	// field zero, but a member whose value is not an int64 literal bails.
+	if j, ok := scanLit(b, i, `,"addr":`); ok {
+		if ev.Addr, i, ok = scanInt(b, j); !ok {
+			return obs.Event{}, false
+		}
 	}
-	if i, ok = scanIntMember(b, i, `,"size":`, &ev.Size); !ok {
-		return obs.Event{}, false
+	if j, ok := scanLit(b, i, `,"size":`); ok {
+		if ev.Size, i, ok = scanInt(b, j); !ok {
+			return obs.Event{}, false
+		}
 	}
-	if i, ok = scanIntMember(b, i, `,"dur_us":`, &ev.Dur); !ok {
-		return obs.Event{}, false
+	if j, ok := scanLit(b, i, `,"dur_us":`); ok {
+		if ev.Dur, i, ok = scanInt(b, j); !ok {
+			return obs.Event{}, false
+		}
 	}
 	if i != len(b)-1 || b[i] != '}' {
 		return obs.Event{}, false
@@ -97,18 +105,6 @@ func scanLit(b []byte, i int, lit string) (end int, ok bool) {
 		return i, false
 	}
 	return i + len(lit), true
-}
-
-// scanIntMember parses the optional integer member whose `,"name":` prefix
-// is key into *dst. A line without the member leaves *dst alone and is
-// fine; a member whose value is not an int64 literal is not.
-func scanIntMember(b []byte, i int, key string, dst *int64) (end int, ok bool) {
-	j, ok := scanLit(b, i, key)
-	if !ok {
-		return i, true
-	}
-	*dst, j, ok = scanInt(b, j)
-	return j, ok
 }
 
 // scanSimpleString scans a quoted string containing only printable ASCII
@@ -134,6 +130,10 @@ func scanSimpleString(b []byte, i int) (s []byte, end int, ok bool) {
 	return nil, i, false
 }
 
+// maxIntDigits is the most digits an int64 literal has; 19 nines still fit
+// a uint64, so scanInt sums up to that many digits without checking.
+const maxIntDigits = 19
+
 // scanInt parses a JSON integer literal the way encoding/json decodes into
 // an int64: strict number grammar, no fraction or exponent, no leading
 // zeros, and range-checked. ok=false for anything else (the fallback path
@@ -153,16 +153,12 @@ func scanInt(b []byte, i int) (v int64, end int, ok bool) {
 		i++
 	} else {
 		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-			d := uint64(b[i] - '0')
-			if n > (math.MaxUint64-d)/10 {
-				return 0, i, false // overflows uint64, certainly int64
-			}
-			n = n*10 + d
+			n = n*10 + uint64(b[i]-'0')
 			i++
 		}
-	}
-	if i == start {
-		return 0, i, false
+		if i-start > maxIntDigits {
+			return 0, i, false // the sum may have wrapped; certainly not an int64
+		}
 	}
 	if i < len(b) {
 		switch b[i] {

@@ -134,6 +134,12 @@ func TestScanInt(t *testing.T) {
 		{"-9223372036854775808}", math.MinInt64, true, "}"},
 		{"9223372036854775808", 0, false, ""},
 		{"-9223372036854775809", 0, false, ""},
+		// Past int64 in 19 digits, and 20 digits whose unchecked sum wraps
+		// (2^64 wraps to 0): the digit bound and range check refuse them.
+		{"9999999999999999999", 0, false, ""},
+		{"18446744073709551616", 0, false, ""},
+		{"99999999999999999999", 0, false, ""},
+		{"-18446744073709551616", 0, false, ""},
 		{"1.5", 0, false, ""},
 		{"2e8", 0, false, ""},
 		{"007", 0, false, ""},
@@ -167,6 +173,13 @@ func TestIntern(t *testing.T) {
 	}
 	if d.intern(nil) != "" {
 		t.Error("intern(empty) != \"\"")
+	}
+	// A name that is a prefix of the one before it, and a name again after
+	// another: each comes back as itself, whatever intern remembers.
+	for _, name := range []string{"cu140", "cu14", "cu140", "sram", "cu140"} {
+		if got := d.intern([]byte(name)); got != name {
+			t.Errorf("intern(%q) = %q", name, got)
+		}
 	}
 	for i := 0; i < 2*maxInternStrings; i++ {
 		d.intern([]byte(strings.Repeat("x", 1+i%40) + string(rune('a'+i%26))))
