@@ -132,7 +132,7 @@ serve-smoke:
 	sh scripts/serve_smoke.sh
 
 # Coverage-guided fuzz burst: every Fuzz* target in the module, 30 s each,
-# stopping at the first failure (23 targets, about 12 minutes on 2 vCPUs).
+# stopping at the first failure (24 targets, about 12.5 minutes on 2 vCPUs).
 fuzz-smoke:
 	bash scripts/fuzz_smoke.sh
 

@@ -18,8 +18,8 @@
 // Ingestion is streaming: events flow from the input straight into the
 // report builder, so multi-gigabyte captures — including ones piped on
 // stdin — process at constant memory. -in may be repeated; the shards are
-// decoded in parallel but always aggregated in argument order, so the
-// output is identical to concatenating the files first.
+// decoded on up to GOMAXPROCS goroutines but always aggregated in argument
+// order, so the output is identical to concatenating the files first.
 //
 // A malformed line normally aborts the report. -lenient skips such lines
 // instead; the skip count goes to stderr and, for text output, a
@@ -92,7 +92,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		out     = fs.String("out", "-", "output file (- for stdout)")
 		lenient = fs.Bool("lenient", false, "skip malformed lines instead of aborting")
 		strict  = fs.Bool("strict", false, "exit non-zero if any malformed lines were skipped (pairs with -lenient)")
-		workers = fs.Int("workers", 0, "parallel decode workers for multi-file input (0 = all cores)")
 		vs      = fs.String("vs", "", "second run to compare against (NDJSON file, - for stdin)")
 	)
 	if err := fs.Parse(args[1:]); err != nil {
@@ -117,11 +116,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	if stdins > 1 {
 		return fmt.Errorf("stdin (-) may be given at most once across -in and -vs")
 	}
-	if *workers < 0 {
-		return fmt.Errorf("-workers must be >= 0, got %d", *workers)
-	}
 
-	opt := obsreport.StreamOptions{Lenient: *lenient, Workers: *workers, Stdin: stdin}
+	opt := obsreport.StreamOptions{Lenient: *lenient, Stdin: stdin}
 	stats, err := obsreport.StreamFiles(ins, opt, a)
 	if err != nil {
 		return err
@@ -208,7 +204,7 @@ func runLabels(inPath, vsPath string) (string, string) {
 }
 
 func usageError(w io.Writer) error {
-	fmt.Fprintf(w, "usage: obsreport <%s> [-in events.ndjson ...] [-vs run2.ndjson] [-format text|csv|json|svg] [-out file] [-lenient] [-strict] [-workers n]\n",
+	fmt.Fprintf(w, "usage: obsreport <%s> [-in events.ndjson ...] [-vs run2.ndjson] [-format text|csv|json|svg] [-out file] [-lenient] [-strict]\n",
 		strings.Join(obsreport.FigureKinds(), "|"))
 	return fmt.Errorf("missing or unknown report")
 }

@@ -219,22 +219,12 @@ func TestMultipleInputs(t *testing.T) {
 	if withStdin != whole {
 		t.Errorf("file+stdin shard render differs from whole-file render")
 	}
-	bounded, _, err := runCLI(t, "wear", "-in", a, "-in", b, "-format", "json", "-workers", "1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bounded != whole {
-		t.Errorf("-workers 1 render differs from whole-file render")
-	}
 }
 
 func TestConflictingFlagCombinations(t *testing.T) {
 	path := writeEventFile(t)
 	if _, _, err := runCLI(t, "wear", "-in", "-", "-in", "-"); err == nil {
 		t.Error("stdin given twice accepted")
-	}
-	if _, _, err := runCLI(t, "wear", "-in", path, "-workers", "-3"); err == nil {
-		t.Error("negative -workers accepted")
 	}
 	if _, _, err := runCLI(t, "wear", "-in", path, "-in", "-", "-in", "-"); err == nil {
 		t.Error("mixed files with repeated stdin accepted")

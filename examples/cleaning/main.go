@@ -28,7 +28,7 @@ func main() {
 	params := device.IntelSeries2Datasheet()
 	// Fix the card size so every utilization holds the trace footprint.
 	seg := params.SegmentSize
-	capacity := units.CeilDiv(units.Bytes(float64(core.Footprint(t))/0.40), seg) * seg
+	capacity := units.CeilDiv(units.Bytes(float64(core.PrepareTrace(t).Footprint())/0.40), seg) * seg
 
 	fmt.Println("Utilization sweep (greedy cleaning):")
 	fmt.Printf("%-6s %10s %12s %8s %10s %11s\n",

@@ -32,7 +32,7 @@ func main() {
 		log.Fatal(err)
 	}
 	seg := device.IntelSeries2Datasheet().SegmentSize
-	capacity := units.CeilDiv(units.Bytes(float64(core.Footprint(t))/0.9), seg) * seg
+	capacity := units.CeilDiv(units.Bytes(float64(core.PrepareTrace(t).Footprint())/0.9), seg) * seg
 
 	// 2. Attach a registry (for the sampler) and a figure set as the
 	// tracer: its report builders read the cleaning and wear events as the

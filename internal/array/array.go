@@ -27,7 +27,6 @@ import (
 	"mobilestorage/internal/device"
 	"mobilestorage/internal/energy"
 	"mobilestorage/internal/fault"
-	"mobilestorage/internal/obs"
 	"mobilestorage/internal/trace"
 	"mobilestorage/internal/units"
 )
@@ -65,8 +64,6 @@ type Member struct {
 type Config struct {
 	Mode      Mode
 	BlockSize units.Bytes
-	// Scope receives array-level events; member devices carry their own.
-	Scope *obs.Scope
 	// SysInj, when non-nil, is the run's system-level injector: array
 	// invariant violations are recorded there so they surface on the same
 	// report as the core's. Without it the array keeps its own ledger,
@@ -124,7 +121,6 @@ type Array struct {
 
 	meter *energy.Meter // interface compliance; always empty — see Meters
 
-	sc     *obs.Scope
 	evName string
 }
 
@@ -157,7 +153,6 @@ func New(cfg Config, members []Member) (*Array, error) {
 		blockSize: cfg.BlockSize,
 		sysInj:    cfg.SysInj,
 		meter:     energy.NewMeter(),
-		sc:        cfg.Scope,
 	}
 	for i, m := range members {
 		if m.Dev == nil {

@@ -247,7 +247,7 @@ func TestFootprint(t *testing.T) {
 	for _, sz := range tr.MaxFileSizes() {
 		want += units.CeilDiv(sz, tr.BlockSize) * tr.BlockSize
 	}
-	if fp := Footprint(tr); fp != want {
+	if fp := PrepareTrace(tr).Footprint(); fp != want {
 		t.Errorf("footprint = %v, want %v", fp, want)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // anything.
 func TestFootprintZeroLength(t *testing.T) {
 	empty := &trace.Trace{Name: "empty", BlockSize: 512 * units.B}
-	if got := Footprint(empty); got != 0 {
+	if got := PrepareTrace(empty).Footprint(); got != 0 {
 		t.Errorf("empty trace footprint = %v, want 0", got)
 	}
 	delOnly := &trace.Trace{
@@ -23,7 +23,7 @@ func TestFootprintZeroLength(t *testing.T) {
 			{Time: units.Second, Op: trace.Delete, File: 2},
 		},
 	}
-	if got := Footprint(delOnly); got != 0 {
+	if got := PrepareTrace(delOnly).Footprint(); got != 0 {
 		t.Errorf("delete-only trace footprint = %v, want 0", got)
 	}
 }
@@ -45,7 +45,7 @@ func TestFootprintOverlappingWrites(t *testing.T) {
 	}
 	// File 1 spans [0, 1536) across its overlapping accesses; file 2 adds
 	// one block: 1536 + 512 = 2048 bytes.
-	if got := Footprint(tr); got != 2048*units.B {
+	if got := PrepareTrace(tr).Footprint(); got != 2048*units.B {
 		t.Errorf("overlapping footprint = %v, want 2048", got)
 	}
 }
@@ -66,7 +66,7 @@ func TestFootprintDeleteRecreate(t *testing.T) {
 			{Time: 4, Op: trace.Write, File: 3, Offset: 0, Size: 2048 * units.B},
 		},
 	}
-	if got := Footprint(tr); got != 2048*units.B {
+	if got := PrepareTrace(tr).Footprint(); got != 2048*units.B {
 		t.Errorf("churn footprint = %v, want 2048 (freed space must be reused)", got)
 	}
 }

@@ -511,14 +511,6 @@ func faultReport(st *stack, inj *fault.Injector) *fault.Report {
 	return rep
 }
 
-// Footprint returns the storage footprint of a trace: the maximum
-// concurrent bytes placed over its lifetime. Experiments use it to size
-// flash devices relative to the workload.
-func Footprint(t *trace.Trace) units.Bytes {
-	_, _, footprint := placeRecords(t, t.BlockSize, t.MaxFileExtents())
-	return footprint
-}
-
 // MaxFootprint bounds the storage footprint of a trace Run accepts. The
 // devices size their per-sector and per-segment state from the footprint,
 // so one block written at a hostile offset such as 2^40 would otherwise
@@ -672,7 +664,6 @@ func buildArray(cfg Config, blockSize, stored units.Bytes, inj *fault.Injector) 
 	return array.New(array.Config{
 		Mode:      spec.Mode,
 		BlockSize: blockSize,
-		Scope:     cfg.Scope,
 		SysInj:    inj,
 	}, members)
 }

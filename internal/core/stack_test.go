@@ -273,7 +273,7 @@ func TestRealDevicesRecoverAfterCrashInstant(t *testing.T) {
 	const at = 45 * units.Second
 	for _, row := range stackRows(t) {
 		cfg := row.cfg.withDefaults()
-		st, err := buildStack(cfg, cfg.Trace.BlockSize, Footprint(cfg.Trace), nil)
+		st, err := buildStack(cfg, cfg.Trace.BlockSize, PrepareTrace(cfg.Trace).Footprint(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

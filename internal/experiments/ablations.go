@@ -35,11 +35,13 @@ func CleanerPolicies(seed int64) ([]CleanerRow, error) {
 		if err != nil {
 			return nil, err
 		}
+		prep := prepare(t)
 		params := device.IntelSeries2Datasheet()
-		capacity := units.CeilDiv(units.Bytes(float64(core.Footprint(t))/0.90), params.SegmentSize) * params.SegmentSize
+		capacity := units.CeilDiv(units.Bytes(float64(prep.Footprint())/0.90), params.SegmentSize) * params.SegmentSize
 		for _, policy := range []string{"greedy", "cost-benefit", "fifo"} {
 			cfg := core.Config{
 				Trace:           t,
+				Prep:            prep,
 				DRAMBytes:       fleet.DefaultDRAM(name),
 				Kind:            core.FlashCard,
 				FlashCardParams: params,
@@ -170,12 +172,14 @@ func Series2Plus(seed int64) ([]Series2PlusRow, error) {
 		if err != nil {
 			return nil, err
 		}
+		prep := prepare(t)
 		for _, params := range []device.FlashCardParams{
 			device.IntelSeries2Datasheet(), device.IntelSeries2PlusDatasheet(),
 		} {
-			capacity := units.CeilDiv(units.Bytes(float64(core.Footprint(t))/0.95), params.SegmentSize) * params.SegmentSize
+			capacity := units.CeilDiv(units.Bytes(float64(prep.Footprint())/0.95), params.SegmentSize) * params.SegmentSize
 			cfg := core.Config{
 				Trace:           t,
+				Prep:            prep,
 				DRAMBytes:       fleet.DefaultDRAM(name),
 				Kind:            core.FlashCard,
 				FlashCardParams: params,

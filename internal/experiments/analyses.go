@@ -114,12 +114,11 @@ func Validate(seed int64) ([]ValidationRow, error) {
 		name    string
 		tbCfg   testbed.Config
 		simSpec DeviceSpec
-		kind    core.StorageKind
 	}
 	cases := []devCase{
-		{"cu140", testbed.Config{Kind: testbed.CU140, Data: compress.Random}, DeviceSpec{"cu140", device.Measured}, core.MagneticDisk},
-		{"sdp10", testbed.Config{Kind: testbed.SDP10, Data: compress.Random}, DeviceSpec{"sdp10", device.Measured}, core.FlashDisk},
-		{"intel", testbed.Config{Kind: testbed.IntelCard, Data: compress.MobyDick}, DeviceSpec{"intel", device.Measured}, core.FlashCard},
+		{"cu140", testbed.Config{Kind: testbed.CU140, Data: compress.Random}, DeviceSpec{"cu140", device.Measured}},
+		{"sdp10", testbed.Config{Kind: testbed.SDP10, Data: compress.Random}, DeviceSpec{"sdp10", device.Measured}},
+		{"intel", testbed.Config{Kind: testbed.IntelCard, Data: compress.MobyDick}, DeviceSpec{"intel", device.Measured}},
 	}
 	var rows []ValidationRow
 	for _, c := range cases {
@@ -195,12 +194,14 @@ func Wear(seed int64) ([]WearRow, error) {
 		if err != nil {
 			return nil, err
 		}
+		prep := prepare(t)
 		params := device.IntelSeries2Datasheet()
 		seg := params.SegmentSize
-		capacity := units.CeilDiv(units.Bytes(float64(core.Footprint(t))/0.40), seg) * seg
+		capacity := units.CeilDiv(units.Bytes(float64(prep.Footprint())/0.40), seg) * seg
 		for _, util := range []float64{0.40, 0.80, 0.95} {
 			cfg := core.Config{
 				Trace:           t,
+				Prep:            prep,
 				DRAMBytes:       fleet.DefaultDRAM(name),
 				Kind:            core.FlashCard,
 				FlashCardParams: params,

@@ -62,7 +62,7 @@ func ArrayBench(seed int64) ([]ArrayBenchRow, error) {
 		}
 	}
 	rows := make([]ArrayBenchRow, len(cells))
-	err = sweep(len(cells), func(i int) error {
+	err = fanOut(len(cells), func(i int) error {
 		c := cells[i]
 		spec, err := array.ParseSpec(c.topo)
 		if err != nil {

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// TestSweepLowestIndexError: with two failing cells, sweep returns the
+// TestSweepLowestIndexError: with two failing cells, fanOut returns the
 // lower index's error at any GOMAXPROCS, even when the higher cell fails
 // first in time.
 func TestSweepLowestIndexError(t *testing.T) {
@@ -15,7 +15,7 @@ func TestSweepLowestIndexError(t *testing.T) {
 	for _, procs := range []int{1, 8} {
 		runtime.GOMAXPROCS(procs)
 		highFailed := make(chan struct{})
-		err := sweep(8, func(i int) error {
+		err := fanOut(8, func(i int) error {
 			switch i {
 			case 2:
 				// With one worker per GOMAXPROCS, cell 5 runs beside this
@@ -31,13 +31,13 @@ func TestSweepLowestIndexError(t *testing.T) {
 			return nil
 		})
 		if err == nil || err.Error() != "cell 2" {
-			t.Errorf("GOMAXPROCS=%d: sweep returned %v, want cell 2", procs, err)
+			t.Errorf("GOMAXPROCS=%d: fanOut returned %v, want cell 2", procs, err)
 		}
 	}
-	if err := sweep(3, func(int) error { return nil }); err != nil {
+	if err := fanOut(3, func(int) error { return nil }); err != nil {
 		t.Errorf("no failing cell: %v", err)
 	}
-	if err := sweep(0, func(int) error { return errors.New("ran") }); err != nil {
+	if err := fanOut(0, func(int) error { return errors.New("ran") }); err != nil {
 		t.Errorf("empty sweep: %v", err)
 	}
 }

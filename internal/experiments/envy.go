@@ -30,12 +30,16 @@ func Envy(seed int64) ([]EnvyRow, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The trace is built afresh on every call, so its prep is local: the
+	// process-wide memo would keep every one of them.
+	prep := core.PrepareTrace(t)
 	params := device.IntelSeries2Datasheet()
-	capacity := units.CeilDiv(units.Bytes(float64(core.Footprint(t))/0.40), params.SegmentSize) * params.SegmentSize
+	capacity := units.CeilDiv(units.Bytes(float64(prep.Footprint())/0.40), params.SegmentSize) * params.SegmentSize
 	var rows []EnvyRow
 	for _, util := range []float64{0.40, 0.60, 0.80, 0.90, 0.95} {
 		cfg := core.Config{
 			Trace:           t,
+			Prep:            prep,
 			Kind:            core.FlashCard,
 			FlashCardParams: params,
 			FlashCapacity:   capacity,

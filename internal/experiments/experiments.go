@@ -20,6 +20,7 @@ import (
 	"mobilestorage/internal/core"
 	"mobilestorage/internal/device"
 	"mobilestorage/internal/fleet"
+	"mobilestorage/internal/sweep"
 	"mobilestorage/internal/trace"
 	"mobilestorage/internal/units"
 	"mobilestorage/internal/workload"
@@ -73,17 +74,18 @@ func prepare(t *trace.Trace) *core.TracePrep {
 	return p
 }
 
-// sweep runs do(0), …, do(n-1) on fleet.Sweep with one worker per
+// fanOut runs do(0), …, do(n-1) on sweep.Run with one worker per
 // GOMAXPROCS and returns the lowest-index error, so a failing experiment
-// reports the same error for any worker count. Each do writes only its own
-// index of a pre-allocated result slice, which keeps row order, and so the
-// rendered tables, deterministic.
-func sweep(n int, do func(i int) error) error {
+// reports the same error for any worker count; no cell starts after it.
+// Each do writes only its own index of a pre-allocated result slice, which
+// keeps row order, and so the rendered tables, deterministic.
+func fanOut(n int, do func(i int) error) error {
 	var first error
-	fleet.Sweep(context.Background(), n, runtime.GOMAXPROCS(0), do, func(_ int, err error) {
-		if first == nil {
-			first = err
-		}
+	sweep.Run(context.Background(), n, runtime.GOMAXPROCS(0), func(i int, emit func(error) bool) {
+		emit(do(i))
+	}, func(_ int, err error) bool {
+		first = err
+		return err == nil
 	})
 	return first
 }

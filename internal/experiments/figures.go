@@ -102,7 +102,7 @@ func Fig2(seed int64) ([]Fig2Point, error) {
 		minUtil := Fig2Utilizations[0]
 		capacity := units.CeilDiv(units.Bytes(float64(prep.Footprint())/minUtil), seg) * seg
 		points := make([]Fig2Point, len(Fig2Utilizations))
-		err = sweep(len(Fig2Utilizations), func(i int) error {
+		err = fanOut(len(Fig2Utilizations), func(i int) error {
 			util := Fig2Utilizations[i]
 			stored := units.Bytes(float64(capacity) * util)
 			cfg := core.Config{

@@ -141,7 +141,7 @@ func IndexBenchEngineMix(engine index.EngineKind, seed int64, mixName string) ([
 		}
 	}
 	points := make([]IndexBenchPoint, len(cells))
-	err = sweep(len(cells), func(i int) error {
+	err = fanOut(len(cells), func(i int) error {
 		c := cells[i]
 		cfg, err := indexBenchConfig(c.dev, c.util, t, prep)
 		if err != nil {

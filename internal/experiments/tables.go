@@ -155,7 +155,7 @@ func Table4(traceName string, seed int64) ([]Table4Row, error) {
 	}
 	specs := Table4Devices()
 	rows := make([]Table4Row, len(specs))
-	err = sweep(len(specs), func(i int) error {
+	err = fanOut(len(specs), func(i int) error {
 		spec := specs[i]
 		cfg := core.Config{Trace: t, DRAMBytes: fleet.DefaultDRAM(traceName)}
 		if err := spec.Configure(&cfg); err != nil {

@@ -75,7 +75,7 @@ func EnergyOverTime(seed int64) ([]EnergyCurve, error) {
 	}
 
 	curves := make([]EnergyCurve, len(specs))
-	err = sweep(len(specs), func(i int) error {
+	err = fanOut(len(specs), func(i int) error {
 		cfg := core.Config{
 			Trace:       t,
 			DRAMBytes:   fleet.DefaultDRAM("mac"),
@@ -159,14 +159,16 @@ func CleaningEfficiency(seed int64) ([]CleaningPoint, error) {
 	}
 	utils := []float64{0.80, 0.85, 0.90, 0.95}
 	seg := device.IntelSeries2Datasheet().SegmentSize
-	capacity := units.CeilDiv(units.Bytes(float64(core.Footprint(t))/utils[0]), seg) * seg
+	prep := prepare(t)
+	capacity := units.CeilDiv(units.Bytes(float64(prep.Footprint())/utils[0]), seg) * seg
 
 	points := make([]CleaningPoint, len(utils))
-	err = sweep(len(utils), func(i int) error {
+	err = fanOut(len(utils), func(i int) error {
 		util := utils[i]
 		figs := obsreport.NewFigureSet()
 		cfg := core.Config{
 			Trace:           t,
+			Prep:            prep,
 			DRAMBytes:       fleet.DefaultDRAM("dos"),
 			Kind:            core.FlashCard,
 			FlashCardParams: device.IntelSeries2Datasheet(),

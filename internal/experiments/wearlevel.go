@@ -33,11 +33,13 @@ func WearLeveling(seed int64) ([]WearLevelRow, error) {
 		if err != nil {
 			return nil, err
 		}
+		prep := prepare(t)
 		params := device.IntelSeries2Datasheet()
-		capacity := units.CeilDiv(units.Bytes(float64(core.Footprint(t))/0.90), params.SegmentSize) * params.SegmentSize
+		capacity := units.CeilDiv(units.Bytes(float64(prep.Footprint())/0.90), params.SegmentSize) * params.SegmentSize
 		for _, level := range []int64{0, 8} {
 			cfg := core.Config{
 				Trace:           t,
+				Prep:            prep,
 				DRAMBytes:       fleet.DefaultDRAM(name),
 				Kind:            core.FlashCard,
 				FlashCardParams: params,

@@ -33,7 +33,6 @@ type FlashDisk struct {
 	meter *energy.Meter
 
 	asyncErase bool
-	capacity   units.Bytes
 
 	lastUpdate units.Time
 	busyUntil  units.Time
@@ -51,7 +50,6 @@ type FlashDisk struct {
 
 	totalErases  int64
 	totalSectors int64
-	ops          int64
 
 	// Memoized transfer times for the part's fixed datasheet bandwidths;
 	// results are bit-identical to calling units.TransferTime directly.
@@ -125,7 +123,6 @@ func New(p device.FlashDiskParams, capacity units.Bytes, opts ...Option) (*Flash
 	f := &FlashDisk{
 		p:              p,
 		meter:          energy.NewMeter(),
-		capacity:       capacity,
 		totalSectors:   int64(capacity / p.SectorSize),
 		readMemo:       units.NewTransferMemo(p.ReadKBs),
 		coupledMemo:    units.NewTransferMemo(p.WriteCoupledKBs),
@@ -219,7 +216,6 @@ func (f *FlashDisk) Access(req device.Request) units.Time {
 	completion := start + service
 	f.lastUpdate = completion
 	f.busyUntil = completion
-	f.ops++
 	return completion
 }
 

@@ -8,8 +8,9 @@
 //
 // The package is also where a device name and the paper's defaults become
 // a core.Config (SelectDevice, DefaultDRAM, DefaultSRAM, DefaultSpinDown,
-// SizeBuffers), and where independent runs fan out and merge back in index
-// order (Sweep), for the storagesim CLI and the experiments alike.
+// SizeBuffers), for the storagesim CLI and the experiments alike. A job's
+// runs fan out and merge back in index order on sweep.Run, the pool the
+// experiments and obsreport's shard decoder share.
 package fleet
 
 import (

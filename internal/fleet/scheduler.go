@@ -13,6 +13,7 @@ import (
 	"mobilestorage/internal/obs"
 	"mobilestorage/internal/obsreport"
 	"mobilestorage/internal/plot"
+	"mobilestorage/internal/sweep"
 	"mobilestorage/internal/trace"
 )
 
@@ -272,9 +273,9 @@ type runOut struct {
 	err  error
 }
 
-// run drives one job on Sweep: workers take run indices in ascending order
-// and the merger folds completions back in strict index order, which is
-// what makes the final report byte-identical for any worker count.
+// run drives one job on sweep.Run: workers take run indices in ascending
+// order and the merger folds completions back in strict index order, which
+// is what makes the final report byte-identical for any worker count.
 func (s *Service) run(ctx context.Context, j *Job) {
 	defer s.wg.Done()
 	started := s.reg.Counter(jobMetric(j.ID, "runs_started"))
@@ -284,7 +285,7 @@ func (s *Service) run(ctx context.Context, j *Job) {
 	busy := s.reg.Gauge(jobMetric(j.ID, "workers_busy"))
 
 	cache := newTraceCache(j.Workers + 2)
-	Sweep(ctx, len(j.ej.runs), j.Workers, func(idx int) runOut {
+	sweep.Run(ctx, len(j.ej.runs), j.Workers, func(idx int, emit func(runOut) bool) {
 		j.mu.Lock()
 		j.started++
 		j.mu.Unlock()
@@ -293,9 +294,10 @@ func (s *Service) run(ctx context.Context, j *Job) {
 		busy.Add(1)
 		res, figs, err := j.ej.runOne(j.ej.runs[idx], cache)
 		busy.Add(-1)
-		return runOut{res: res, figs: figs, err: err}
-	}, func(idx int, o runOut) {
+		emit(runOut{res: res, figs: figs, err: err})
+	}, func(idx int, o runOut) bool {
 		s.mergeOne(j, idx, o, doneC, failedC)
+		return true
 	})
 
 	s.finish(j, ctx.Err() != nil)

@@ -155,7 +155,7 @@ func (p *Pager) AllocPin(f FileID, data any) *Page {
 	p.filePages[f]++
 	fr := &frame{key: pageKey{file: f, idx: idx}, data: data, dirty: true, pins: 1}
 	p.install(fr)
-	return &Page{p: p, fr: fr}
+	return &Page{fr: fr}
 }
 
 // Pin makes page (f, idx) resident and returns a handle. A pool miss emits
@@ -166,7 +166,7 @@ func (p *Pager) Pin(f FileID, idx int64) *Page {
 	if fr, ok := p.frames[key]; ok {
 		fr.pins++
 		p.touch(fr)
-		return &Page{p: p, fr: fr}
+		return &Page{fr: fr}
 	}
 	data, ok := p.store[key]
 	if !ok {
@@ -178,7 +178,7 @@ func (p *Pager) Pin(f FileID, idx int64) *Page {
 	p.readBytes += p.pageSize
 	fr := &frame{key: key, data: data, pins: 1}
 	p.install(fr)
-	return &Page{p: p, fr: fr}
+	return &Page{fr: fr}
 }
 
 // WriteThrough stores a page's payload and emits its Write record
@@ -265,7 +265,6 @@ func (p *Pager) WriteBytes() units.Bytes { return p.writeByts }
 
 // Page is a pinned page handle.
 type Page struct {
-	p  *Pager
 	fr *frame
 }
 

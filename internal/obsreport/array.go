@@ -61,8 +61,7 @@ type ArrayReport struct {
 	BacklogBlocks  int64         `json:"backlog_blocks"`
 	DrainUs        int64         `json:"drain_us"`
 	// DeathUs and RebuildDoneUs carry the individual death and
-	// rebuild-completion times (dropped by Merge, which keeps only the
-	// counts) — the vertical markers on the chart.
+	// rebuild-completion times — the vertical markers on the chart.
 	DeathUs       []int64 `json:"death_us"`
 	RebuildDoneUs []int64 `json:"rebuild_done_us"`
 }

@@ -49,8 +49,7 @@ type FaultsReport struct {
 	SparesExhausted int64            `json:"spares_exhausted"`
 	Reclaims        int64            `json:"reclaims"`
 	// PowerFailures counts injected power failures; PowerFailUs carries the
-	// individual failure times (dropped by Merge, which keeps only the
-	// count).
+	// individual failure times.
 	PowerFailures  int64   `json:"power_failures"`
 	PowerFailUs    []int64 `json:"power_fail_us"`
 	ReplayedBlocks int64   `json:"replayed_blocks"`

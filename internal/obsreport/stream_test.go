@@ -42,7 +42,7 @@ func writeStream(t *testing.T, data []byte, n int) []string {
 
 // Every report, rendered in every format, comes out the same whether its
 // builders are fed a decoded event slice or streamed through StreamFiles
-// from one file or from four shards, at any worker count.
+// from one file or from four shards.
 func TestStreamingMatchesSliceRenders(t *testing.T) {
 	data := benchStream(5_000)
 	events, _, err := readAllMode(data, false)
@@ -77,13 +77,13 @@ func TestStreamingMatchesSliceRenders(t *testing.T) {
 		}
 		return render(reports, f)
 	}
-	streamRender := func(paths []string, workers int, f Format) string {
+	streamRender := func(paths []string, f Format) string {
 		reports := newReports()
 		reporters := make([]Reporter, len(reports))
 		for i, r := range reports {
 			reporters[i] = r
 		}
-		stats, err := StreamFiles(paths, StreamOptions{Workers: workers}, reporters...)
+		stats, err := StreamFiles(paths, StreamOptions{}, reporters...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,19 +97,17 @@ func TestStreamingMatchesSliceRenders(t *testing.T) {
 	four := writeStream(t, data, 4)
 	for _, f := range []Format{Text, CSV, JSON} {
 		want := sliceRender(f)
-		if got := streamRender(one, 1, f); got != want {
+		if got := streamRender(one, f); got != want {
 			t.Errorf("%s: single-file streaming render differs from slice render", f)
 		}
-		for _, workers := range []int{1, 2, 8} {
-			if got := streamRender(four, workers, f); got != want {
-				t.Errorf("%s/workers=%d: sharded streaming render differs from slice render", f, workers)
-			}
+		if got := streamRender(four, f); got != want {
+			t.Errorf("%s: sharded streaming render differs from slice render", f)
 		}
 	}
 }
 
 // Sharded delivery order is file order then line order, regardless of
-// worker count or which shard finishes decoding first.
+// which shard finishes decoding first.
 func TestStreamFilesDeterministicOrder(t *testing.T) {
 	data := benchStream(3_000)
 	want, _, err := readAllMode(data, false)
@@ -117,19 +115,17 @@ func TestStreamFilesDeterministicOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	paths := writeStream(t, data, 5)
-	for _, workers := range []int{1, 3, 16} {
-		var got []obs.Event
-		collect := reporterFunc(func(e obs.Event) { got = append(got, e) })
-		if _, err := StreamFiles(paths, StreamOptions{Workers: workers}, collect); err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d events, want %d", workers, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: event %d = %+v, want %+v", workers, i, got[i], want[i])
-			}
+	var got []obs.Event
+	collect := reporterFunc(func(e obs.Event) { got = append(got, e) })
+	if _, err := StreamFiles(paths, StreamOptions{}, collect); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d events, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("event %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
 }
@@ -210,12 +206,12 @@ func TestStreamFilesErrorPropagation(t *testing.T) {
 			before := runtime.NumGoroutine()
 			var n int64
 			count := reporterFunc(func(obs.Event) { n++ })
-			_, err := StreamFiles(tc.paths, StreamOptions{Lenient: tc.lenient, Workers: 4}, count)
+			_, err := StreamFiles(tc.paths, StreamOptions{Lenient: tc.lenient}, count)
 			if err == nil || !strings.Contains(err.Error(), tc.wantIn) {
 				t.Fatalf("error %v, want mention of %q", err, tc.wantIn)
 			}
-			// The done-channel abort must wind the workers down; give the
-			// scheduler a moment before declaring a leak.
+			// StreamFiles returns after every decode has; give their
+			// goroutines a moment to exit before declaring a leak.
 			for i := 0; i < 100 && runtime.NumGoroutine() > before+2; i++ {
 				time.Sleep(time.Millisecond)
 			}
