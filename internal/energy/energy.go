@@ -66,19 +66,34 @@ func NewMeter() *Meter {
 }
 
 // Accrue adds watts × duration of energy attributed to state.
-// Negative durations are rejected with a panic: a device accounting backwards
-// in time is a simulator bug we want to fail loudly.
+// A negative duration or power is rejected with a panic: a device accounting
+// backwards in time is a simulator bug we want to fail loudly. The panic
+// value is an error whose message names the duration, or the power when
+// only the power is negative.
 func (m *Meter) Accrue(state State, watts float64, d units.Time) {
-	if d < 0 {
-		panic(fmt.Sprintf("energy: negative duration %v in state %s", d, state))
-	}
-	if watts < 0 {
-		panic(fmt.Sprintf("energy: negative power %g W in state %s", watts, state))
+	if d < 0 || watts < 0 {
+		panic(accrualError{state, watts, d})
 	}
 	j := watts * d.Seconds()
 	m.joules[state] += j
 	m.present[state] = true
 	m.total += j
+}
+
+// accrualError is Accrue's panic value. It formats its message only when
+// the message is read, which keeps Accrue small enough to inline at every
+// device's call sites.
+type accrualError struct {
+	state State
+	watts float64
+	d     units.Time
+}
+
+func (e accrualError) Error() string {
+	if e.d < 0 {
+		return fmt.Sprintf("energy: negative duration %v in state %s", e.d, e.state)
+	}
+	return fmt.Sprintf("energy: negative power %g W in state %s", e.watts, e.state)
 }
 
 // TotalJ returns total accumulated energy in joules.

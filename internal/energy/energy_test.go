@@ -25,22 +25,35 @@ func TestMeterAccrue(t *testing.T) {
 	}
 }
 
+// requireAccruePanic runs one accrual on a fresh meter and requires it to
+// panic with an error whose message is want.
+func requireAccruePanic(t *testing.T, state State, watts float64, d units.Time, want string) {
+	t.Helper()
+	p := panicOf(func() { NewMeter().Accrue(state, watts, d) })
+	if p == nil {
+		t.Fatalf("Accrue(%s, %g, %d) did not panic", state, watts, d)
+	}
+	err, ok := p.(error)
+	if !ok {
+		t.Fatalf("Accrue(%s, %g, %d) panicked with %T %v, want an error", state, watts, d, p, p)
+	}
+	if got := err.Error(); got != want {
+		t.Errorf("Accrue(%s, %g, %d) panicked with %q, want %q", state, watts, d, got, want)
+	}
+}
+
 func TestMeterNegativeDurationPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("negative duration did not panic")
-		}
-	}()
-	NewMeter().Accrue(StateIdle, 1, -units.Second)
+	requireAccruePanic(t, StateIdle, 1, -units.Second, "energy: negative duration -1s in state idle")
 }
 
 func TestMeterNegativePowerPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("negative power did not panic")
-		}
-	}()
-	NewMeter().Accrue(StateIdle, -1, units.Second)
+	requireAccruePanic(t, StateIdle, -1, units.Second, "energy: negative power -1 W in state idle")
+}
+
+// TestMeterNegativeDurationAndPowerPanics: with both negative, the
+// duration is the one reported.
+func TestMeterNegativeDurationAndPowerPanics(t *testing.T) {
+	requireAccruePanic(t, StateErase, -0.25, -1500, "energy: negative duration -1.5ms in state erase")
 }
 
 func TestMeterMerge(t *testing.T) {
