@@ -112,7 +112,7 @@ func main() {
 	fmt.Printf("flash   %d erases, write amplification %.2f\n",
 		r.Flash.Erases, r.Flash.WriteAmp)
 
-	// The six fleet figures are live at /jobs/<id>/plot/<kind> the whole
+	// The seven fleet figures are live at /jobs/<id>/plot/<kind> the whole
 	// time; grab one to show they render.
 	svg, err := http.Get(ts.URL + "/jobs/" + st.ID + "/plot/latency")
 	if err != nil {

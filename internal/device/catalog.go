@@ -198,7 +198,6 @@ type CatalogEntry struct {
 	Latency    units.Time
 	Throughput float64 // KB/s; 0 means not applicable
 	PowerW     float64
-	Calibrated bool
 }
 
 // Catalog returns the manufacturer-specification rows corresponding to the

@@ -81,14 +81,13 @@ func RenderCleaner(rows []CleanerRow) string {
 // FlashSRAMRow compares a flash device with and without an SRAM write
 // buffer.
 type FlashSRAMRow struct {
-	Trace         string
-	Device        string
-	WriteMs       float64
-	BufferedMs    float64
-	Improvement   float64
-	EnergyJ       float64
-	BufferedJ     float64
-	EnergyPenalty float64
+	Trace       string
+	Device      string
+	WriteMs     float64
+	BufferedMs  float64
+	Improvement float64
+	EnergyJ     float64
+	BufferedJ   float64
 }
 
 // FlashSRAM runs the §7 suggestion: "Adding a nonvolatile SRAM write buffer
@@ -128,9 +127,6 @@ func FlashSRAM(seed int64) ([]FlashSRAMRow, error) {
 			}
 			if row.WriteMs > 0 {
 				row.Improvement = 1 - row.BufferedMs/row.WriteMs
-			}
-			if row.EnergyJ > 0 {
-				row.EnergyPenalty = row.BufferedJ/row.EnergyJ - 1
 			}
 			rows = append(rows, row)
 		}
@@ -218,15 +214,14 @@ func RenderSeries2Plus(rows []Series2PlusRow) string {
 
 // WriteBackRow compares write-through and write-back DRAM caches.
 type WriteBackRow struct {
-	Trace        string
-	Device       string
-	WTWriteMs    float64
-	WBWriteMs    float64
-	WTEnergyJ    float64
-	WBEnergyJ    float64
-	WTErases     int64
-	WBErases     int64
-	EraseSavings float64
+	Trace     string
+	Device    string
+	WTWriteMs float64
+	WBWriteMs float64
+	WTEnergyJ float64
+	WBEnergyJ float64
+	WTErases  int64
+	WBErases  int64
 }
 
 // WriteBack runs the §4.2 aside: "A write-back cache might avoid some
@@ -254,7 +249,7 @@ func WriteBack(seed int64) ([]WriteBackRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			row := WriteBackRow{
+			rows = append(rows, WriteBackRow{
 				Trace:     name,
 				Device:    dev.Name,
 				WTWriteMs: wt.Write.Mean(),
@@ -263,11 +258,7 @@ func WriteBack(seed int64) ([]WriteBackRow, error) {
 				WBEnergyJ: wb.EnergyJ,
 				WTErases:  wt.Erases,
 				WBErases:  wb.Erases,
-			}
-			if wt.Erases > 0 {
-				row.EraseSavings = 1 - float64(wb.Erases)/float64(wt.Erases)
-			}
-			rows = append(rows, row)
+			})
 		}
 	}
 	return rows, nil

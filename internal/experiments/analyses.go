@@ -17,14 +17,13 @@ import (
 // AsyncRow compares the SDP5 with on-demand vs. asynchronous erasure on one
 // trace.
 type AsyncRow struct {
-	Trace          string
-	SyncWriteMs    float64
-	AsyncWriteMs   float64
-	Improvement    float64 // fractional write-time reduction (paper: 56–61%)
-	SyncEnergyJ    float64
-	AsyncEnergyJ   float64
-	EnergyChange   float64 // fractional (paper: minimal)
-	SyncReadMeanMs float64
+	Trace        string
+	SyncWriteMs  float64
+	AsyncWriteMs float64
+	Improvement  float64 // fractional write-time reduction (paper: 56–61%)
+	SyncEnergyJ  float64
+	AsyncEnergyJ float64
+	EnergyChange float64 // fractional (paper: minimal)
 }
 
 // AsyncCleaning runs §5.3: the SDP5A's decoupled erasure against the
@@ -52,12 +51,11 @@ func AsyncCleaning(seed int64) ([]AsyncRow, error) {
 			return nil, err
 		}
 		row := AsyncRow{
-			Trace:          name,
-			SyncWriteMs:    sync.Write.Mean(),
-			AsyncWriteMs:   async.Write.Mean(),
-			SyncEnergyJ:    sync.EnergyJ,
-			AsyncEnergyJ:   async.EnergyJ,
-			SyncReadMeanMs: sync.Read.Mean(),
+			Trace:        name,
+			SyncWriteMs:  sync.Write.Mean(),
+			AsyncWriteMs: async.Write.Mean(),
+			SyncEnergyJ:  sync.EnergyJ,
+			AsyncEnergyJ: async.EnergyJ,
 		}
 		if row.SyncWriteMs > 0 {
 			row.Improvement = 1 - row.AsyncWriteMs/row.SyncWriteMs
@@ -87,15 +85,13 @@ func RenderAsync(rows []AsyncRow) string {
 // ValidationRow compares the simulator against the emulated OmniBook on the
 // synth trace for one device.
 type ValidationRow struct {
-	Device           string
-	TestbedReadMs    float64
-	SimReadMs        float64
-	TestbedWriteMs   float64
-	SimWriteMs       float64
-	ReadRatio        float64 // sim/testbed
-	WriteRatio       float64
-	TestbedReadMaxMs float64
-	SimReadMaxMs     float64
+	Device         string
+	TestbedReadMs  float64
+	SimReadMs      float64
+	TestbedWriteMs float64
+	SimWriteMs     float64
+	ReadRatio      float64 // sim/testbed
+	WriteRatio     float64
 }
 
 // Validate reruns the §5.1 check: the 6 MB synth trace through both the
@@ -140,13 +136,11 @@ func Validate(seed int64) ([]ValidationRow, error) {
 			return nil, err
 		}
 		row := ValidationRow{
-			Device:           c.name,
-			TestbedReadMs:    tb.Read.Mean(),
-			SimReadMs:        res.Read.Mean(),
-			TestbedWriteMs:   tb.Write.Mean(),
-			SimWriteMs:       res.Write.Mean(),
-			TestbedReadMaxMs: tb.Read.Max(),
-			SimReadMaxMs:     res.Read.Max(),
+			Device:         c.name,
+			TestbedReadMs:  tb.Read.Mean(),
+			SimReadMs:      res.Read.Mean(),
+			TestbedWriteMs: tb.Write.Mean(),
+			SimWriteMs:     res.Write.Mean(),
 		}
 		if row.TestbedReadMs > 0 {
 			row.ReadRatio = row.SimReadMs / row.TestbedReadMs

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 )
@@ -33,14 +34,32 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Write(append(mustJSON(v), '\n'))
 }
 
-func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeSpec reads one job spec from r. Unknown fields are an error, and
+// so is anything but whitespace after the spec, so r is read to its end.
+func decodeSpec(r io.Reader) (Spec, error) {
 	var spec Spec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
+		return spec, err
+	}
+	switch err := dec.Decode(new(json.RawMessage)); {
+	case err == nil:
+		return spec, errors.New("more than one JSON value")
+	case err != io.EOF:
+		return spec, fmt.Errorf("after the spec: %w", err)
+	}
+	return spec, nil
+}
+
+func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, err := decodeSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	if err != nil {
 		http.Error(w, fmt.Sprintf("bad job spec: %v", err), http.StatusBadRequest)
 		return
 	}
+	// Read to EOF and closed, the body needs no draining by net/http.
+	r.Body.Close()
 	j, err := s.Submit(spec)
 	if err != nil {
 		code := http.StatusBadRequest

@@ -118,6 +118,9 @@ func TestJobAPIRejectsBadSpecs(t *testing.T) {
 		{"unknown device", `{"devices": ["floppy"]}`, http.StatusBadRequest},
 		{"bad utilization", `{"utilizations": [2.0]}`, http.StatusBadRequest},
 		{"too many synth ops", `{"synth_ops": 1000001}`, http.StatusBadRequest},
+		{"trailing data", `{"devices":["cu140"],"synth_ops":200} trailing garbage`, http.StatusBadRequest},
+		{"two specs", `{"synth_ops":200} {"synth_ops":300}`, http.StatusBadRequest},
+		{"unknown cleaning policy", `{"devices":["intel"],"cleaning":["bogus"]}`, http.StatusBadRequest},
 	} {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(c.body))
 		if err != nil {

@@ -6,12 +6,13 @@ import (
 
 	"mobilestorage/internal/core"
 	"mobilestorage/internal/fault"
+	"mobilestorage/internal/flashcard"
 	"mobilestorage/internal/trace"
 	"mobilestorage/internal/units"
 	"mobilestorage/internal/workload"
 )
 
-// maxRuns caps one job's expanded grid. The pipeline is constant-memory in
+// maxRuns caps one job's run count. The pipeline is constant-memory in
 // the number of runs, so the cap guards wall-clock surprise (a fat-fingered
 // grid), not memory.
 const maxRuns = 1_000_000
@@ -154,17 +155,10 @@ const (
 	seedTagFault = 0x666c7461 // "flta"
 )
 
-// expandedJob is a validated spec plus its materialized grid.
-type expandedJob struct {
-	spec  Spec
-	plans []*fault.Plan
-	runs  []RunSpec
-}
-
-// validated is a normalized, fully-checked spec plus its grid size — the
-// cheap half of expansion. The scheduler admits or rejects a job from this
-// before materialize allocates the run slice.
-type validated struct {
+// grid is a validated job: the normalized spec, its parsed fault plans
+// and its run count. Run i's spec is a pure function of these and i
+// (runAt), so no run list is ever built.
+type grid struct {
 	spec  Spec
 	plans []*fault.Plan
 	total int
@@ -175,7 +169,7 @@ type validated struct {
 // factor: Replicas and the axis lengths arrive from untrusted JSON, and a
 // single unchecked int product can wrap a huge grid to a small positive
 // total that slips past the cap.
-func validate(s Spec) (*validated, error) {
+func validate(s Spec) (*grid, error) {
 	s = s.withDefaults()
 	var probe core.Config
 	for _, d := range s.Devices {
@@ -196,6 +190,12 @@ func validate(s Spec) (*validated, error) {
 	for _, sd := range s.SpinDownS {
 		if sd < 0 {
 			return nil, fmt.Errorf("negative spin-down threshold %g", sd)
+		}
+	}
+	policies := flashcard.Policies()
+	for _, name := range s.Cleaning {
+		if _, ok := policies[name]; !ok {
+			return nil, fmt.Errorf("unknown cleaning policy %q", name)
 		}
 	}
 	if s.SynthOps < 0 || s.SynthOps > workload.MaxSynthOps {
@@ -234,69 +234,36 @@ func validate(s Spec) (*validated, error) {
 			return nil, fmt.Errorf("grid expands to more than %d runs", maxRuns)
 		}
 	}
-	return &validated{spec: s, plans: plans, total: int(total)}, nil
+	return &grid{spec: s, plans: plans, total: int(total)}, nil
 }
 
-// materialize builds the run grid. Replicas iterate outermost so consecutive
-// run indices share a (trace, seed) pair — that is what makes the
-// scheduler's small trace cache effective.
-func (v *validated) materialize() *expandedJob {
-	s := v.spec
-	plans := v.plans
-	planAxis := len(plans)
-	if planAxis == 0 {
-		planAxis = 1
+// runAt decodes run index i, 0 ≤ i < total, in mixed radix: spin-down is
+// the innermost digit, then SRAM, DRAM, cleaning, utilization, device,
+// fault plan and trace, and the replica is what remains. Replicas being
+// outermost, consecutive run indices share a (trace, seed) pair — that is
+// what makes the scheduler's small trace cache effective.
+func (g *grid) runAt(i int) RunSpec {
+	s := &g.spec
+	n := i
+	digit := func(radix int) int {
+		d := n % radix
+		n /= radix
+		return d
 	}
-	ej := &expandedJob{spec: s, plans: plans, runs: make([]RunSpec, 0, v.total)}
-	idx := 0
-	for rep := 0; rep < s.Replicas; rep++ {
-		traceSeed := deriveSeed(s.Seed, seedTagTrace, rep)
-		for _, tr := range s.Traces {
-			for plan := 0; plan < planAxis; plan++ {
-				planIdx := plan
-				if len(plans) == 0 {
-					planIdx = -1
-				}
-				for _, dev := range s.Devices {
-					for _, util := range s.Utilizations {
-						for _, clean := range s.Cleaning {
-							for _, dram := range s.DRAMKB {
-								for _, sram := range s.SRAMKB {
-									for _, spin := range s.SpinDownS {
-										ej.runs = append(ej.runs, RunSpec{
-											Index:       idx,
-											Trace:       tr,
-											Device:      dev,
-											Utilization: util,
-											Cleaning:    clean,
-											DRAMKB:      dram,
-											SRAMKB:      sram,
-											SpinDownS:   spin,
-											Plan:        planIdx,
-											Seed:        traceSeed,
-											FaultSeed:   deriveSeed(s.Seed, seedTagFault, idx),
-											Replica:     rep,
-										})
-										idx++
-									}
-								}
-							}
-						}
-					}
-				}
-			}
-		}
+	rs := RunSpec{Index: i, Plan: -1, FaultSeed: deriveSeed(s.Seed, seedTagFault, i)}
+	rs.SpinDownS = s.SpinDownS[digit(len(s.SpinDownS))]
+	rs.SRAMKB = s.SRAMKB[digit(len(s.SRAMKB))]
+	rs.DRAMKB = s.DRAMKB[digit(len(s.DRAMKB))]
+	rs.Cleaning = s.Cleaning[digit(len(s.Cleaning))]
+	rs.Utilization = s.Utilizations[digit(len(s.Utilizations))]
+	rs.Device = s.Devices[digit(len(s.Devices))]
+	if len(g.plans) > 0 {
+		rs.Plan = digit(len(g.plans))
 	}
-	return ej
-}
-
-// expand validates the spec and materializes the grid in one step.
-func expand(s Spec) (*expandedJob, error) {
-	v, err := validate(s)
-	if err != nil {
-		return nil, err
-	}
-	return v.materialize(), nil
+	rs.Trace = s.Traces[digit(len(s.Traces))]
+	rs.Replica = n
+	rs.Seed = deriveSeed(s.Seed, seedTagTrace, n)
+	return rs
 }
 
 func knownTrace(name string) bool {
@@ -309,34 +276,34 @@ func knownTrace(name string) bool {
 }
 
 // generateTrace materializes one run's workload.
-func (ej *expandedJob) generateTrace(rs RunSpec) (*trace.Trace, error) {
-	if rs.Trace == "synth" && ej.spec.SynthOps > 0 {
-		return workload.Synth(workload.SynthConfig{Seed: rs.Seed, Ops: ej.spec.SynthOps})
+func (g *grid) generateTrace(rs RunSpec) (*trace.Trace, error) {
+	if rs.Trace == "synth" && g.spec.SynthOps > 0 {
+		return workload.Synth(workload.SynthConfig{Seed: rs.Seed, Ops: g.spec.SynthOps})
 	}
 	return workload.GenerateByName(rs.Trace, rs.Seed)
 }
 
 // buildConfig assembles the core.Config for one run, with the paper's
 // buffer defaults that the storagesim CLI also applies (SizeBuffers).
-func (ej *expandedJob) buildConfig(rs RunSpec, t *trace.Trace, prep *core.TracePrep) (core.Config, error) {
+func (g *grid) buildConfig(rs RunSpec, t *trace.Trace, prep *core.TracePrep) (core.Config, error) {
 	cfg := core.Config{
 		Trace:            t,
 		Prep:             prep,
-		WriteBack:        ej.spec.WriteBack,
+		WriteBack:        g.spec.WriteBack,
 		SpinDown:         units.FromSeconds(rs.SpinDownS),
 		CleaningPolicy:   rs.Cleaning,
 		FlashUtilization: rs.Utilization,
 	}
-	if err := SelectDevice(&cfg, rs.Device, ej.spec.Source); err != nil {
+	if err := SelectDevice(&cfg, rs.Device, g.spec.Source); err != nil {
 		return cfg, err
 	}
 	SizeBuffers(&cfg, rs.DRAMKB, rs.SRAMKB)
 	if rs.Plan >= 0 {
-		cfg.Faults = ej.plans[rs.Plan]
+		cfg.Faults = g.plans[rs.Plan]
 		cfg.FaultSeed = rs.FaultSeed
 	}
-	if ej.spec.SampleEveryS > 0 {
-		cfg.SampleEvery = units.FromSeconds(ej.spec.SampleEveryS)
+	if g.spec.SampleEveryS > 0 {
+		cfg.SampleEvery = units.FromSeconds(g.spec.SampleEveryS)
 	}
 	return cfg, nil
 }

@@ -14,15 +14,75 @@ import (
 	"mobilestorage/internal/workload"
 )
 
+// refRuns is the nested-loop grid the service materialized before runs
+// were decoded from their index: the reference runAt is checked against.
+func refRuns(g *grid) []RunSpec {
+	s := g.spec
+	planAxis := len(g.plans)
+	if planAxis == 0 {
+		planAxis = 1
+	}
+	runs := make([]RunSpec, 0, g.total)
+	idx := 0
+	for rep := 0; rep < s.Replicas; rep++ {
+		traceSeed := deriveSeed(s.Seed, seedTagTrace, rep)
+		for _, tr := range s.Traces {
+			for plan := 0; plan < planAxis; plan++ {
+				planIdx := plan
+				if len(g.plans) == 0 {
+					planIdx = -1
+				}
+				for _, dev := range s.Devices {
+					for _, util := range s.Utilizations {
+						for _, clean := range s.Cleaning {
+							for _, dram := range s.DRAMKB {
+								for _, sram := range s.SRAMKB {
+									for _, spin := range s.SpinDownS {
+										runs = append(runs, RunSpec{
+											Index:       idx,
+											Trace:       tr,
+											Device:      dev,
+											Utilization: util,
+											Cleaning:    clean,
+											DRAMKB:      dram,
+											SRAMKB:      sram,
+											SpinDownS:   spin,
+											Plan:        planIdx,
+											Seed:        traceSeed,
+											FaultSeed:   deriveSeed(s.Seed, seedTagFault, idx),
+											Replica:     rep,
+										})
+										idx++
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return runs
+}
+
+// runsOf decodes every run of a grid.
+func runsOf(g *grid) []RunSpec {
+	runs := make([]RunSpec, g.total)
+	for i := range runs {
+		runs[i] = g.runAt(i)
+	}
+	return runs
+}
+
 func TestExpandDefaults(t *testing.T) {
-	ej, err := expand(Spec{})
+	g, err := validate(Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ej.runs) != 1 {
-		t.Fatalf("empty spec expanded to %d runs, want 1", len(ej.runs))
+	if g.total != 1 {
+		t.Fatalf("empty spec expanded to %d runs, want 1", g.total)
 	}
-	rs := ej.runs[0]
+	rs := g.runAt(0)
 	if rs.Device != "cu140" || rs.Trace != "synth" || rs.Utilization != 0.8 ||
 		rs.Cleaning != "greedy" || rs.DRAMKB != -1 || rs.SRAMKB != -1 ||
 		rs.SpinDownS != 5 || rs.Plan != -1 || rs.Replica != 0 {
@@ -34,7 +94,7 @@ func TestExpandDefaults(t *testing.T) {
 }
 
 func TestExpandGridOrderAndSeeds(t *testing.T) {
-	ej, err := expand(Spec{
+	g, err := validate(Spec{
 		Devices:      []string{"cu140", "sdp10"},
 		Utilizations: []float64{0.5, 0.9},
 		Replicas:     3,
@@ -43,12 +103,13 @@ func TestExpandGridOrderAndSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ej.runs) != 12 {
-		t.Fatalf("%d runs, want 12 (2 devices × 2 utilizations × 3 replicas)", len(ej.runs))
+	if g.total != 12 {
+		t.Fatalf("%d runs, want 12 (2 devices × 2 utilizations × 3 replicas)", g.total)
 	}
+	runs := runsOf(g)
 	// Replicas iterate outermost: the first 4 runs are replica 0, sharing
 	// one workload seed; the next 4 are replica 1 with a different seed.
-	for i, rs := range ej.runs {
+	for i, rs := range runs {
 		if want := i / 4; rs.Replica != want {
 			t.Errorf("run %d: replica %d, want %d", i, rs.Replica, want)
 		}
@@ -56,22 +117,22 @@ func TestExpandGridOrderAndSeeds(t *testing.T) {
 			t.Errorf("run %d: index %d", i, rs.Index)
 		}
 	}
-	if ej.runs[0].Seed != ej.runs[3].Seed {
+	if runs[0].Seed != runs[3].Seed {
 		t.Error("runs within a replica must share a workload seed")
 	}
-	if ej.runs[0].Seed == ej.runs[4].Seed {
+	if runs[0].Seed == runs[4].Seed {
 		t.Error("different replicas must get different workload seeds")
 	}
 	// Fault seeds are per-run streams, distinct from workload seeds.
 	seen := map[int64]bool{}
-	for _, rs := range ej.runs {
+	for _, rs := range runs {
 		if seen[rs.FaultSeed] {
 			t.Fatalf("duplicate fault seed %d", rs.FaultSeed)
 		}
 		seen[rs.FaultSeed] = true
 	}
 	// Same spec, same grid: expansion is deterministic.
-	ej2, err := expand(Spec{
+	g2, err := validate(Spec{
 		Devices:      []string{"cu140", "sdp10"},
 		Utilizations: []float64{0.5, 0.9},
 		Replicas:     3,
@@ -80,8 +141,8 @@ func TestExpandGridOrderAndSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := json.Marshal(ej.runs)
-	b, _ := json.Marshal(ej2.runs)
+	a, _ := json.Marshal(runs)
+	b, _ := json.Marshal(runsOf(g2))
 	if string(a) != string(b) {
 		t.Error("expansion is not deterministic")
 	}
@@ -97,6 +158,9 @@ func TestExpandValidation(t *testing.T) {
 		{"bad trace", Spec{Traces: []string{"win95"}}, "unknown trace"},
 		{"bad utilization", Spec{Utilizations: []float64{1.5}}, "utilization"},
 		{"negative spindown", Spec{SpinDownS: []float64{-1}}, "spin-down"},
+		// cu140 is the only device: a disk-only grid would otherwise carry
+		// the bad name into every run unnoticed.
+		{"unknown cleaning policy", Spec{Cleaning: []string{"greedy", "bogus"}}, "cleaning policy"},
 		{"negative ops", Spec{SynthOps: -5}, "synth_ops"},
 		{"too many ops", Spec{SynthOps: workload.MaxSynthOps + 1}, "synth_ops"},
 		{"too many workers", Spec{Workers: maxWorkers + 1}, "workers"},
@@ -117,7 +181,7 @@ func TestExpandValidation(t *testing.T) {
 		}, "expands"},
 	}
 	for _, c := range cases {
-		_, err := expand(c.spec)
+		_, err := validate(c.spec)
 		if err == nil {
 			t.Errorf("%s: accepted", c.name)
 			continue
@@ -129,14 +193,14 @@ func TestExpandValidation(t *testing.T) {
 }
 
 func TestBuildConfigDefaults(t *testing.T) {
-	ej, err := expand(Spec{Devices: []string{"cu140", "intel"}})
+	g, err := validate(Spec{Devices: []string{"cu140", "intel"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Disk: default DRAM 2 MB and SRAM 32 KB, mirroring the CLI.
-	diskRun := ej.runs[0]
-	cfg, err := ej.buildConfig(diskRun, &trace.Trace{Name: "synth"}, nil)
+	diskRun := g.runAt(0)
+	cfg, err := g.buildConfig(diskRun, &trace.Trace{Name: "synth"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,8 +215,8 @@ func TestBuildConfigDefaults(t *testing.T) {
 	}
 
 	// Flash card: no SRAM by default.
-	cardRun := ej.runs[1]
-	cfg, err = ej.buildConfig(cardRun, &trace.Trace{Name: "synth"}, nil)
+	cardRun := g.runAt(1)
+	cfg, err = g.buildConfig(cardRun, &trace.Trace{Name: "synth"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +228,7 @@ func TestBuildConfigDefaults(t *testing.T) {
 	}
 
 	// The hp trace runs uncached (§4.1), like the CLI default.
-	cfg, err = ej.buildConfig(diskRun, &trace.Trace{Name: "hp"}, nil)
+	cfg, err = g.buildConfig(diskRun, &trace.Trace{Name: "hp"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +238,11 @@ func TestBuildConfigDefaults(t *testing.T) {
 }
 
 func TestBuildConfigExplicitSizes(t *testing.T) {
-	ej, err := expand(Spec{DRAMKB: []int64{64}, SRAMKB: []int64{0}})
+	g, err := validate(Spec{DRAMKB: []int64{64}, SRAMKB: []int64{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := ej.buildConfig(ej.runs[0], &trace.Trace{Name: "synth"}, nil)
+	cfg, err := g.buildConfig(g.runAt(0), &trace.Trace{Name: "synth"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,24 +256,24 @@ func TestBuildConfigExplicitSizes(t *testing.T) {
 
 func TestExpandFaultPlanAxis(t *testing.T) {
 	plan := json.RawMessage(`{"read_error_rate": 0.001, "max_retries": 3}`)
-	ej, err := expand(Spec{FaultPlans: []json.RawMessage{plan, plan}})
+	g, err := validate(Spec{FaultPlans: []json.RawMessage{plan, plan}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ej.runs) != 2 {
-		t.Fatalf("%d runs, want 2 (one per plan)", len(ej.runs))
+	if g.total != 2 {
+		t.Fatalf("%d runs, want 2 (one per plan)", g.total)
 	}
-	if ej.runs[0].Plan != 0 || ej.runs[1].Plan != 1 {
-		t.Errorf("plan indices: %d, %d", ej.runs[0].Plan, ej.runs[1].Plan)
+	if p0, p1 := g.runAt(0).Plan, g.runAt(1).Plan; p0 != 0 || p1 != 1 {
+		t.Errorf("plan indices: %d, %d", p0, p1)
 	}
-	cfg, err := ej.buildConfig(ej.runs[1], &trace.Trace{Name: "synth"}, nil)
+	cfg, err := g.buildConfig(g.runAt(1), &trace.Trace{Name: "synth"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.Faults == nil {
 		t.Error("fault plan not wired into config")
 	}
-	if cfg.FaultSeed != ej.runs[1].FaultSeed {
+	if cfg.FaultSeed != g.runAt(1).FaultSeed {
 		t.Error("fault seed not wired into config")
 	}
 }
@@ -234,22 +298,29 @@ func leastAlloc(n int, bound uint64, f func()) uint64 {
 }
 
 // FuzzJobSpec feeds hostile POST /jobs bodies through the submit path up to
-// the run grid: decode as handleSubmit does, validate, and materialize
-// grids of at most maxFuzzRuns. validate sizes the grid from replicas and
+// the run grid: decode as handleSubmit does (decodeSpec), validate, and
+// decode runs from their index. validate sizes the grid from replicas and
 // the axis lengths without allocating for it, so its allocation must stay
 // within a bound on the input length, whatever run count the spec claims.
+// runAt must match the nested-loop reference (refRuns) on every run of a
+// grid of at most maxRefRuns, and on every accepted grid its first, middle
+// and last runs must be well formed.
 func FuzzJobSpec(f *testing.F) {
-	const maxFuzzRuns = 4096
+	const maxRefRuns = 4096
 	for _, seed := range []string{
 		`{}`,
 		`{"devices":["cu140","sdp5a","intel"],"traces":["synth","mac"],"utilizations":[0.4,0.95],"replicas":3}`,
 		`{"devices":["kh","intel2+"],"source":"datasheet","dram_kb":[-1,0,64],"sram_kb":[-1,32],"spindown_s":[0,5]}`,
 		`{"replicas":999999,"seed":-7}`,
 		`{"replicas":1000000,"devices":["intel","sdp10"]}`,
+		`{"replicas":1000000,"fault_plans":[{"read_error_rate":0.001}]}`,
 		`{"fault_plans":[{"read_error_rate":0.001,"max_retries":3},{"write_error_rate":0.01}],"cleaning":["greedy","fifo"]}`,
+		`{"devices":["cu140","intel"],"traces":["mac","synth"],"cleaning":["greedy","cost-benefit"],"dram_kb":[0,64],"sram_kb":[-1,32],"spindown_s":[1,5],"utilizations":[0.5,0.9],"fault_plans":[{"read_error_rate":0.001},{"write_error_rate":0.01}],"replicas":3}`,
 		`{"devices":["sdp5a"],"source":"measured"}`,
 		`{"workers":-1}`,
 		`{"bogus":1}`,
+		`{"synth_ops":200} {"synth_ops":300}`,
+		`{"cleaning":["bogus"]}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -257,39 +328,44 @@ func FuzzJobSpec(f *testing.F) {
 		if len(data) > maxSpecBytes {
 			return
 		}
-		var spec Spec
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
+		spec, err := decodeSpec(bytes.NewReader(data))
+		if err != nil {
 			return
 		}
 
-		var v *validated
-		var err error
+		var g *grid
 		bound := uint64(64*len(data) + 64<<10)
-		if alloc := leastAlloc(3, bound, func() { v, err = validate(spec) }); alloc > bound {
+		if alloc := leastAlloc(3, bound, func() { g, err = validate(spec) }); alloc > bound {
 			t.Fatalf("validate allocated %d bytes for a %d-byte spec (bound %d)", alloc, len(data), bound)
 		}
 		if err != nil {
 			return
 		}
-		if v.total < 1 || v.total > maxRuns {
-			t.Fatalf("validated grid of %d runs", v.total)
+		if g.total < 1 || g.total > maxRuns {
+			t.Fatalf("validated grid of %d runs", g.total)
 		}
-		if v.total > maxFuzzRuns {
-			return
-		}
-		ej := v.materialize()
-		if len(ej.runs) != v.total {
-			t.Fatalf("materialized %d runs, validate sized %d", len(ej.runs), v.total)
-		}
-		for i, rs := range ej.runs {
+		for _, i := range []int{0, g.total / 2, g.total - 1} {
+			rs := g.runAt(i)
 			if rs.Index != i {
 				t.Fatalf("run %d has index %d", i, rs.Index)
 			}
 			var cfg core.Config
-			if err := SelectDevice(&cfg, rs.Device, ej.spec.Source); err != nil {
+			if err := SelectDevice(&cfg, rs.Device, g.spec.Source); err != nil {
 				t.Fatalf("run %d: device does not resolve: %v", i, err)
+			}
+			if rs.Replica < 0 || rs.Replica >= g.spec.Replicas {
+				t.Fatalf("run %d: replica %d of %d", i, rs.Replica, g.spec.Replicas)
+			}
+			if rs.Plan < -1 || rs.Plan >= len(g.plans) || (rs.Plan == -1) != (len(g.plans) == 0) {
+				t.Fatalf("run %d: plan %d of %d", i, rs.Plan, len(g.plans))
+			}
+		}
+		if g.total > maxRefRuns {
+			return
+		}
+		for i, want := range refRuns(g) {
+			if got := g.runAt(i); got != want {
+				t.Fatalf("run %d decodes to %+v, the nested loops give %+v", i, got, want)
 			}
 		}
 	})

@@ -20,9 +20,8 @@ import (
 // maxStoredErrors bounds the per-job error list in job status output.
 const maxStoredErrors = 8
 
-// maxPendingRuns caps expanded-but-unfinished runs across all jobs — the
-// admission control for materialization memory (a max-size grid's RunSpec
-// slice is ~100 MB).
+// maxPendingRuns caps admitted-but-unfinished runs across all jobs; a
+// submission past it is refused with errBusy.
 const maxPendingRuns = 2 * maxRuns
 
 // maxFinishedJobs bounds how many terminal jobs the service retains for
@@ -45,15 +44,15 @@ const (
 	StateCancelled = "cancelled"
 )
 
-// Job is one submitted grid: its expanded runs, live aggregate, and SSE
-// broadcaster. All mutable state is guarded by mu.
+// Job is one submitted grid: the grid its runs decode from, live
+// aggregate, and SSE broadcaster. All mutable state is guarded by mu.
 type Job struct {
 	ID      string
 	Spec    Spec // normalized (defaults applied)
 	Total   int
 	Workers int
 
-	ej        *expandedJob
+	grid      *grid
 	broadcast *Broadcaster
 	cancel    context.CancelFunc
 	finished  chan struct{} // closed when the merger drains
@@ -162,7 +161,7 @@ type Service struct {
 	jobs     map[string]*Job
 	order    []string
 	finished []string // terminal job IDs, oldest first, for retention eviction
-	pending  int      // expanded-but-unfinished runs across all jobs
+	pending  int      // admitted-but-unfinished runs across all jobs
 	nextID   int
 	draining bool
 	wg       sync.WaitGroup
@@ -199,23 +198,20 @@ func (s *Service) JobsSnapshot() []*Job {
 	return out
 }
 
-// Submit validates and expands a spec, assigns a job ID, and starts the
-// run fan-out. It returns immediately; progress streams via the job's
-// broadcaster and Status.
+// Submit validates a spec, assigns a job ID, and starts the run fan-out.
+// It returns immediately; progress streams via the job's broadcaster and
+// Status.
 func (s *Service) Submit(spec Spec) (*Job, error) {
-	// Validate and size the grid without materializing it, so admission
-	// control — drain state and the fleet-wide pending-run cap — runs before
-	// the expansion allocates anything proportional to the grid.
-	v, err := validate(spec)
+	g, err := validate(spec)
 	if err != nil {
 		return nil, err
 	}
-	workers := v.spec.Workers
+	workers := g.spec.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > v.total {
-		workers = v.total
+	if workers > g.total {
+		workers = g.total
 	}
 
 	s.mu.Lock()
@@ -223,13 +219,13 @@ func (s *Service) Submit(spec Spec) (*Job, error) {
 		s.mu.Unlock()
 		return nil, errDraining
 	}
-	if s.pending+v.total > s.maxPending {
+	if s.pending+g.total > s.maxPending {
 		queued := s.pending
 		s.mu.Unlock()
 		return nil, fmt.Errorf("%w (%d runs queued, job adds %d, cap %d)",
-			errBusy, queued, v.total, s.maxPending)
+			errBusy, queued, g.total, s.maxPending)
 	}
-	s.pending += v.total
+	s.pending += g.total
 	s.nextID++
 	id := fmt.Sprintf("j%d", s.nextID)
 	// Reserve the drain barrier with the run reservation: Shutdown observes
@@ -237,14 +233,13 @@ func (s *Service) Submit(spec Spec) (*Job, error) {
 	s.wg.Add(1)
 	s.mu.Unlock()
 
-	ej := v.materialize()
 	ctx, cancel := context.WithCancel(context.Background())
 	j := &Job{
 		ID:        id,
-		Spec:      ej.spec,
-		Total:     len(ej.runs),
+		Spec:      g.spec,
+		Total:     g.total,
 		Workers:   workers,
-		ej:        ej,
+		grid:      g,
 		broadcast: NewBroadcaster(),
 		cancel:    cancel,
 		finished:  make(chan struct{}),
@@ -285,14 +280,14 @@ func (s *Service) run(ctx context.Context, j *Job) {
 	busy := s.reg.Gauge(jobMetric(j.ID, "workers_busy"))
 
 	cache := newTraceCache(j.Workers + 2)
-	sweep.Run(ctx, len(j.ej.runs), j.Workers, func(idx int, emit func(runOut) bool) {
+	sweep.Run(ctx, j.Total, j.Workers, func(idx int, emit func(runOut) bool) {
 		j.mu.Lock()
 		j.started++
 		j.mu.Unlock()
 		started.Inc()
 		depth.Add(-1)
 		busy.Add(1)
-		res, figs, err := j.ej.runOne(j.ej.runs[idx], cache)
+		res, figs, err := j.grid.runOne(j.grid.runAt(idx), cache)
 		busy.Add(-1)
 		emit(runOut{res: res, figs: figs, err: err})
 	}, func(idx int, o runOut) bool {
@@ -326,7 +321,7 @@ func (s *Service) mergeOne(j *Job, idx int, o runOut, doneC, failedC *obs.Counte
 	j.mu.Unlock()
 
 	if o.err == nil && o.res.Timeline != nil {
-		rs := j.ej.runs[idx]
+		rs := j.grid.runAt(idx)
 		se := sampleEvent{Job: j.ID, Run: idx, Trace: rs.Trace, Device: rs.Device}
 		for _, p := range o.res.Timeline.Points {
 			se.Points = append(se.Points, samplePoint{TUs: p.TUs, EnergyJ: p.Gauges[core.GaugeEnergyTotal]})
@@ -337,9 +332,8 @@ func (s *Service) mergeOne(j *Job, idx int, o runOut, doneC, failedC *obs.Counte
 }
 
 // finish marks the job terminal, broadcasts the guaranteed final frame,
-// drops the expanded grid (dead weight once every run has merged), and
-// retires the oldest finished jobs past the retention cap — unregistering
-// their per-job metrics so a long-lived service stays flat.
+// and retires the oldest finished jobs past the retention cap —
+// unregistering their per-job metrics so a long-lived service stays flat.
 func (s *Service) finish(j *Job, cancelled bool) {
 	j.mu.Lock()
 	if cancelled && j.done < j.Total {
@@ -348,7 +342,6 @@ func (s *Service) finish(j *Job, cancelled bool) {
 		j.state = StateDone
 	}
 	j.ended = time.Now()
-	j.ej = nil // up to maxRuns RunSpecs; everything is merged into j.agg now
 	j.mu.Unlock()
 
 	s.mu.Lock()
@@ -421,18 +414,18 @@ func mustJSON(v any) []byte {
 // spec, a private FigureSet whose merged builders (mergedOf) observe the
 // run's event stream, and — when sampling is on — a private registry for
 // the simulated-time sampler.
-func (ej *expandedJob) runOne(rs RunSpec, cache *traceCache) (*core.Result, *obsreport.FigureSet, error) {
-	t, prep, err := cache.get(ej, rs)
+func (g *grid) runOne(rs RunSpec, cache *traceCache) (*core.Result, *obsreport.FigureSet, error) {
+	t, prep, err := cache.get(g, rs)
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg, err := ej.buildConfig(rs, t, prep)
+	cfg, err := g.buildConfig(rs, t, prep)
 	if err != nil {
 		return nil, nil, err
 	}
 	figs := obsreport.NewFigureSet()
 	var reg *obs.Registry
-	if ej.spec.SampleEveryS > 0 {
+	if g.spec.SampleEveryS > 0 {
 		reg = obs.NewRegistry()
 	}
 	cfg.Scope = obs.NewScope(reg, mergedOf(figs))
@@ -472,10 +465,10 @@ func newTraceCache(cap int) *traceCache {
 	return &traceCache{cap: cap, m: map[traceKey]*traceEntry{}}
 }
 
-func (c *traceCache) get(ej *expandedJob, rs RunSpec) (*trace.Trace, *core.TracePrep, error) {
+func (c *traceCache) get(g *grid, rs RunSpec) (*trace.Trace, *core.TracePrep, error) {
 	key := traceKey{name: rs.Trace, seed: rs.Seed}
 	if rs.Trace == "synth" {
-		key.ops = ej.spec.SynthOps
+		key.ops = g.spec.SynthOps
 	}
 	c.mu.Lock()
 	e, ok := c.m[key]
@@ -491,7 +484,7 @@ func (c *traceCache) get(ej *expandedJob, rs RunSpec) (*trace.Trace, *core.Trace
 	}
 	c.mu.Unlock()
 	e.once.Do(func() {
-		e.t, e.err = ej.generateTrace(rs)
+		e.t, e.err = g.generateTrace(rs)
 		if e.err == nil {
 			e.prep = core.PrepareTrace(e.t)
 		}

@@ -109,6 +109,26 @@ func TestLargeGridConstantMemory(t *testing.T) {
 	}
 }
 
+// Submitting a job allocates nothing per run: a 1,000,000-run spec,
+// cancelled at once, allocates far less than its runs' specs would take
+// (about 120 MB at 120 B a run).
+func TestSubmitAllocationFlatInRuns(t *testing.T) {
+	const bound = 4 << 20
+	svc := NewService(nil)
+	spec := Spec{SynthOps: 10, Replicas: maxRuns, Workers: 1}
+	alloc := leastAlloc(3, bound, func() {
+		j, err := svc.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.Cancel()
+		<-j.Finished()
+	})
+	if alloc > bound {
+		t.Errorf("submitting and cancelling a %d-run job allocated %d bytes, want at most %d", maxRuns, alloc, bound)
+	}
+}
+
 func TestJobProgressFrames(t *testing.T) {
 	svc := NewService(obs.NewRegistry())
 	j, err := svc.Submit(smallSpec(3))
@@ -263,8 +283,8 @@ func TestSubmitPendingRunCap(t *testing.T) {
 	<-j.Finished()
 }
 
-// Finished jobs drop their expanded grid immediately and are retired past
-// the retention cap, taking their per-job registry metrics with them.
+// Finished jobs are retired past the retention cap, taking their per-job
+// registry metrics with them.
 func TestFinishedJobRetention(t *testing.T) {
 	reg := obs.NewRegistry()
 	svc := NewService(reg)
@@ -274,11 +294,6 @@ func TestFinishedJobRetention(t *testing.T) {
 		jobs = append(jobs, runJob(t, svc, Spec{SynthOps: 50}))
 	}
 	first := jobs[0]
-	first.mu.Lock()
-	if first.ej != nil {
-		t.Error("finished job retained its expanded grid")
-	}
-	first.mu.Unlock()
 	if svc.Get(first.ID) != nil {
 		t.Errorf("job %s not retired past the retention cap", first.ID)
 	}
@@ -343,7 +358,7 @@ func TestRunTracerReadsOnlyMergedKinds(t *testing.T) {
 	spec := Spec{Traces: []string{"synth"}, SynthOps: 2000, Devices: []string{"cu140", "sdp5", "intel"}, Replicas: 2,
 		Seed: 3, SampleEveryS: 1,
 		FaultPlans: []json.RawMessage{json.RawMessage(`{"write_error_rate":0.01,"power_fail_at_us":[5000000]}`)}}
-	ej, err := expand(spec)
+	g, err := validate(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,8 +367,9 @@ func TestRunTracerReadsOnlyMergedKinds(t *testing.T) {
 	cache := newTraceCache(2)
 	want := NewAggregator()
 	saw := obs.NewCollector(dropped)
-	for i, rs := range ej.runs {
-		_, figs, err := ej.runOne(rs, cache)
+	for i := range g.total {
+		rs := g.runAt(i)
+		_, figs, err := g.runOne(rs, cache)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -366,11 +382,11 @@ func TestRunTracerReadsOnlyMergedKinds(t *testing.T) {
 		}
 
 		// The same run under a full FigureSet, which reads every kind.
-		tr, prep, err := cache.get(ej, rs)
+		tr, prep, err := cache.get(g, rs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg, err := ej.buildConfig(rs, tr, prep)
+		cfg, err := g.buildConfig(rs, tr, prep)
 		if err != nil {
 			t.Fatal(err)
 		}

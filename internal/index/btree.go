@@ -366,7 +366,6 @@ func (t *BTree) Stats() Stats {
 		Keys:         t.n,
 		LogicalBytes: t.logicalBytes,
 		WrittenBytes: t.pg.WriteBytes(),
-		ReadBytes:    t.pg.ReadBytes(),
 		PageReads:    t.pg.PageReads(),
 		PageWrites:   t.pg.PageWrites(),
 	}

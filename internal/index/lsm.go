@@ -486,7 +486,6 @@ func (l *LSM) Stats() Stats {
 		Keys:         l.Len(),
 		LogicalBytes: l.logicalBytes,
 		WrittenBytes: l.pg.WriteBytes(),
-		ReadBytes:    l.pg.ReadBytes(),
 		PageReads:    l.pg.PageReads(),
 		PageWrites:   l.pg.PageWrites(),
 	}

@@ -29,7 +29,6 @@ type Stats struct {
 	Keys         int
 	LogicalBytes units.Bytes
 	WrittenBytes units.Bytes
-	ReadBytes    units.Bytes
 	PageReads    int64
 	PageWrites   int64
 }

@@ -67,7 +67,7 @@ type Pager struct {
 
 	// Stats.
 	pageReads, pageWrites int64
-	readBytes, writeByts  units.Bytes
+	writeByts             units.Bytes
 }
 
 // minPoolPages keeps eviction meaningful while leaving room for the deepest
@@ -175,7 +175,6 @@ func (p *Pager) Pin(f FileID, idx int64) *Page {
 	delete(p.store, key)
 	p.emit(trace.Read, key, p.pageSize)
 	p.pageReads++
-	p.readBytes += p.pageSize
 	fr := &frame{key: key, data: data, pins: 1}
 	p.install(fr)
 	return &Page{fr: fr}
@@ -257,10 +256,9 @@ func (p *Pager) Trace(name string) *trace.Trace {
 	return &trace.Trace{Name: name, BlockSize: p.pageSize, Records: p.recs}
 }
 
-// PageReads / PageWrites / ReadBytes / WriteBytes report physical I/O.
+// PageReads / PageWrites / WriteBytes report physical I/O.
 func (p *Pager) PageReads() int64        { return p.pageReads }
 func (p *Pager) PageWrites() int64       { return p.pageWrites }
-func (p *Pager) ReadBytes() units.Bytes  { return p.readBytes }
 func (p *Pager) WriteBytes() units.Bytes { return p.writeByts }
 
 // Page is a pinned page handle.

@@ -68,8 +68,6 @@ type Config struct {
 	Compression bool
 	// Data is the benchmark payload (Random or MobyDick).
 	Data compress.Data
-	// CardCapacity sizes the Intel card (default 10 MB, the measured part).
-	CardCapacity units.Bytes
 	// MFFS overrides the MFFS model (default mffs.New(); mffs.Fixed() for
 	// the repaired-MFFS ablation).
 	MFFS *mffs.Model
@@ -127,11 +125,8 @@ func New(cfg Config) (*Testbed, error) {
 			t.comp = &m
 		}
 	case IntelCard:
-		capacity := cfg.CardCapacity
-		if capacity == 0 {
-			capacity = 10 * units.MB
-		}
-		t.card, err = flashcard.New(device.IntelSeries2Datasheet(), capacity, 512*units.B)
+		// The measured part: a 10 MB card.
+		t.card, err = flashcard.New(device.IntelSeries2Datasheet(), 10*units.MB, 512*units.B)
 		t.dev = t.card
 		if cfg.MFFS != nil {
 			t.model = *cfg.MFFS

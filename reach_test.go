@@ -34,7 +34,6 @@ var reachAllowed = map[string]string{
 	"(*index.BTree).checkInvariants":  "oracle: the B+tree tests check every mutation against it",
 	"(workload.Mixture).Mean":         "oracle: the analytic mean Draw is tested against",
 	"(*sram.Buffer).OverflowStall":    "oracle: compared with the frozen reference buffer",
-	"fleet.expand":                    "test helper; moving it to a test file would not shrink the package",
 }
 
 // reachSkipped holds what the scan does not check: the frozen reference

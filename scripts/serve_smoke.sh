@@ -3,9 +3,11 @@
 #
 # Boots `storagesim -service` on an ephemeral port, submits a small grid
 # job over POST /jobs, polls GET /jobs/<id> until it finishes, fetches
-# every fleet figure and the dashboard index, then shuts the service down
-# with SIGINT and checks the graceful exit status (130). Needs only a Go
-# toolchain and curl. Run from the repo root: `make serve-smoke`.
+# every fleet figure and the dashboard index, checks that a spec with
+# trailing data and one with an unknown cleaning policy are refused with
+# 400, then shuts the service down with SIGINT and checks the graceful
+# exit status (130). Needs only a Go toolchain and curl. Run from the repo
+# root: `make serve-smoke`.
 set -eu
 
 workdir=$(mktemp -d)
@@ -90,6 +92,17 @@ case "$index" in
 *"$job"*) ;;
 *) fail "index does not show job $job" ;;
 esac
+
+# Bad specs are refused before a job exists, so the submitted count below
+# stays 1.
+for bad in '{"devices":["cu140"],"synth_ops":200} trailing garbage' \
+    '{"devices":["intel"],"cleaning":["bogus"]}'; do
+    code=$(curl -sS -o /dev/null -w '%{http_code}' -X POST \
+        -H 'Content-Type: application/json' -d "$bad" "$base/jobs") \
+        || fail "POST /jobs $bad"
+    [ "$code" = 400 ] || fail "POST /jobs $bad answered $code, want 400"
+done
+echo "serve-smoke: bad specs refused"
 
 curl -fsS "$base/metrics" | grep -q 'storagesim_fleet_jobs_submitted_total 1' \
     || fail "metrics missing fleet counters"
