@@ -302,9 +302,10 @@ func leastAlloc(n int, bound uint64, f func()) uint64 {
 // decode runs from their index. validate sizes the grid from replicas and
 // the axis lengths without allocating for it, so its allocation must stay
 // within a bound on the input length, whatever run count the spec claims.
-// runAt must match the nested-loop reference (refRuns) on every run of a
-// grid of at most maxRefRuns, and on every accepted grid its first, middle
-// and last runs must be well formed.
+// validate's run count and runAt must match the nested-loop reference
+// (refRuns), in count and run for run, on every grid of at most maxRefRuns.
+// On every accepted grid the first, middle and last runs must be well
+// formed, and the last run must be in the last replica.
 func FuzzJobSpec(f *testing.F) {
 	const maxRefRuns = 4096
 	for _, seed := range []string{
@@ -360,10 +361,17 @@ func FuzzJobSpec(f *testing.F) {
 				t.Fatalf("run %d: plan %d of %d", i, rs.Plan, len(g.plans))
 			}
 		}
+		if last := g.runAt(g.total - 1); last.Replica != g.spec.Replicas-1 {
+			t.Fatalf("last run %d is in replica %d of %d", g.total-1, last.Replica, g.spec.Replicas)
+		}
 		if g.total > maxRefRuns {
 			return
 		}
-		for i, want := range refRuns(g) {
+		runs := refRuns(g)
+		if len(runs) != g.total {
+			t.Fatalf("the nested loops give %d runs, validate sized %d", len(runs), g.total)
+		}
+		for i, want := range runs {
 			if got := g.runAt(i); got != want {
 				t.Fatalf("run %d decodes to %+v, the nested loops give %+v", i, got, want)
 			}

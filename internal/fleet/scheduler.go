@@ -20,8 +20,11 @@ import (
 // maxStoredErrors bounds the per-job error list in job status output.
 const maxStoredErrors = 8
 
-// maxPendingRuns caps admitted-but-unfinished runs across all jobs; a
-// submission past it is refused with errBusy.
+// maxPendingRuns caps admitted-but-unfinished runs across all jobs. Like
+// maxRuns for one job, it bounds wall-clock work, here the work the service
+// has accepted and not yet done: past it a submission is refused with
+// errBusy, so the client retries later instead of its runs sharing the
+// CPUs with millions of others.
 const maxPendingRuns = 2 * maxRuns
 
 // maxFinishedJobs bounds how many terminal jobs the service retains for
@@ -46,13 +49,15 @@ const (
 
 // Job is one submitted grid: the grid its runs decode from, live
 // aggregate, and SSE broadcaster. All mutable state is guarded by mu.
+// Name and Total are what Status reports of the grid once finish has
+// dropped it.
 type Job struct {
 	ID      string
-	Spec    Spec // normalized (defaults applied)
+	Name    string
 	Total   int
 	Workers int
 
-	grid      *grid
+	grid      *grid // nil once the job finishes
 	broadcast *Broadcaster
 	cancel    context.CancelFunc
 	finished  chan struct{} // closed when the merger drains
@@ -95,7 +100,7 @@ func (j *Job) Status() *Status {
 	}
 	return &Status{
 		ID:       j.ID,
-		Name:     j.Spec.Name,
+		Name:     j.Name,
 		State:    j.state,
 		Total:    j.Total,
 		Started:  j.started,
@@ -236,7 +241,7 @@ func (s *Service) Submit(spec Spec) (*Job, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	j := &Job{
 		ID:        id,
-		Spec:      g.spec,
+		Name:      g.spec.Name,
 		Total:     g.total,
 		Workers:   workers,
 		grid:      g,
@@ -342,6 +347,9 @@ func (s *Service) finish(j *Job, cancelled bool) {
 		j.state = StateDone
 	}
 	j.ended = time.Now()
+	// sweep.Run has returned, so no worker or merge reads the grid again;
+	// a retained finished job keeps neither its spec nor its parsed plans.
+	j.grid = nil
 	j.mu.Unlock()
 
 	s.mu.Lock()

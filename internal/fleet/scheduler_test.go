@@ -262,9 +262,9 @@ func TestShutdownDeadlineCancels(t *testing.T) {
 	}
 }
 
-// Admission control sizes the grid before materializing it: a job that
-// would push the fleet-wide pending-run total past the cap is rejected with
-// errBusy, and capacity frees up again once jobs finish.
+// Admission control counts a job's runs at submit: a job that would push
+// the fleet-wide pending-run total past the cap is rejected with errBusy,
+// and capacity frees up again once jobs finish.
 func TestSubmitPendingRunCap(t *testing.T) {
 	svc := NewService(obs.NewRegistry())
 	svc.maxPending = 4
@@ -283,8 +283,8 @@ func TestSubmitPendingRunCap(t *testing.T) {
 	<-j.Finished()
 }
 
-// Finished jobs are retired past the retention cap, taking their per-job
-// registry metrics with them.
+// Finished jobs drop their grid immediately and are retired past the
+// retention cap, taking their per-job registry metrics with them.
 func TestFinishedJobRetention(t *testing.T) {
 	reg := obs.NewRegistry()
 	svc := NewService(reg)
@@ -294,6 +294,11 @@ func TestFinishedJobRetention(t *testing.T) {
 		jobs = append(jobs, runJob(t, svc, Spec{SynthOps: 50}))
 	}
 	first := jobs[0]
+	first.mu.Lock()
+	if first.grid != nil {
+		t.Error("finished job retained its grid")
+	}
+	first.mu.Unlock()
 	if svc.Get(first.ID) != nil {
 		t.Errorf("job %s not retired past the retention cap", first.ID)
 	}
